@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError
-from .schedule import Schedule
-from .words import STAR, PartialWindow
+from .schedule import LevelCheck, Schedule, _check_level
+from .words import PartialWindow, occurrences
 
 
 # --- subword complexity -------------------------------------------------
@@ -119,29 +119,7 @@ def decay_report(schedule: Schedule) -> dict:
     return {"C_corrected": C, "C_naive": paper_C, "levels": rows}
 
 
-# --- window admissibility (vectorized) ----------------------------------
-
-
-@dataclass(frozen=True)
-class LevelCheck:
-    level: int
-    blocks: int
-    defined_blocks: int
-    required_share: int
-    min_pillar_share: int | None
-    pillar_total: int
-    membership: str      # ok | fail | waived | unverifiable
-    every_word: str      # ok | fail | waived | unverifiable
-    covered_words: int | None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if self.membership == "fail" or self.every_word == "fail":
-            return False
-        if self.defined_blocks and self.min_pillar_share is not None:
-            return self.min_pillar_share >= self.required_share
-        return True
+# --- window admissibility ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -164,103 +142,20 @@ class WindowAdmissibilityReport:
         return "; ".join(parts)
 
 
-def _row_codes(rows: np.ndarray, base: int):
-    """Exact integer codes of fixed-width rows, or None when they overflow."""
-    width = rows.shape[1]
-    if base ** width >= 2**62:
-        return None
-    powers = (base ** np.arange(width - 1, -1, -1, dtype=np.int64))
-    return rows.astype(np.int64) @ powers
-
-
 def window_admissibility_report(x: PartialWindow, schedule: Schedule,
                                 depth: int) -> WindowAdmissibilityReport:
     """Per-level admissibility of every fully defined block of the window.
 
-    Faithful profile checks block structure, pillar share, sub-block
-    membership, and every-word coverage; fast profile checks structure
-    and pillar share only.
+    Faithful profile checks block structure, symbols, pillar share,
+    sub-block membership, and every-word coverage; fast profile checks
+    structure, symbols and pillar share only.
     """
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth")
-    a = schedule.alphabet.size
     faithful = schedule.profile == "faithful"
-    checks = []
-    for level in range(1, depth + 1):
-        m = schedule.m(level)
-        m_prev = schedule.m(level - 1)
-        r = m // m_prev
-        q = r // 3
-        h = (m - 1) // 2
-        if (x.start + h) % m != 0 or len(x) % m != 0:
-            raise InvalidParameterError(f"window not aligned to level-{level} blocks")
-        n_blocks = len(x) // m
-        blocks = x.cells.reshape(n_blocks, m)
-        starred = blocks == STAR
-        star_any = starred.any(axis=1)
-        star_all = starred.all(axis=1)
-        detail = ""
-        if bool((star_any & ~star_all).any()):
-            i = int(np.nonzero(star_any & ~star_all)[0][0])
-            checks.append(LevelCheck(level, n_blocks, 0, q, None, 0,
-                                     "fail", "fail", None,
-                                     f"block {i} partially defined"))
-            continue
-        defined = ~star_any
-        n_def = int(defined.sum())
-
-        sub = x.cells.reshape(n_blocks * r, m_prev)
-        pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
-        eq = (sub == pillar).all(axis=1).reshape(n_blocks, r)
-        counts = eq.sum(axis=1)
-        min_share = int(counts[defined].min()) if n_def else None
-        pillar_total = int(counts[defined].sum()) if n_def else 0
-
-        membership = "waived"
-        every_word = "waived"
-        covered = None
-        if faithful and n_def:
-            sub_def = sub[np.repeat(defined, r)]
-            if level - 1 == 0:
-                membership = "ok" if bool((sub_def[:, 0] < a).all()) else "fail"
-                presence = np.stack(
-                    [(blocks[defined] == c).any(axis=1) for c in range(a)], axis=1
-                )
-                every_word = "ok" if bool(presence.all()) else "fail"
-                covered = int(presence.all(axis=0).sum())
-            elif schedule.words_available(level - 1):
-                codes = _row_codes(sub_def, a)
-                if codes is None:
-                    wordset = schedule.word_set(level - 1)
-                    keys = {sub_def[i].tobytes() for i in range(sub_def.shape[0])}
-                    membership = "ok" if keys <= wordset else "fail"
-                    covered = len(keys & wordset)
-                    every_word = "ok" if wordset <= keys else "fail"
-                else:
-                    ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
-                    membership = "ok" if bool(np.isin(codes, ref).all()) else "fail"
-                    uniq = np.unique(codes)
-                    covered = int(np.isin(ref, uniq).sum())
-                    # every block must use every word, not just the union
-                    every_word = "ok"
-                    block_codes = codes.reshape(n_def, r)
-                    for row in block_codes:
-                        if np.unique(row).size < ref.size or not bool(
-                            np.isin(ref, row).all()
-                        ):
-                            every_word = "fail"
-                            break
-            else:
-                membership = "unverifiable"
-                every_word = "unverifiable"
-        elif faithful:
-            membership = "ok"
-            every_word = "ok"
-
-        checks.append(LevelCheck(level, n_blocks, n_def, q, min_share,
-                                 pillar_total, membership, every_word,
-                                 covered, detail))
-    return WindowAdmissibilityReport(tuple(checks))
+    return WindowAdmissibilityReport(tuple(
+        _check_level(x, schedule, level, faithful) for level in range(1, depth + 1)
+    ))
 
 
 # --- minimality witnesses ------------------------------------------------
@@ -292,23 +187,17 @@ def minimality_witnesses(x: PartialWindow, schedule: Schedule,
     m_top = schedule.m(depth)
     if (x.start + (m_top - 1) // 2) % m_top != 0 or len(x) % m_top != 0:
         raise InvalidParameterError(f"window not aligned to level-{depth} blocks")
-    hay = x.cells.tobytes()
     checks = []
     for k in range(depth):
         m_next = schedule.m(k + 1)
         m_k = schedule.m(k)
-        needle = schedule.pillar(k).cells
-        occ = []
-        pos = hay.find(needle)
-        while pos != -1:
-            occ.append(pos)
-            pos = hay.find(needle, pos + 1)
+        occ = occurrences(schedule.pillar(k), x)
         name_a = f"pillar-containment k={k}"
         if not occ:
             checks.append((name_a, "fail", f"w_{k} never occurs"))
             checks.append((f"gap-bound k={k}", "fail", "no occurrences"))
             continue
-        starts = np.asarray(occ, dtype=np.int64)
+        starts = np.asarray(occ, dtype=np.int64) - x.offset
         n_blocks = len(x) // m_next
         lows = np.arange(n_blocks, dtype=np.int64) * m_next
         idx = np.searchsorted(starts, lows, side="left")

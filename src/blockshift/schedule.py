@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import Alphabet, Word, hull_of_blocks
+from .words import STAR, Alphabet, PartialWindow, Word, hull_of_blocks
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -332,78 +332,158 @@ def canonical_pillar(level: int, schedule: Schedule) -> Word:
 # --- admissibility ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LevelCheck:
+    level: int
+    blocks: int
+    defined_blocks: int
+    required_share: int
+    min_pillar_share: int | None
+    pillar_total: int
+    membership: str      # ok | fail | waived | unverifiable
+    every_word: str      # ok | fail | waived | unverifiable
+    covered_words: int | None
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not _failure(self)
+
+
+def _failure(c: LevelCheck) -> str:
+    """Why a level check fails, or "" when it passes."""
+    if c.detail:
+        return c.detail
+    if c.membership == "fail":
+        return f"a sub-block is not in A_{c.level - 1}"
+    if c.defined_blocks and c.min_pillar_share < c.required_share:
+        return (f"pillar share {c.min_pillar_share} < {c.required_share} "
+                f"copies of w_{c.level - 1}")
+    if c.every_word == "fail":
+        return f"level-{c.level - 1} words never used"
+    return ""
+
+
+def _row_codes(rows: np.ndarray, base: int):
+    """Exact integer codes of fixed-width rows, or None when they overflow."""
+    width = rows.shape[1]
+    if base ** width >= 2**62:
+        return None
+    powers = (base ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    return rows.astype(np.int64) @ powers
+
+
+def _check_level(x: PartialWindow, schedule: Schedule, level: int,
+                 faithful: bool) -> LevelCheck:
+    """The admissibility rule of A_level on every fully defined aligned
+    block of a block-aligned window.
+
+    Both rules check that every cell is a symbol and that at least
+    one-third of each block's sub-blocks equal w_{level-1}.  The faithful
+    rule also checks that every sub-block lies in A_{level-1} and that
+    every block uses every word of A_{level-1}; both are "unverifiable"
+    when A_{level-1} is not enumerable.  The fast rule waives them.
+    """
+    a = schedule.alphabet.size
+    m = schedule.m(level)
+    m_prev = schedule.m(level - 1)
+    r = m // m_prev
+    q = r // 3
+    h = (m - 1) // 2
+    if (x.start + h) % m != 0 or len(x) % m != 0:
+        raise InvalidParameterError(f"window not aligned to level-{level} blocks")
+    n_blocks = len(x) // m
+    blocks = x.cells.reshape(n_blocks, m)
+    starred = blocks == STAR
+    star_any = starred.any(axis=1)
+    star_all = starred.all(axis=1)
+    if bool((star_any & ~star_all).any()):
+        i = int(np.nonzero(star_any & ~star_all)[0][0])
+        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
+                          f"block {i} partially defined")
+    defined = ~star_any
+    n_def = int(defined.sum())
+
+    sub = x.cells.reshape(n_blocks * r, m_prev)
+    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    counts = (sub == pillar).all(axis=1).reshape(n_blocks, r).sum(axis=1)
+    min_share = int(counts[defined].min()) if n_def else None
+    pillar_total = int(counts[defined].sum()) if n_def else 0
+
+    membership = every_word = "ok" if faithful else "waived"
+    covered = None
+    if n_def and level == 1:
+        # STAR cells fill the undefined blocks only, so any other cell >= a
+        # is outside the alphabet; the max is the cheap test when none is.
+        if int(x.cells.max()) >= a and (
+                np.count_nonzero(x.cells >= a) > (n_blocks - n_def) * m):
+            membership = "fail"
+        if faithful:
+            defined_blocks = blocks[defined]
+            covered = sum(bool((defined_blocks == c).any(axis=1).all()) for c in range(a))
+            every_word = "ok" if covered == a else "fail"
+    elif n_def and faithful and schedule.words_available(level - 1):
+        sub_def = sub[np.repeat(defined, r)]
+        codes = _row_codes(sub_def, a)
+        if codes is None:
+            wordset = schedule.word_set(level - 1)
+            keys = {sub_def[i].tobytes() for i in range(sub_def.shape[0])}
+            membership = "ok" if keys <= wordset else "fail"
+            covered = len(keys & wordset)
+            every_word = "ok" if wordset <= keys else "fail"
+        else:
+            ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
+            membership = "ok" if bool(np.isin(codes, ref).all()) else "fail"
+            uniq = np.unique(codes)
+            covered = int(np.isin(ref, uniq).sum())
+            # every block must use every word, not just the union
+            for row in codes.reshape(n_def, r):
+                if np.unique(row).size < ref.size or not bool(np.isin(ref, row).all()):
+                    every_word = "fail"
+                    break
+    elif n_def and faithful:
+        membership = every_word = "unverifiable"
+
+    return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
+                      membership, every_word, covered)
+
+
+def _one_block(word: Word) -> PartialWindow:
+    """A word as the centred block of its level."""
+    return PartialWindow.from_word(word, offset=-((len(word) - 1) // 2))
+
+
 def is_admissible_block(word, level: int, schedule: Schedule,
                         semantics: str | None = None) -> AdmissibilityResult:
     """Check one word against the level's admissibility rule.
 
-    Components: every aligned sub-block admissible one level down, at
-    least one-third of the sub-blocks equal to the pillar, and (faithful
-    semantics) every admissible word of the previous level present.  The
-    last component needs the previous level enumerated; when it is not,
-    the result is the three-valued "undetermined".
+    The word is checked as a one-block window at every level from 1 to
+    ``level``: every cell a symbol, at least one-third of the sub-blocks
+    of each block equal to the pillar one level down, and (faithful
+    semantics) every admissible word of the level below present in each
+    block.  When that last component needs a level that is not
+    enumerated, the result is the three-valued "undetermined".
     """
     sem = schedule.profile if semantics is None else semantics
     if sem not in ("faithful", "fast"):
         raise InvalidParameterError(f"unknown semantics {sem!r}")
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
-    cells = word.cells if isinstance(word, Word) else bytes(word)
+    word = word if isinstance(word, Word) else Word(bytes(word))
     m = schedule.m(level)
-    if len(cells) != m:
-        raise InvalidParameterError(f"word length {len(cells)} != m_{level} = {m}")
-    m_prev = schedule.m(level - 1)
-    r = m // m_prev
-    q = r // 3
-    subs = [cells[t * m_prev:(t + 1) * m_prev] for t in range(r)]
-    pillar = schedule.pillar(level - 1).cells
-    pillar_count = sum(1 for s in subs if s == pillar)
-
-    undetermined_reason = None
-
-    # sub-block admissibility
-    if level - 1 == 0:
-        a = schedule.alphabet.size
-        for t, s in enumerate(subs):
-            if s[0] >= a:
-                return AdmissibilityResult("fail", f"sub-block {t} not a symbol", pillar_count)
-    elif sem == "faithful" and schedule.words_available(level - 1):
-        member = schedule.word_set(level - 1)
-        for t, s in enumerate(subs):
-            if s not in member:
-                return AdmissibilityResult(
-                    "fail", f"sub-block {t} not in A_{level - 1}", pillar_count
-                )
-    else:
-        for t, s in enumerate(subs):
-            res = is_admissible_block(Word(s), level - 1, schedule, semantics=sem)
-            if res.status == "fail":
-                return AdmissibilityResult(
-                    "fail", f"sub-block {t}: {res.reason}", pillar_count
-                )
-            if res.status == "undetermined" and undetermined_reason is None:
-                undetermined_reason = f"sub-block {t}: {res.reason}"
-
-    # pillar share
-    if pillar_count < q:
-        return AdmissibilityResult(
-            "fail", f"pillar share {pillar_count} < {q} copies of w_{level - 1}",
-            pillar_count,
-        )
-
-    # every-word coverage (faithful semantics only)
-    if sem == "faithful":
-        if schedule.words_available(level - 1):
-            missing = schedule.word_set(level - 1) - set(subs)
-            if missing:
-                return AdmissibilityResult(
-                    "fail", f"{len(missing)} level-{level - 1} words never used",
-                    pillar_count,
-                )
-        else:
-            undetermined_reason = "every-word unverifiable"
-
-    if undetermined_reason is not None:
-        return AdmissibilityResult("undetermined", undetermined_reason, pillar_count)
+    if len(word) != m:
+        raise InvalidParameterError(f"word length {len(word)} != m_{level} = {m}")
+    x = _one_block(word)
+    checks = [_check_level(x, schedule, k, sem == "faithful") for k in range(1, level + 1)]
+    pillar_count = checks[-1].pillar_total
+    for c in checks:
+        if not c.ok:
+            return AdmissibilityResult("fail", f"level {c.level}: {_failure(c)}", pillar_count)
+    for c in checks:
+        if c.every_word == "unverifiable":
+            return AdmissibilityResult(
+                "undetermined", f"level {c.level}: every-word unverifiable", pillar_count
+            )
     return AdmissibilityResult("ok", "", pillar_count)
 
 
@@ -518,32 +598,20 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         m_k, card_k = plan[k]
         pillar = _build_pillar(sched, k, m_k)
         sched.levels.append(LevelParams(k, m_k, pillar, card_k))
-        if profile == "faithful":
-            res = is_admissible_block(pillar, k, sched)
-            if res.status == "fail":
-                raise ConstructionInvariantError(f"pillar w_{k} not admissible: {res.reason}")
-        else:
+        failure = _failure(_check_level(_one_block(pillar), sched, k, every_word))
+        if failure:
+            raise ConstructionInvariantError(f"pillar w_{k} not admissible: {failure}")
+        if not every_word:
             _check_fast_pillar(sched, k, pillar)
     sched.verified_range = verified
     return sched
 
 
 def _check_fast_pillar(sched: Schedule, k: int, pillar: Word) -> None:
-    """Pillar share plus pool membership, vectorized (the recursive checker
-    would walk every cell of a multi-megacell pillar)."""
-    m_prev = sched.m(k - 1)
-    r = len(pillar.cells) // m_prev
-    q = r // 3
-    rows = np.frombuffer(pillar.cells, dtype=np.uint8).reshape(r, m_prev)
-    prev_pillar = np.frombuffer(sched.pillar(k - 1).cells, dtype=np.uint8)
-    share = int((rows == prev_pillar).all(axis=1).sum())
-    if share < q:
-        raise ConstructionInvariantError(
-            f"pillar w_{k} share {share} < {q} copies of w_{k - 1}"
-        )
-    allowed = {sched.pillar(k - 1).cells}
-    allowed.update(row.tobytes() for row in sched.pool_matrix(k - 1))
-    stray = {rows[i].tobytes() for i in range(r)} - allowed
+    """Every sub-block of a fast pillar is a fill-pool row (row 0 is w_{k-1})."""
+    rows = np.frombuffer(pillar.cells, dtype=np.uint8).reshape(-1, sched.m(k - 1))
+    allowed = {row.tobytes() for row in sched.pool_matrix(k - 1)}
+    stray = {row.tobytes() for row in rows} - allowed
     if stray:
         raise ConstructionInvariantError(
             f"pillar w_{k} holds {len(stray)} sub-blocks outside the fill pool"

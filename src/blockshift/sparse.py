@@ -293,20 +293,3 @@ class SparseSetSpec:
         count, _ = self.max_window_count(window_len, rng)
         return Fraction(count, window_len)
 
-
-# Spec-facing functional aliases.
-
-def elements_in(spec: SparseSetSpec, interval):
-    return spec.elements_in(interval)
-
-
-def max_window_count(spec: SparseSetSpec, window_len: int, rng) -> int:
-    return spec.max_window_count(window_len, rng)[0]
-
-
-def sparsity_ok(spec: SparseSetSpec, window_len: int, m_k: int, rng) -> bool:
-    return spec.sparsity_ok(window_len, m_k, rng)
-
-
-def density_estimate(spec: SparseSetSpec, window_len: int, rng) -> Fraction:
-    return spec.density_estimate(window_len, rng)

@@ -12,7 +12,9 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ChecksumError, InconsistencyError, VersionError
+import numpy as np
+
+from .errors import ChecksumError, InconsistencyError, InvalidParameterError, VersionError
 from .words import Alphabet, PartialWindow
 
 FORMAT_TAG = "BLOCKSHIFT/1"
@@ -124,11 +126,11 @@ def load_window(path) -> WindowFile:
             f"checksum mismatch: header {checksum}, payload {checksum64(payload)}"
         )
     alphabet = Alphabet(fields["alphabet"])
-    allowed = set(alphabet.symbols) | {"*"}
-    bad = next((ch for ch in payload if ch not in allowed), None)
-    if bad is not None:
-        raise InconsistencyError(f"payload character {bad!r} outside alphabet")
-    window = PartialWindow.from_text(payload, alphabet, offset=int(fields["offset"]))
+    try:
+        cells = alphabet.cells_of_text(payload)
+    except InvalidParameterError as exc:
+        raise InconsistencyError(f"payload {exc}") from None
+    window = PartialWindow(int(fields["offset"]), np.frombuffer(cells, dtype=np.uint8))
     m_list = tuple(int(v) for v in fields["m-list"].split(","))
     depth = int(fields["depth"])
     if len(m_list) != depth + 1:

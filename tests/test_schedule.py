@@ -1,7 +1,9 @@
+import hashlib
 import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockshift import (
     Alphabet,
@@ -16,6 +18,7 @@ from blockshift import (
     is_admissible_block,
     level_count,
 )
+from blockshift.cli import main
 from blockshift.schedule import exact_next_count, surjection_count
 
 
@@ -211,3 +214,85 @@ def test_verified_range_recorded(sched2):
     lo, hi = sched2.verified_range
     assert lo <= -(1387215 - 1) // 2
     assert hi >= 1387215
+
+
+def paper_rule(cells, level, sched, faithful):
+    """Membership in A_level straight from the definition: a concatenation
+    of words of A_{level-1}, at least a third of them w_{level-1}, and
+    (faithful) every word of A_{level-1} among them.  None when that last
+    clause needs a level that is not enumerated."""
+    if level == 0:
+        return cells[0] < sched.alphabet.size
+    m = sched.m(level - 1)
+    subs = [cells[i:i + m] for i in range(0, len(cells), m)]
+    verdicts = [paper_rule(s, level - 1, sched, faithful) for s in subs]
+    if False in verdicts or 3 * subs.count(sched.pillar(level - 1).cells) < len(subs):
+        return False
+    if faithful and level > 1 and not sched.words_available(level - 1):
+        return None
+    if faithful and not set(sched.words(level - 1)) <= set(subs):
+        return False
+    return None if None in verdicts else True
+
+
+@st.composite
+def words_around_rule(draw, sched, level):
+    """A level word with a drawn number of w_{level-1} sub-blocks, the
+    others shuffled in: symbols other than w_0 at level 1, and above it
+    fill-pool rows for half the words and random words for the rest, so
+    that words passing every level are as common as words failing one."""
+    a = sched.alphabet.size
+    r = sched.ratio(level)
+    n_other = draw(st.integers(0, r))
+    if level == 1:
+        other = st.integers(1, a - 1).map(lambda c: bytes([c]))
+    elif draw(st.booleans()):
+        other = st.sampled_from([row.tobytes() for row in sched.pool_matrix(level - 1)])
+    else:
+        m = sched.m(level - 1)
+        other = st.binary(min_size=m, max_size=m).map(lambda b: bytes(c % a for c in b))
+    subs = [sched.pillar(level - 1).cells] * (r - n_other)
+    subs += [draw(other) for _ in range(n_other)]
+    return b"".join(draw(st.permutations(subs)))
+
+
+@pytest.fixture(scope="module")
+def rule_schedules(sched2, binary, squares):
+    return {
+        "faithful": sched2,
+        "fast": build_schedule(binary, squares, 2, profile="fast"),
+        "capped": build_schedule(binary, squares, 2, profile="fast", enum_cap=100),
+    }
+
+
+@pytest.mark.parametrize("name,level,semantics", [
+    ("fast", 1, None), ("fast", 2, None), ("faithful", 1, None),
+    ("capped", 1, "faithful"), ("capped", 2, "faithful"),
+])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_checker_matches_paper_rule(rule_schedules, name, level, semantics, data):
+    sched = rule_schedules[name]
+    cells = data.draw(words_around_rule(sched, level))
+    faithful = (semantics or sched.profile) == "faithful"
+    want = {True: "ok", False: "fail", None: "undetermined"}[
+        paper_rule(cells, level, sched, faithful)]
+    assert is_admissible_block(Word(cells), level, sched, semantics=semantics).status == want
+
+
+def test_out_of_alphabet_cell_fails(rule_schedules):
+    word = Word(bytes([0] * 14 + [2]))
+    for name in ("faithful", "fast"):
+        assert is_admissible_block(word, 1, rule_schedules[name]).status == "fail"
+
+
+def test_frozen_output_bytes(tmp_path, capsys):
+    path = tmp_path / "d2.bsw"
+    assert main(["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "2",
+                 "--u", "mu-indicator", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9b84f64b957270266c5627363082b1ee43b4a717a5cd3ffb5ceb9074ba37e0f5")
+    capsys.readouterr()
+    assert main(["demo-sarnak", "--profile", "faithful", "--depth", "2", "--N", "832"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "64cd01d3d07eaf6cc1094886ff19093b33860905c00018bf360d7b251ee53b8c")
