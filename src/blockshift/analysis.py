@@ -1,10 +1,11 @@
 """Analyzers: distinct-subword profiles, the entropy bound chain,
 minimality witnesses, and the positive-density converse bound.
 
-Everything here is exact.  Subword counting uses integer position codes
-(no hashing) with a fixed-width row fallback when codes would overflow;
-reported counts are window lower bounds on the language size, since a
-finite window can undercount straddling words.
+Everything here is exact.  Subword counting sorts one fixed-width
+integer key per start position once and reads the count for every
+length from the sorted order (no hashing); reported counts are window
+lower bounds on the language size, since a finite window can undercount
+straddling words.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def complexity_profile(x: PartialWindow, n_max: int,
                        aligned_lengths=()) -> ComplexityReport:
     """Exact distinct-subword counts for every length up to n_max.
 
+    One lexicographic sort serves every length.  The cells are padded
+    with n_max - 1 copies of an end mark, the digit ``base`` (one above
+    every cell value), and each start position's next n_max digits are
+    packed in base ``base + 1`` into fixed-width int64 key words.  In the
+    sorted order every set of equal n-prefixes is one run, so the runs
+    of n-prefixes count the distinct length-n words plus the n - 1
+    prefixes that hold the end mark.
+
     Counts over all positions are window lower bounds on the language
     size (straddling words can be undercounted); for each requested
     block length the grid-aligned distinct count is reported separately.
@@ -44,19 +53,52 @@ def complexity_profile(x: PartialWindow, n_max: int,
         raise InvalidParameterError("window contains '*' cells")
     if n_max < 1 or n_max > len(x):
         raise InvalidParameterError(f"n_max {n_max} outside [1,{len(x)}]")
+    size = len(x)
     base = int(x.cells.max()) + 1
+    digit = base + 1
+    # cells are at most 254 (255 is the star), so the end mark fits uint8
+    padded = np.concatenate([x.cells, np.full(n_max - 1, base, dtype=np.uint8)])
+    width = 1
+    while width < n_max and digit ** (width + 1) < 2**62:
+        width += 1
+    keys = []
+    for lo in range(0, n_max, width):
+        key = padded[lo:lo + size].astype(np.int64)
+        for t in range(lo + 1, min(lo + width, n_max)):
+            key *= digit
+            key += padded[t:t + size]
+        keys.append(key)
+    if len(keys) == 1:
+        keys[0].sort()
+    else:
+        order = np.lexsort(keys[::-1])
+        for j, key in enumerate(keys):
+            keys[j] = key[order]
+        del key, order
+
     counts: dict[int, int] = {}
-    codes = None
-    for n in range(1, n_max + 1):
-        if base**n < 2**62:
-            if codes is None:
-                codes = x.cells.astype(np.int64)
-            else:
-                codes = codes[:-1] * base + x.cells[n - 1:]
-            counts[n] = int(np.unique(codes).size)
-        else:
-            view = np.lib.stride_tricks.sliding_window_view(x.cells, n)
-            counts[n] = int(np.unique(view, axis=0).shape[0])
+    # differs[i]: the sorted keys i and i + 1 differ in a word already counted
+    differs = np.zeros(size - 1, dtype=bool)
+    for lo in range(0, n_max, width):
+        key = keys.pop(0)
+        earlier = differs
+        differs = earlier | (key[1:] != key[:-1])
+        # one entry per distinct prefix through this word, in sorted order;
+        # first marks the entries whose earlier words differ from the
+        # previous entry's, which stays true as prefixes shorten
+        keep = np.concatenate(([True], differs))
+        prefix = key[keep]
+        first = np.concatenate(([True], earlier))[keep]
+        del key
+        for n in range(min(lo + width, n_max), lo, -1):
+            counts[n] = prefix.size - (n - 1)
+            if n > lo + 1:
+                prefix //= digit
+                keep = first.copy()
+                keep[1:] |= prefix[1:] != prefix[:-1]
+                prefix = prefix[keep]
+                first = first[keep]
+    counts = dict(sorted(counts.items()))
     aligned = {
         int(m): len(aligned_block_census(x, int(m))) for m in aligned_lengths
     }

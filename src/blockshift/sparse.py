@@ -23,14 +23,18 @@ _NLOGN_GUARD = 1e-9
 def kth_root_floor(x: int, k: int) -> int:
     if x < 0 or k < 1:
         raise InvalidParameterError("kth_root_floor needs x >= 0, k >= 1")
-    if x == 0:
-        return 0
-    r = max(1, int(round(x ** (1.0 / k))))
-    while r > 1 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if k == 1 or x < 2:
+        return x
+    if k == 2:
+        return math.isqrt(x)
+    # integer Newton steps from above: 2**ceil(bits/k) exceeds the root,
+    # and the steps decrease strictly until they reach floor(x**(1/k))
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _nlogn(n: int) -> int:

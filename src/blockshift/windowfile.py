@@ -73,6 +73,13 @@ def save_window(path, window: PartialWindow, *, alphabet: Alphabet, profile: str
     return wf
 
 
+def _header_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InconsistencyError(f"header {key!r}: {text!r} is not an integer") from None
+
+
 def load_window(path) -> WindowFile:
     text = Path(path).read_text(encoding="ascii")
     lines = text.split("\n")
@@ -116,7 +123,7 @@ def load_window(path) -> WindowFile:
         raise InconsistencyError("missing checksum line")
     payload = "".join(payload_lines)
 
-    length = int(fields["length"])
+    length = _header_int("length", fields["length"])
     if len(payload) != length:
         raise InconsistencyError(
             f"declared length {length} != payload cell count {len(payload)}"
@@ -125,16 +132,20 @@ def load_window(path) -> WindowFile:
         raise ChecksumError(
             f"checksum mismatch: header {checksum}, payload {checksum64(payload)}"
         )
-    alphabet = Alphabet(fields["alphabet"])
+    try:
+        alphabet = Alphabet(fields["alphabet"])
+    except InvalidParameterError as exc:
+        raise InconsistencyError(f"header 'alphabet': {exc}") from None
     try:
         cells = alphabet.cells_of_text(payload)
     except InvalidParameterError as exc:
         raise InconsistencyError(f"payload {exc}") from None
-    window = PartialWindow(int(fields["offset"]), np.frombuffer(cells, dtype=np.uint8))
-    m_list = tuple(int(v) for v in fields["m-list"].split(","))
-    depth = int(fields["depth"])
+    window = PartialWindow(_header_int("offset", fields["offset"]),
+                           np.frombuffer(cells, dtype=np.uint8))
+    m_list = tuple(_header_int("m-list", v) for v in fields["m-list"].split(","))
+    depth = _header_int("depth", fields["depth"])
     if len(m_list) != depth + 1:
         raise InconsistencyError("m-list length does not match depth")
     return WindowFile(window, alphabet, fields["profile"], depth, m_list,
                       fields["sparse"], fields["u"], fields["fill"],
-                      int(fields["seed"]))
+                      _header_int("seed", fields["seed"]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -15,7 +16,9 @@ from blockshift import (
     minimality_witnesses,
     positive_density_bound,
     realization_forced_count,
+    save_window,
 )
+from blockshift.cli import main
 
 
 def naive_distinct(text, n):
@@ -35,13 +38,37 @@ def test_complexity_rejects_stars(binary):
         complexity_profile(PartialWindow.from_text("0*1", binary), 1)
 
 
-@settings(max_examples=60)
-@given(st.text(alphabet="012", min_size=3, max_size=120))
-def test_complexity_matches_naive(text):
-    ab = Alphabet("012")
-    rep = complexity_profile(PartialWindow.from_text(text, ab), min(8, len(text)))
-    for n, c in rep.counts.items():
-        assert c == naive_distinct(text, n)
+SYMBOLS = "0123456789abcdefghij"
+
+
+@st.composite
+def texts_with_nmax(draw):
+    """A text over 2, 3, 7 or 20 symbols and an n_max up to its length.
+
+    Half the texts repeat a short pattern with a few point changes, so
+    long words recur and the sort keeps equal prefixes past the first
+    key word (widths 39, 30, 20 and 14 digits for these alphabets).
+    """
+    symbols = SYMBOLS[:draw(st.sampled_from([2, 3, 7, 20]))]
+    if draw(st.booleans()):
+        text = draw(st.text(alphabet=symbols, min_size=1, max_size=120))
+    else:
+        pattern = draw(st.text(alphabet=symbols, min_size=1, max_size=8))
+        length = draw(st.integers(min_value=1, max_value=120))
+        cells = list((pattern * length)[:length])
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            cells[draw(st.integers(0, length - 1))] = draw(st.sampled_from(symbols))
+        text = "".join(cells)
+    return symbols, text, draw(st.integers(min_value=1, max_value=len(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_with_nmax())
+def test_complexity_matches_naive(case):
+    symbols, text, n_max = case
+    rep = complexity_profile(PartialWindow.from_text(text, Alphabet(symbols)), n_max)
+    assert list(rep.counts) == list(range(1, n_max + 1))
+    assert rep.counts == {n: naive_distinct(text, n) for n in range(1, n_max + 1)}
 
 
 @settings(max_examples=40)
@@ -52,6 +79,23 @@ def test_complexity_growth_bound(text):
     for n in range(1, max(rep.counts)):
         assert rep.counts[n + 1] <= 2 * rep.counts[n]
         assert rep.counts[n] <= min(2**n, len(text) - n + 1)
+
+
+def test_complexity_frozen_output_bytes(tmp_path, capsys, x2, sched2):
+    path = tmp_path / "d2.bsw"
+    save_window(path, x2, alphabet=sched2.alphabet, profile="faithful", depth=2,
+                m_list=[sched2.m(k) for k in range(3)], sparse="squares",
+                u="mu-indicator", fill="pillar-first-ltr,cycle-lex-restart@0")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9b84f64b957270266c5627363082b1ee43b4a717a5cd3ffb5ceb9074ba37e0f5")
+    expected = {
+        "csv": "9730435b7d087e9fa7bf8aa7f4ae72ebebd7e3fc3a8cbe6c116c39fbd47edb34",
+        "json": "1b35b7f1a6b81c955aad02219eefd691ad2e1831740b46618036a5743d426cac",
+    }
+    for fmt, digest in expected.items():
+        capsys.readouterr()
+        assert main(["complexity", str(path), "--nmax", "24", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_complexity_fallback_path(binary):

@@ -1,5 +1,8 @@
 import json
 
+import mpmath
+import pytest
+
 from blockshift.cli import main
 
 
@@ -42,6 +45,18 @@ def test_infeasible_depth_exit(capsys):
     code, _, err = run(capsys, "schedule", "--sparse", "squares", "--depth", "3")
     assert code == 3
     assert "faithful" in err
+
+
+def test_density_power_past_float_range(capsys):
+    # s_n = floor(n**1.01) needs n**101, beyond the float range from n = 1129
+    code, out, err = run(capsys, "density", "--sparse", "power:101/100", "--L", "100",
+                         "--range", "1000:2000")
+    with mpmath.workdps(60):
+        terms = [int(mpmath.floor(mpmath.mpf(n) ** mpmath.mpf("1.01")))
+                 for n in range(1, 2000)]
+    best = max(sum(a <= s < a + 100 for s in terms) for a in range(1000, 1902))
+    assert (code, err, best) == (3, "", 93)
+    assert out.strip() == "max=93 quotient=0.9300 violates 1/(3·1)"
 
 
 def test_usage_error(capsys):
@@ -102,6 +117,24 @@ def test_verify_catches_mutation_with_checksum_fixed(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(out_path))
     assert code == 1
     assert "realization   FAIL" in out
+
+
+@pytest.mark.parametrize("key,value", [("length", "abc"), ("m-list", "1,a"),
+                                       ("alphabet", "0")])
+@pytest.mark.parametrize("command", ["verify", "complexity"])
+def test_bad_header_value_exits_1(tmp_path, capsys, command, key, value):
+    path = tmp_path / "d1.bsw"
+    run(capsys, "realize", "--sparse", "squares", "--depth", "1",
+        "--u", "mu-indicator", "--out", str(path))
+    lines = [f"{key}: {value}" if l.startswith(f"{key}: ") else l
+             for l in path.read_text().split("\n")]
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    if command == "verify":
+        assert out.startswith("load      FAIL  header") and key in out
+    else:
+        assert err.startswith("error: header") and key in err
 
 
 def test_demo_json_deterministic(capsys):

@@ -46,10 +46,19 @@ def test_power_kind_exact_floors():
     assert [p.term(n) for n in range(1, 200)] == direct
 
 
-@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=7))
+@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=120))
 def test_kth_root_floor(x, k):
+    # x reaches far past the float range, where x ** (1 / k) overflows
     r = kth_root_floor(x, k)
     assert r**k <= x < (r + 1) ** k
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=120))
+def test_kth_root_floor_near_powers(r, k):
+    for x in (r**k - 1, r**k, r**k + 1):
+        if x >= 0:
+            q = kth_root_floor(x, k)
+            assert q**k <= x < (q + 1) ** k
 
 
 def test_explicit_semantics():

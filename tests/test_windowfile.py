@@ -107,3 +107,21 @@ def test_missing_header_key(tmp_path, sched2, mu_target):
     path.write_text("\n".join(lines))
     with pytest.raises(InconsistencyError):
         load_window(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("length", "abc", "header 'length': 'abc' is not an integer"),
+    ("offset", "-7.5", "header 'offset': '-7.5' is not an integer"),
+    ("depth", "one", "header 'depth': 'one' is not an integer"),
+    ("seed", "", "header 'seed': '' is not an integer"),
+    ("m-list", "1,a", "header 'm-list': 'a' is not an integer"),
+    ("alphabet", "0", "header 'alphabet': alphabet needs at least 2 symbols"),
+])
+def test_bad_header_value(tmp_path, sched2, mu_target, key, value, message):
+    x = realize(mu_target, sched2, 1)
+    path = _save(tmp_path, x, sched2)
+    lines = [f"{key}: {value}" if l.startswith(f"{key}: ") else l
+             for l in path.read_text().split("\n")]
+    path.write_text("\n".join(lines))
+    with pytest.raises(InconsistencyError, match=message):
+        load_window(path)
