@@ -80,7 +80,7 @@ def complexity_profile(x: PartialWindow, n_max: int,
     # differs[i]: the sorted keys i and i + 1 differ in a word already counted
     differs = np.zeros(size - 1, dtype=bool)
     for lo in range(0, n_max, width):
-        key = keys.pop(0)
+        key = keys.pop(0)  # popped, so each word is freed once counted
         earlier = differs
         differs = earlier | (key[1:] != key[:-1])
         # one entry per distinct prefix through this word, in sorted order;
