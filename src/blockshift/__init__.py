@@ -53,10 +53,8 @@ from .schedule import (
     LevelParams,
     Schedule,
     build_schedule,
-    canonical_pillar,
     enumerate_level_words,
     is_admissible_block,
-    level_count,
 )
 from .sparse import SparseSetSpec
 from .windowfile import WindowFile, load_window, save_window

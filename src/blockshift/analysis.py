@@ -194,9 +194,8 @@ def window_admissibility_report(x: PartialWindow, schedule: Schedule,
     """
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth")
-    faithful = schedule.profile == "faithful"
     return WindowAdmissibilityReport(tuple(
-        _check_level(x, schedule, level, faithful) for level in range(1, depth + 1)
+        _check_level(x, schedule, level, schedule.faithful) for level in range(1, depth + 1)
     ))
 
 
@@ -262,7 +261,7 @@ def minimality_witnesses(x: PartialWindow, schedule: Schedule,
 
     for k in range(depth):
         name_c = f"pillar-coverage k={k}"
-        if schedule.profile != "faithful":
+        if not schedule.faithful:
             checks.append((name_c, "waived", "fast profile"))
             continue
         if not schedule.words_available(k):

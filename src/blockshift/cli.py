@@ -27,7 +27,7 @@ from .errors import (
     WindowRangeError,
 )
 from .realization import TargetSequence, realize, verify_realization
-from .schedule import build_schedule
+from .schedule import PROFILES, build_schedule
 from .sparse import SparseSetSpec
 from .words import Alphabet
 
@@ -51,11 +51,6 @@ def _parse_target(text: str, alphabet: Alphabet) -> TargetSequence:
     if text.startswith("text:"):
         return TargetSequence.from_text(text.split(":", 1)[1], alphabet, description=text)
     raise InvalidParameterError(f"cannot parse target sequence {text!r}")
-
-
-def _fill_convention(profile: str, cycle_start: int) -> str:
-    tail = "cycle-lex-restart" if profile == "faithful" else "pool-splitmix64"
-    return f"pillar-first-ltr,{tail}@{cycle_start}"
 
 
 def _emit_json(obj) -> None:
@@ -89,7 +84,7 @@ def _cmd_realize(args) -> int:
     save_window(args.out, x, alphabet=alphabet, profile=sched.profile,
                 depth=args.depth, m_list=[sched.m(k) for k in range(args.depth + 1)],
                 sparse=sparse.describe(), u=args.u,
-                fill=_fill_convention(sched.profile, args.cycle_start),
+                fill=sched.fill_convention(args.cycle_start),
                 seed=args.seed)
     print(f"wrote {args.out}: offset={x.start} length={len(x)}")
     return 0
@@ -101,12 +96,12 @@ def _cmd_verify(args) -> int:
     rows: list[tuple[str, str, str]] = []
     try:
         wf = load_window(args.path)
-    except (VersionError, ChecksumError, InconsistencyError) as exc:
+        sparse = SparseSetSpec.parse(wf.sparse)
+    except (VersionError, ChecksumError, InconsistencyError, InvalidParameterError) as exc:
         print(f"load      FAIL  {exc}")
         return 1
     rows.append(("checksum", "PASS", "payload matches recorded sha256-64"))
 
-    sparse = SparseSetSpec.parse(wf.sparse)
     sched = build_schedule(wf.alphabet, sparse, wf.depth, profile=wf.profile,
                            seed=wf.seed)
     built = tuple(sched.m(k) for k in range(wf.depth + 1))
@@ -176,6 +171,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.mk < 1:
+        raise InvalidParameterError(f"--mk must be >= 1, got {args.mk}")
     sparse = SparseSetSpec.parse(args.sparse)
     rng = _parse_range(args.range)
     count, _ = sparse.max_window_count(args.L, rng)
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="01")
     p.add_argument("--sparse", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--profile", choices=("faithful", "fast"), default="faithful")
+    p.add_argument("--profile", choices=PROFILES, default="faithful")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_schedule)
 
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True,
                    help="mu-indicator | mu-sign | text:SYMBOLS | file:PATH")
     p.add_argument("--out", required=True)
-    p.add_argument("--profile", choices=("faithful", "fast"), default="faithful")
+    p.add_argument("--profile", choices=PROFILES, default="faithful")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cycle-start", type=int, default=0)
     p.add_argument("--window", default=None, help="LO:HI hull instead of the central block")
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("demo-sarnak", help="end-to-end correlation counterexample demo")
-    p.add_argument("--profile", choices=("faithful", "fast"), default="faithful")
+    p.add_argument("--profile", choices=PROFILES, default="faithful")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--N", type=int, default=832)
     p.add_argument("--seed", type=int, default=0)

@@ -159,30 +159,23 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     the density of mu = 1); the fast profile uses the three-symbol sign
     target, whose averages tend to the squarefree density 6/pi^2.
     """
-    if profile not in ("faithful", "fast"):
-        raise InvalidParameterError(f"unknown profile {profile!r}")
-    if alphabet is None:
-        alphabet = Alphabet("01") if profile == "faithful" else Alphabet("0+-")
+    if profile == "faithful":
+        alphabet = Alphabet("01") if alphabet is None else alphabet
+        if alphabet.size != 2:
+            raise InvalidParameterError("faithful demo expects a binary alphabet")
+        u = TargetSequence.mu_indicator(alphabet)
+    else:
+        alphabet = Alphabet("0+-") if alphabet is None else alphabet
+        if alphabet.size < 3:
+            raise InvalidParameterError("fast demo expects a 3-symbol alphabet")
+        u = TargetSequence.mu_sign(alphabet)
+    values = dict(zip(alphabet.symbols, [0, 1, -1] + [0] * (alphabet.size - 3)))
     squares = SparseSetSpec.squares()
     sched = build_schedule(alphabet, squares, depth, profile=profile, seed=seed)
 
     need = count * count
-    m_top = sched.m(depth)
-    central = block_interval(0, m_top)
+    central = block_interval(0, sched.m(depth))
     window = None if need <= central[1] else (1, need)
-
-    if profile == "faithful":
-        if alphabet.size != 2:
-            raise InvalidParameterError("faithful demo expects a binary alphabet")
-        u = TargetSequence.mu_indicator(alphabet)
-        values = {alphabet.symbols[0]: 0, alphabet.symbols[1]: 1}
-    else:
-        if alphabet.size < 3:
-            raise InvalidParameterError("fast demo expects a 3-symbol alphabet")
-        u = TargetSequence.mu_sign(alphabet)
-        values = {alphabet.symbols[0]: 0, alphabet.symbols[1]: 1,
-                  alphabet.symbols[2]: -1}
-        values.update({ch: 0 for ch in alphabet.symbols[3:]})
 
     x = realize(u, sched, depth, window=window)
     table = mobius_sieve(max(count, 1 << 12))
@@ -194,7 +187,7 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
 
     admissibility = window_admissibility_report(x, sched, depth)
     minimality = None
-    if profile == "faithful" and x.is_fully_defined():
+    if sched.faithful and x.is_fully_defined():
         minimality = [
             f"{name}:{status}" for name, status, _ in
             minimality_witnesses(x, sched, depth).rows()

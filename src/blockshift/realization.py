@@ -162,7 +162,7 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
         star_rows = np.nonzero(full_star)[0]
         seg[star_rows[:q]] = pillar
         rest = star_rows[q:]
-        if schedule.profile == "faithful" and rest.size < n_src:
+        if schedule.faithful and rest.size < n_src:
             raise ConstructionInvariantError(
                 f"level-{level} block {i}: {rest.size} free sub-blocks cannot "
                 f"use all {n_src} words"

@@ -10,7 +10,8 @@ including m_{k+1} > 3*m_k*|A_k| and the every-word fill, which makes
 depth 3 physically impossible (|A_2| is astronomical).  ``fast`` waives
 those two constraints, keeping sparsity and the one-third pillar share,
 so deeper or wider demos stay desk-sized at the price of the minimality
-guarantee.  Every schedule is stamped with its profile.
+guarantee.  Every schedule is stamped with its profile, and
+``Schedule.faithful`` is the one bit the rest of the package reads.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ DEFAULT_SCAN_CAP = 1000
 DEFAULT_VALUE_CAP = 1 << 40
 DEFAULT_WINDOW_HINT = (0, 1000)
 POOL_SIZE = 16
+PROFILES = ("faithful", "fast")
 
 _M64 = (1 << 64) - 1
 
@@ -105,7 +107,7 @@ class Schedule:
 
     def __init__(self, alphabet: Alphabet, sparse: SparseSetSpec, profile: str,
                  seed: int = 0, enum_cap: int = DEFAULT_ENUM_CAP):
-        if profile not in ("faithful", "fast"):
+        if profile not in PROFILES:
             raise InvalidParameterError(f"unknown profile {profile!r}")
         self.alphabet = alphabet
         self.sparse = sparse
@@ -118,6 +120,11 @@ class Schedule:
         self._set_cache: dict[int, frozenset] = {}
         self._matrix_cache: dict[int, np.ndarray] = {}
         self._pool_cache: dict[int, np.ndarray] = {}
+
+    @property
+    def faithful(self) -> bool:
+        """Whether the every-word fill and the |A_k| size gate apply."""
+        return self.profile == "faithful"
 
     @property
     def depth(self) -> int:
@@ -158,8 +165,7 @@ class Schedule:
             r = self.ratio(k)
             out = [
                 b"".join(prev[c] for c in tup)
-                for tup in _admissible_tuples(r, len(prev), r // 3,
-                                              every_word=self.profile == "faithful")
+                for tup in _admissible_tuples(r, len(prev), r // 3, every_word=self.faithful)
             ]
             if len(out) != self.level(k).card.exact:
                 raise ConstructionInvariantError(
@@ -209,9 +215,12 @@ class Schedule:
 
     def fill_matrix(self, k: int) -> np.ndarray:
         """Cycle source for the non-pillar fill at level k."""
-        if self.profile == "faithful":
-            return self.word_matrix(k)
-        return self.pool_matrix(k)
+        return self.word_matrix(k) if self.faithful else self.pool_matrix(k)
+
+    def fill_convention(self, cycle_start: int) -> str:
+        """The ``fill`` header of a window realized from this schedule."""
+        tail = "cycle-lex-restart" if self.faithful else "pool-splitmix64"
+        return f"pillar-first-ltr,{tail}@{cycle_start}"
 
     def describe_rows(self) -> list[tuple]:
         return [(lv.k, lv.m, lv.card.describe(), _digest_word(lv.pillar, self.alphabet))
@@ -318,15 +327,6 @@ def enumerate_level_words(level: int, schedule: Schedule, cap: int | None = None
         return
     for cells in schedule.words(level):
         yield Word(cells)
-
-
-def level_count(level: int, schedule: Schedule) -> Card:
-    return schedule.level(level).card
-
-
-def canonical_pillar(level: int, schedule: Schedule) -> Word:
-    """The distinguished admissible word w_level of a built schedule."""
-    return schedule.pillar(level)
 
 
 # --- admissibility ----------------------------------------------------
@@ -465,7 +465,7 @@ def is_admissible_block(word, level: int, schedule: Schedule,
     enumerated, the result is the three-valued "undetermined".
     """
     sem = schedule.profile if semantics is None else semantics
-    if sem not in ("faithful", "fast"):
+    if sem not in PROFILES:
         raise InvalidParameterError(f"unknown semantics {sem!r}")
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
@@ -496,10 +496,11 @@ def _interval_union(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int,
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
-def _search_level(sparse: SparseSetSpec, k: int, m_k: int, a_exact: int | None,
-                  profile: str, hint: tuple[int, int], prev_range,
+def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
+                  hint: tuple[int, int], prev_range,
                   scan_cap: int, value_cap: int) -> int:
-    """Smallest odd multiple of 3*m_k passing the size and sparsity gates.
+    """Smallest odd multiple of 3*m_k above 3*m_k*size_floor passing the
+    sparsity gate (the faithful size gate takes size_floor = |A_k|).
 
     A candidate c = 3*m_k*j has sparsity threshold exactly j.  The probe
     range always contains [1, c], so a certified count n inside [1, c]
@@ -511,9 +512,7 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, a_exact: int | None,
     """
     step = 3 * m_k
     float_bound = 12.0 * math.log(2.0) * (4.0 / 3.0) ** (k + 1)
-    j = 1
-    if profile == "faithful":
-        j = max(j, a_exact + 1)  # forces c > 3*m_k*|A_k|
+    j = size_floor + 1
     while step * j <= float_bound:
         j += 1
     if j % 2 == 0:
@@ -557,27 +556,28 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     depends on m_depth, the search is iterated to a fixed point, and the
     recorded range is the one every level was re-verified against.
     """
+    sched = Schedule(alphabet, sparse, profile, seed=seed, enum_cap=enum_cap)
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
     hint = DEFAULT_WINDOW_HINT if window_hint is None else (int(window_hint[0]), int(window_hint[1]))
     if hint[0] > hint[1]:
         raise InvalidParameterError("empty window hint")
 
-    every_word = profile == "faithful"
     prev_range = None
     prev_plan = None
     for _ in range(8):
         plan: list[tuple[int, Card]] = [(1, Card.exact_count(alphabet.size))]
         for k in range(depth):
             m_k, card_k = plan[k]
-            if every_word and card_k.exact is None:
+            if sched.faithful and card_k.exact is None:
                 raise InfeasibleDepth(
                     f"faithful profile needs exact |A_{k}| to bound m_{k + 1}; "
                     f"have {card_k.describe()}"
                 )
-            m_next = _search_level(sparse, k, m_k, card_k.exact, profile,
-                                   hint, prev_range, scan_cap, value_cap)
-            plan.append((m_next, next_card(m_next // m_k, card_k, every_word, exact_r_cap)))
+            size_floor = card_k.exact if sched.faithful else 0
+            m_next = _search_level(sparse, k, m_k, size_floor, hint, prev_range,
+                                   scan_cap, value_cap)
+            plan.append((m_next, next_card(m_next // m_k, card_k, sched.faithful, exact_r_cap)))
         m_depth = plan[depth][0]
         verified = _interval_union(hull_of_blocks(hint[0], hint[1], m_depth),
                                    (1, m_depth))
@@ -592,16 +592,15 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     else:
         raise ConstructionInvariantError("schedule search did not stabilize in 8 passes")
 
-    sched = Schedule(alphabet, sparse, profile, seed=seed, enum_cap=enum_cap)
     sched.levels.append(LevelParams(0, 1, Word(bytes([0])), plan[0][1]))
     for k in range(1, depth + 1):
         m_k, card_k = plan[k]
         pillar = _build_pillar(sched, k, m_k)
         sched.levels.append(LevelParams(k, m_k, pillar, card_k))
-        failure = _failure(_check_level(_one_block(pillar), sched, k, every_word))
+        failure = _failure(_check_level(_one_block(pillar), sched, k, sched.faithful))
         if failure:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {failure}")
-        if not every_word:
+        if not sched.faithful:
             _check_fast_pillar(sched, k, pillar)
     sched.verified_range = verified
     return sched
@@ -623,7 +622,7 @@ def _build_pillar(sched: Schedule, k: int, m_k: int) -> Word:
     r = m_k // m_prev
     q = r // 3
     prev_pillar = sched.pillar(k - 1).cells
-    if sched.profile == "faithful":
+    if sched.faithful:
         try:
             words = sched.words(k - 1)
         except InfeasibleDepth as exc:

@@ -37,6 +37,13 @@ def kth_root_floor(x: int, k: int) -> int:
         r = s
 
 
+def _int_field(where: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"{where}: {text!r} is not an integer") from None
+
+
 def _nlogn(n: int) -> int:
     v = n * math.log(n)
     f = math.floor(v)
@@ -118,15 +125,15 @@ class SparseSetSpec:
         through N only.
         """
         values, horizon = [], None
-        for raw in Path(path).read_text().splitlines():
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.strip()
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.lower().startswith("horizon:"):
-                    horizon = int(body.split(":", 1)[1])
+                    horizon = _int_field(f"{path}:{lineno}", body.split(":", 1)[1])
                 continue
             if line:
-                values.append(int(line))
+                values.append(_int_field(f"{path}:{lineno}", line))
         return cls.explicit(values, horizon=horizon)
 
     @classmethod
@@ -139,14 +146,20 @@ class SparseSetSpec:
             return cls.evens()
         if t == "nlogn":
             return cls.nlogn()
+        where = f"sparse-set spec {text!r}"
+        body = t.partition(":")[2]
         if t.startswith("monomial:"):
-            return cls.monomial(int(t.split(":", 1)[1]))
+            return cls.monomial(_int_field(where, body))
         if t.startswith("power:"):
-            return cls.power(Fraction(t.split(":", 1)[1]))
+            num, slash, den = body.partition("/")
+            p, q = _int_field(where, num), _int_field(where, den) if slash else 1
+            if q == 0:
+                raise InvalidParameterError(f"{where}: zero denominator")
+            return cls.power(Fraction(p, q))
         if t.startswith("file:"):
-            return cls.from_file(t.split(":", 1)[1])
+            return cls.from_file(body)
         if t.startswith("list:"):
-            return cls.explicit(int(v) for v in t.split(":", 1)[1].split(","))
+            return cls.explicit(_int_field(where, v) for v in body.split(","))
         raise InvalidParameterError(f"cannot parse sparse-set spec {text!r}")
 
     def describe(self) -> str:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumError, InconsistencyError, InvalidParameterError, VersionError
+from .schedule import PROFILES
 from .words import Alphabet, PartialWindow
 
 FORMAT_TAG = "BLOCKSHIFT/1"
@@ -136,6 +137,8 @@ def load_window(path) -> WindowFile:
         alphabet = Alphabet(fields["alphabet"])
     except InvalidParameterError as exc:
         raise InconsistencyError(f"header 'alphabet': {exc}") from None
+    if fields["profile"] not in PROFILES:
+        raise InconsistencyError(f"header 'profile': unknown profile {fields['profile']!r}")
     try:
         cells = alphabet.cells_of_text(payload)
     except InvalidParameterError as exc:

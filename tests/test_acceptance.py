@@ -24,7 +24,6 @@ from blockshift import (
     build_schedule,
     correlation_average,
     entropy_bound_series,
-    level_count,
     minimality_witnesses,
     positive_density_bound,
     realization_forced_count,
@@ -122,9 +121,9 @@ def test_criterion_3_admissibility(x2, sched2):
 
 
 def test_criterion_4_entropy_chain(sched2):
-    b1 = level_count(1, sched2).log_upper / 15
+    b1 = sched2.level(1).card.log_upper / 15
     rhs = math.log(2) / 15 + (2 / 3) * b1
-    lhs = level_count(2, sched2).log_upper / sched2.m(2)
+    lhs = sched2.level(2).card.log_upper / sched2.m(2)
     series = dict(entropy_bound_series(sched2, 21))
     decreasing = all(series[k + 1] < series[k] for k in range(2, 21))
     ok = (

@@ -99,10 +99,11 @@ def test_complexity_frozen_output_bytes(tmp_path, capsys, x2, sched2):
 
 
 def test_complexity_fallback_path(binary):
-    # force the fixed-width row fallback with a window long enough to matter
+    # a binary key word holds 39 digits, so n_max = 70 takes two key words
+    # and the lexsort path
     text = "01" * 40
     rep = complexity_profile(PartialWindow.from_text(text, binary), 70)
-    for n in (63, 64, 70):  # beyond the int64 code range for base 2
+    for n in (63, 64, 70):  # lengths read from the second key word
         assert rep.counts[n] == naive_distinct(text, n)
 
 

@@ -137,6 +137,63 @@ def test_bad_header_value_exits_1(tmp_path, capsys, command, key, value):
         assert err.startswith("error: header") and key in err
 
 
+@pytest.fixture(scope="module")
+def d1_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d1") / "d1.bsw"
+    assert main(["realize", "--sparse", "squares", "--depth", "1",
+                 "--u", "mu-indicator", "--out", str(path)]) == 0
+    return path.read_text().split("\n")
+
+
+DENSITY = ["density", "--L", "15", "--range", "1:100"]
+
+
+# A (key, value) edit runs argv on the depth-1 window file with that header
+# value; a string edit is the text of the file.  "{file}" names the file.
+# Each expected line is matched as a prefix: argparse words its list of
+# choices differently across Python versions.
+@pytest.mark.parametrize("edit,argv,code,line", [
+    (("profile", "bogus"), ["verify", "{file}"], 1,
+     "load      FAIL  header 'profile': unknown profile 'bogus'"),
+    (("profile", "bogus"), ["complexity", "{file}"], 1,
+     "error: header 'profile': unknown profile 'bogus'"),
+    (("sparse", "monomial:x"), ["verify", "{file}"], 1,
+     "load      FAIL  sparse-set spec 'monomial:x': 'x' is not an integer"),
+    ("", DENSITY + ["--sparse", "monomial:x"], 2,
+     "error: sparse-set spec 'monomial:x': 'x' is not an integer"),
+    ("", DENSITY + ["--sparse", "power:abc"], 2,
+     "error: sparse-set spec 'power:abc': 'abc' is not an integer"),
+    ("", DENSITY + ["--sparse", "power:1/0"], 2,
+     "error: sparse-set spec 'power:1/0': zero denominator"),
+    ("", DENSITY + ["--sparse", "list:1,a"], 2,
+     "error: sparse-set spec 'list:1,a': 'a' is not an integer"),
+    ("", DENSITY + ["--sparse", "list:"], 2,
+     "error: sparse-set spec 'list:': '' is not an integer"),
+    ("1\n4\nx\n", DENSITY + ["--sparse", "file:{file}"], 2,
+     "error: {file}:3: 'x' is not an integer"),
+    ("# horizon: y\n1\n", DENSITY + ["--sparse", "file:{file}"], 2,
+     "error: {file}:1: ' y' is not an integer"),
+    ("", DENSITY + ["--sparse", "squares", "--mk", "0"], 2,
+     "error: --mk must be >= 1, got 0"),
+    ("", DENSITY + ["--sparse", "squares", "--mk", "-1"], 2,
+     "error: --mk must be >= 1, got -1"),
+    ("", ["schedule", "--sparse", "squares", "--depth", "1", "--profile", "bogus"], 2,
+     "blockshift schedule: error: argument --profile: invalid choice: 'bogus'"),
+])
+def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
+    path = tmp_path / "input"
+    if isinstance(edit, tuple):
+        key, value = edit
+        path.write_text("\n".join(f"{key}: {value}" if l.startswith(f"{key}: ") else l
+                                  for l in d1_lines))
+    else:
+        path.write_text(edit)
+    got, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert got == code
+    stream = out if "FAIL" in line else err
+    assert any(l.startswith(line.format(file=path)) for l in stream.splitlines())
+
+
 def test_demo_json_deterministic(capsys):
     code, out1, _ = run(capsys, "demo-sarnak", "--depth", "1", "--N", "2",
                         "--format", "json")

@@ -13,10 +13,8 @@ from blockshift import (
     SparseSetSpec,
     Word,
     build_schedule,
-    canonical_pillar,
     enumerate_level_words,
     is_admissible_block,
-    level_count,
 )
 from blockshift.cli import main
 from blockshift.schedule import exact_next_count, surjection_count
@@ -123,9 +121,9 @@ def test_admissibility_examples(sched2, binary):
 
 
 def test_level_counts(sched2):
-    assert level_count(0, sched2).exact == 2
-    assert level_count(1, sched2).exact == 30826
-    c2 = level_count(2, sched2)
+    assert sched2.level(0).card.exact == 2
+    assert sched2.level(1).card.exact == 30826
+    c2 = sched2.level(2).card
     # paper-style upper bound r ln2 + (2r/3) ln|A_1|
     r = 1387215 // 15
     want_up = r * math.log(2) + (2 * r / 3) * math.log(30826)
@@ -147,9 +145,9 @@ def test_surjection_and_closed_form():
 
 
 def test_canonical_pillar_structure(sched2, binary):
-    w1 = canonical_pillar(1, sched2)
+    w1 = sched2.pillar(1)
     assert w1.text(binary) == "0" * 14 + "1"  # 14 copies of w_0 then "1"
-    w2 = canonical_pillar(2, sched2)
+    w2 = sched2.pillar(2)
     assert len(w2) == 1387215
     words = sched2.words(1)
     r, a = 92481, 30826
@@ -168,6 +166,12 @@ def test_density_violation_for_evens(binary):
     assert exc.value.level == 0
     lo, hi = exc.value.witness
     assert exc.value.count >= exc.value.threshold
+
+
+def test_unknown_profile_fails_before_search(binary):
+    # evens fail the sparsity search, so only an up-front check reaches this
+    with pytest.raises(InvalidParameterError, match="unknown profile 'bogus'"):
+        build_schedule(binary, SparseSetSpec.evens(), 1, profile="bogus")
 
 
 def test_infeasible_depth_faithful(binary, squares):
@@ -204,7 +208,7 @@ def test_undetermined_every_word(squares):
 
 def test_recurrence_inequality(sched2):
     # ln|A_2|-upper / m_2 <= ln2/m_1 + (2/3) ln|A_1|/m_1, within rounding slack
-    lhs = level_count(2, sched2).log_upper / sched2.m(2)
+    lhs = sched2.level(2).card.log_upper / sched2.m(2)
     b1 = math.log(30826) / 15
     rhs = math.log(2) / 15 + (2 / 3) * b1
     assert lhs <= rhs + 1e-12

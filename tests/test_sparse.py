@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blockshift import IncompleteDataError, InvalidParameterError, SparseSetSpec
 from blockshift.sparse import kth_root_floor
@@ -175,3 +175,18 @@ def test_parse_and_describe():
     assert SparseSetSpec.parse("list:2,9").values == (2, 9)
     with pytest.raises(InvalidParameterError):
         SparseSetSpec.parse("primes")
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix=st.sampled_from(["", "squares", "evens", "nlogn", "monomial:", "power:",
+                               "list:", "primes:", "file"]),
+       tail=st.one_of(st.text(max_size=20),
+                      st.text(alphabet="0123456789/,:+-_ .", max_size=20)))
+def test_parse_gives_spec_or_invalid_parameter(prefix, tail):
+    text = prefix + tail
+    assume(not text.strip().startswith("file:"))
+    try:
+        spec = SparseSetSpec.parse(text)
+    except InvalidParameterError:
+        return
+    assert SparseSetSpec.parse(spec.describe()) == spec
