@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
-3 density violation or infeasible depth.  Outputs are deterministic:
-identical argv and input files produce identical bytes.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error or
+unreadable path, 3 density violation or infeasible depth, 4 internal
+invariant failure; each error class states its own (errors.py).  Outputs
+are deterministic: identical argv and input files produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ from pathlib import Path
 
 from . import analysis
 from .correlation import sarnak_demo
-from .errors import (
-    AlignmentError,
-    ChecksumError,
-    DensityViolation,
-    EmptyCoreError,
-    IncompleteDataError,
-    InconsistencyError,
-    InfeasibleDepth,
-    InvalidParameterError,
-    VersionError,
-    WindowRangeError,
-)
+from .errors import BlockshiftError, InvalidParameterError, WindowFormatError
 from .realization import TargetSequence, realize, verify_realization
 from .schedule import PROFILES, build_schedule
 from .sparse import SparseSetSpec
@@ -46,7 +36,7 @@ def _parse_target(text: str, alphabet: Alphabet) -> TargetSequence:
     if text == "mu-sign":
         return TargetSequence.mu_sign(alphabet)
     if text.startswith("file:"):
-        body = Path(text.split(":", 1)[1]).read_text().split()
+        body = Path(text.split(":", 1)[1]).read_text(errors="replace").split()
         return TargetSequence.from_text("".join(body), alphabet, description=text)
     if text.startswith("text:"):
         return TargetSequence.from_text(text.split(":", 1)[1], alphabet, description=text)
@@ -97,13 +87,12 @@ def _cmd_verify(args) -> int:
     try:
         wf = load_window(args.path)
         sparse = SparseSetSpec.parse(wf.sparse)
-    except (VersionError, ChecksumError, InconsistencyError, InvalidParameterError) as exc:
+        sched = build_schedule(wf.alphabet, sparse, wf.depth, profile=wf.profile,
+                               seed=wf.seed)
+    except (WindowFormatError, InvalidParameterError) as exc:
         print(f"load      FAIL  {exc}")
         return 1
     rows.append(("checksum", "PASS", "payload matches recorded sha256-64"))
-
-    sched = build_schedule(wf.alphabet, sparse, wf.depth, profile=wf.profile,
-                           seed=wf.seed)
     built = tuple(sched.m(k) for k in range(wf.depth + 1))
     if built == wf.m_list:
         rows.append(("m-list", "PASS", ",".join(str(m) for m in built)))
@@ -112,7 +101,7 @@ def _cmd_verify(args) -> int:
 
     try:
         u = _parse_target(wf.u, wf.alphabet)
-    except (InvalidParameterError, FileNotFoundError):
+    except (InvalidParameterError, OSError):
         u = None
     if u is None:
         rows.append(("realization", "SKIP", f"target {wf.u!r} unavailable"))
@@ -251,14 +240,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (DensityViolation, InfeasibleDepth) as exc:
+    except BlockshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (VersionError, ChecksumError, InconsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameterError, IncompleteDataError, AlignmentError,
-            WindowRangeError, EmptyCoreError, FileNotFoundError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

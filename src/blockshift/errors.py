@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module; ``exit_code`` is the CLI exit status."""
 
 
 class BlockshiftError(Exception):
     """Base class for all library errors."""
+    exit_code = 2
 
 
 class InvalidParameterError(BlockshiftError, ValueError):
@@ -19,6 +20,7 @@ class IncompleteDataError(BlockshiftError):
 
 class DensityViolation(BlockshiftError):
     """The sparsity inequality failed; carries the witnessing window."""
+    exit_code = 3
 
     def __init__(self, level, witness, count, threshold, message=None):
         self.level = level
@@ -35,6 +37,7 @@ class DensityViolation(BlockshiftError):
 
 class InfeasibleDepth(BlockshiftError):
     """Exact word-set data required at this depth cannot be materialized."""
+    exit_code = 3
 
 
 class EmptyCoreError(BlockshiftError):
@@ -43,6 +46,7 @@ class EmptyCoreError(BlockshiftError):
 
 class ConstructionInvariantError(BlockshiftError):
     """A fill-time invariant of the star-filling procedure failed."""
+    exit_code = 4
 
 
 class WindowRangeError(BlockshiftError):
@@ -51,6 +55,7 @@ class WindowRangeError(BlockshiftError):
 
 class WindowFormatError(BlockshiftError):
     """Base class for persistence-format failures."""
+    exit_code = 1
 
 
 class VersionError(WindowFormatError):

@@ -26,7 +26,8 @@ from .errors import (
 from .mobius import mobius_sieve
 from .schedule import Schedule
 from .sparse import SparseSetSpec
-from .words import STAR, Alphabet, PartialWindow, block_interval, block_of, hull_of_blocks
+from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of, check_cell_count,
+                    hull_of_blocks)
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,7 @@ def init_partial(u: TargetSequence, sparse: SparseSetSpec,
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise InvalidParameterError(f"empty window [{lo},{hi}]")
+    check_cell_count(hi - lo + 1)
     cells = np.full(hi - lo + 1, STAR, dtype=np.uint8)
     for n, s in sparse.elements_in((lo, hi)):
         v = u.symbol_index(n)

@@ -125,7 +125,7 @@ class SparseSetSpec:
         through N only.
         """
         values, horizon = [], None
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(Path(path).read_text(errors="replace").splitlines(), 1):
             line = raw.strip()
             if line.startswith("#"):
                 body = line[1:].strip()

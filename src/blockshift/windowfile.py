@@ -82,7 +82,12 @@ def _header_int(key: str, text: str) -> int:
 
 
 def load_window(path) -> WindowFile:
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+        raise InconsistencyError(
+            f"non-ASCII byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
     lines = text.split("\n")
     if not lines or lines[0] != FORMAT_TAG:
         raise VersionError(
@@ -129,6 +134,8 @@ def load_window(path) -> WindowFile:
         raise InconsistencyError(
             f"declared length {length} != payload cell count {len(payload)}"
         )
+    if length < 1:
+        raise InconsistencyError("empty payload: a window needs at least one cell")
     if checksum != checksum64(payload):
         raise ChecksumError(
             f"checksum mismatch: header {checksum}, payload {checksum64(payload)}"
@@ -149,6 +156,14 @@ def load_window(path) -> WindowFile:
     depth = _header_int("depth", fields["depth"])
     if len(m_list) != depth + 1:
         raise InconsistencyError("m-list length does not match depth")
+    bad = [m for m in m_list if m < 1 or m % 2 == 0]
+    if bad:
+        raise InconsistencyError(f"header 'm-list': {bad[0]} is not an odd positive integer")
+    m_top = m_list[-1]
+    if (window.start + (m_top - 1) // 2) % m_top or length % m_top:
+        raise InconsistencyError(
+            f"window {window.interval()} is not a union of level-{depth} blocks"
+        )
     return WindowFile(window, alphabet, fields["profile"], depth, m_list,
                       fields["sparse"], fields["u"], fields["fill"],
                       _header_int("seed", fields["seed"]))

@@ -116,6 +116,12 @@ class Word:
         return self
 
 
+def check_cell_count(n: int) -> None:
+    """Reject a window of more than MAX_WINDOW_CELLS cells; call it before allocating."""
+    if n > MAX_WINDOW_CELLS:
+        raise InvalidParameterError(f"window of {n} cells exceeds the {MAX_WINDOW_CELLS}-cell limit")
+
+
 class PartialWindow:
     """An integer-indexed window of symbol indices or STAR.
 
@@ -129,10 +135,7 @@ class PartialWindow:
         arr = np.ascontiguousarray(cells, dtype=np.uint8)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidParameterError("window needs at least one cell")
-        if arr.size > MAX_WINDOW_CELLS:
-            raise InvalidParameterError(
-                f"window of {arr.size} cells exceeds the {MAX_WINDOW_CELLS}-cell limit"
-            )
+        check_cell_count(arr.size)
         arr.setflags(write=False)
         object.__setattr__(self, "offset", int(offset))
         object.__setattr__(self, "cells", arr)

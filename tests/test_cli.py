@@ -3,7 +3,9 @@ import json
 import mpmath
 import pytest
 
+from blockshift import cli, errors
 from blockshift.cli import main
+from blockshift.windowfile import checksum64
 
 
 def run(capsys, *argv):
@@ -126,9 +128,7 @@ def test_bad_header_value_exits_1(tmp_path, capsys, command, key, value):
     path = tmp_path / "d1.bsw"
     run(capsys, "realize", "--sparse", "squares", "--depth", "1",
         "--u", "mu-indicator", "--out", str(path))
-    lines = [f"{key}: {value}" if l.startswith(f"{key}: ") else l
-             for l in path.read_text().split("\n")]
-    path.write_text("\n".join(lines))
+    path.write_text(_with_header(path.read_text().split("\n"), {key: value}))
     code, out, err = run(capsys, command, str(path))
     assert code == 1
     if command == "verify":
@@ -146,18 +146,37 @@ def d1_lines(tmp_path_factory):
 
 
 DENSITY = ["density", "--L", "15", "--range", "1:100"]
+REALIZE = ["realize", "--sparse", "squares", "--depth", "1"]
 
 
-# A (key, value) edit runs argv on the depth-1 window file with that header
-# value; a string edit is the text of the file.  "{file}" names the file.
-# Each expected line is matched as a prefix: argparse words its list of
-# choices differently across Python versions.
+def _with_header(lines, values):
+    """The window file with the given header values replaced."""
+    out = []
+    for l in lines:
+        key = l.partition(": ")[0]
+        out.append(f"{key}: {values[key]}" if key in values else l)
+    return "\n".join(out)
+
+
+def _empty_payload(lines):
+    """The depth-1 window file with no cells, `length: 0` and the empty checksum."""
+    cells = lines.index("cells:")
+    return "\n".join(["length: 0" if l.startswith("length: ") else l
+                      for l in lines[:cells + 1]] + [f"checksum: {checksum64('')}", ""])
+
+
+# A dict edit runs argv on the depth-1 window file with those header values;
+# a callable edit maps that file's lines to the text of the input; a string
+# or bytes edit is the content of the input.  "{file}" names the input and
+# "{dir}" the directory holding it.  Each expected line is matched as a
+# prefix: argparse words its list of choices differently across Python
+# versions, and the OS words its error messages.
 @pytest.mark.parametrize("edit,argv,code,line", [
-    (("profile", "bogus"), ["verify", "{file}"], 1,
+    ({"profile": "bogus"}, ["verify", "{file}"], 1,
      "load      FAIL  header 'profile': unknown profile 'bogus'"),
-    (("profile", "bogus"), ["complexity", "{file}"], 1,
+    ({"profile": "bogus"}, ["complexity", "{file}"], 1,
      "error: header 'profile': unknown profile 'bogus'"),
-    (("sparse", "monomial:x"), ["verify", "{file}"], 1,
+    ({"sparse": "monomial:x"}, ["verify", "{file}"], 1,
      "load      FAIL  sparse-set spec 'monomial:x': 'x' is not an integer"),
     ("", DENSITY + ["--sparse", "monomial:x"], 2,
      "error: sparse-set spec 'monomial:x': 'x' is not an integer"),
@@ -179,19 +198,83 @@ DENSITY = ["density", "--L", "15", "--range", "1:100"]
      "error: --mk must be >= 1, got -1"),
     ("", ["schedule", "--sparse", "squares", "--depth", "1", "--profile", "bogus"], 2,
      "blockshift schedule: error: argument --profile: invalid choice: 'bogus'"),
+    (b"1\n\xff\n", DENSITY + ["--sparse", "file:{file}"], 2,
+     "error: {file}:2: '\ufffd' is not an integer"),
+    (b"BLOCKSHIFT/1\n\xff\n", ["verify", "{file}"], 1,
+     "load      FAIL  non-ASCII byte 0xff at offset 13"),
+    (b"BLOCKSHIFT/1\n\xff\n", ["complexity", "{file}"], 1,
+     "error: non-ASCII byte 0xff at offset 13"),
+    (_empty_payload, ["verify", "{file}"], 1,
+     "load      FAIL  empty payload: a window needs at least one cell"),
+    (_empty_payload, ["complexity", "{file}"], 1,
+     "error: empty payload: a window needs at least one cell"),
+    ({"m-list": "1,14"}, ["verify", "{file}"], 1,
+     "load      FAIL  header 'm-list': 14 is not an odd positive integer"),
+    ({"m-list": "-1,15"}, ["complexity", "{file}"], 1,
+     "error: header 'm-list': -1 is not an odd positive integer"),
+    ({"offset": "0"}, ["verify", "{file}"], 1,
+     "load      FAIL  window (0, 14) is not a union of level-1 blocks"),
+    ({"offset": "0"}, ["complexity", "{file}"], 1,
+     "error: window (0, 14) is not a union of level-1 blocks"),
+    ({"depth": "0", "m-list": "1"}, ["verify", "{file}"], 1,
+     "load      FAIL  depth must be >= 1"),
+    ({"u": "file:{dir}"}, ["verify", "{file}"], 0,
+     "realization   SKIP  target 'file:{dir}' unavailable"),
+    (b"1\xff0\n", REALIZE + ["--u", "file:{file}", "--out", "{dir}/x.bsw"], 2,
+     "error: symbol '\ufffd' not in alphabet '01'"),
+    ("", ["verify", "{dir}"], 2, "error: [Errno 21] Is a directory: '{dir}'"),
+    ("", REALIZE + ["--u", "mu-indicator", "--out", "{dir}"], 2,
+     "error: [Errno 21] Is a directory: '{dir}'"),
+    ("", REALIZE + ["--u", "file:{dir}", "--out", "{file}"], 2,
+     "error: [Errno 21] Is a directory: '{dir}'"),
+    ("", DENSITY + ["--sparse", "file:{dir}"], 2,
+     "error: [Errno 21] Is a directory: '{dir}'"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
-    if isinstance(edit, tuple):
-        key, value = edit
-        path.write_text("\n".join(f"{key}: {value}" if l.startswith(f"{key}: ") else l
-                                  for l in d1_lines))
+    if isinstance(edit, dict):
+        edit = _with_header(d1_lines, {k: v.format(dir=tmp_path) for k, v in edit.items()})
+    elif callable(edit):
+        edit = edit(d1_lines)
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
     else:
         path.write_text(edit)
-    got, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    got, out, err = run(capsys, *(a.format(file=path, dir=tmp_path) for a in argv))
     assert got == code
-    stream = out if "FAIL" in line else err
-    assert any(l.startswith(line.format(file=path)) for l in stream.splitlines())
+    assert "Traceback" not in err
+    stream = err if "error:" in line else out
+    assert any(l.startswith(line.format(file=path, dir=tmp_path))
+               for l in stream.splitlines())
+
+
+# The documented exit status of each library error class, written out here
+# so that the test does not read it back from errors.py.
+EXIT_CODES = {
+    "BlockshiftError": 2, "InvalidParameterError": 2, "AlignmentError": 2,
+    "IncompleteDataError": 2, "WindowRangeError": 2, "EmptyCoreError": 2,
+    "WindowFormatError": 1, "VersionError": 1, "ChecksumError": 1,
+    "InconsistencyError": 1, "DensityViolation": 3, "InfeasibleDepth": 3,
+    "ConstructionInvariantError": 4,
+}
+
+
+def _error_classes(cls=errors.BlockshiftError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_class_exit_code(monkeypatch, capsys, cls):
+    exc = cls(1, (0, 14), 8, 5) if cls is errors.DensityViolation else cls("boom")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_density", raise_it)
+    code, out, err = run(capsys, *DENSITY, "--sparse", "squares")
+    assert (code, out, err) == (EXIT_CODES[cls.__name__], "", f"error: {exc}\n")
 
 
 def test_demo_json_deterministic(capsys):

@@ -8,6 +8,7 @@ from blockshift import (
     DensityViolation,
     EmptyCoreError,
     IncompleteDataError,
+    InvalidParameterError,
     PartialWindow,
     STAR,
     SparseSetSpec,
@@ -19,7 +20,21 @@ from blockshift import (
     verify_realization,
     window_admissibility_report,
 )
+from blockshift import realization
+from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
+
+
+def test_init_partial_checks_size_before_allocating(monkeypatch, mu_target, squares, binary):
+    full = np.full
+
+    def capped_full(shape, *args, **kwargs):
+        assert np.prod(shape) <= MAX_WINDOW_CELLS, f"np.full asked for {shape} cells"
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(realization.np, "full", capped_full)
+    with pytest.raises(InvalidParameterError, match="exceeds the 2147483648-cell limit"):
+        init_partial(mu_target, squares, (1, 2**31 + 1), binary)
 
 
 def test_init_partial_examples(binary, squares):

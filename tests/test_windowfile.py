@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockshift import (
     ChecksumError,
     InconsistencyError,
+    PartialWindow,
     VersionError,
+    WindowFormatError,
     load_window,
     save_window,
 )
@@ -116,6 +119,10 @@ def test_missing_header_key(tmp_path, sched2, mu_target):
     ("seed", "", "header 'seed': '' is not an integer"),
     ("m-list", "1,a", "header 'm-list': 'a' is not an integer"),
     ("alphabet", "0", "header 'alphabet': alphabet needs at least 2 symbols"),
+    ("m-list", "1,14", "header 'm-list': 14 is not an odd positive integer"),
+    ("m-list", "0,15", "header 'm-list': 0 is not an odd positive integer"),
+    ("m-list", "-1,15", "header 'm-list': -1 is not an odd positive integer"),
+    ("offset", "0", r"window \(0, 14\) is not a union of level-1 blocks"),
 ])
 def test_bad_header_value(tmp_path, sched2, mu_target, key, value, message):
     x = realize(mu_target, sched2, 1)
@@ -125,3 +132,44 @@ def test_bad_header_value(tmp_path, sched2, mu_target, key, value, message):
     path.write_text("\n".join(lines))
     with pytest.raises(InconsistencyError, match=message):
         load_window(path)
+
+
+def test_window_off_the_block_grid(tmp_path, binary):
+    path = tmp_path / "w.bsw"
+    save_window(path, PartialWindow.stars(-7, 16), alphabet=binary, profile="faithful",
+                depth=1, m_list=(1, 15), sparse="squares", u="mu-indicator",
+                fill="pillar-first-ltr,cycle-lex-restart@0")
+    with pytest.raises(InconsistencyError,
+                       match=r"window \(-7, 8\) is not a union of level-1 blocks"):
+        load_window(path)
+
+
+@pytest.fixture(scope="module")
+def d1_path(tmp_path_factory, sched2, mu_target):
+    return _save(tmp_path_factory.mktemp("d1"), realize(mu_target, sched2, 1), sched2)
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete", "0xff"]),
+                           st.integers(0, 1 << 16), st.integers(0, 255)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edits=EDITS)
+def test_mutated_file_raises_only_format_errors(d1_path, edits):
+    data = bytearray(d1_path.read_bytes())
+    for op, pos, byte in edits:
+        if op == "insert":
+            data.insert(pos % (len(data) + 1), byte)
+        elif data and op == "delete":
+            del data[pos % len(data)]
+        elif data and op == "flip":
+            data[pos % len(data)] ^= 1 << (byte % 8)
+        elif data:
+            data[pos % len(data)] = 0xFF
+    mutant = d1_path.with_name("mutant.bsw")
+    mutant.write_bytes(bytes(data))
+    try:
+        load_window(mutant)
+    except WindowFormatError:
+        pass
