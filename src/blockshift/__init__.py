@@ -67,7 +67,6 @@ from .words import (
     block_of,
     decompose_blocks,
     hull_of_blocks,
-    occurrences,
 )
 
 __version__ = "0.1.0"

@@ -112,8 +112,8 @@ def _cmd_verify(args) -> int:
     adm = analysis.window_admissibility_report(wf.window, sched, wf.depth)
     rows.append(("admissibility", "PASS" if adm.ok else "FAIL", adm.summary()))
 
-    if wf.window.is_fully_defined():
-        mini = analysis.minimality_witnesses(wf.window, sched, wf.depth)
+    if adm.fully_defined:
+        mini = analysis.minimality_witnesses(adm, sched)
         rows.append(("minimality", "PASS" if mini.ok else "FAIL",
                      "; ".join(f"{n}:{s}" for n, s, _ in mini.rows())))
     else:

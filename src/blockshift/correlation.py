@@ -187,10 +187,10 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
 
     admissibility = window_admissibility_report(x, sched, depth)
     minimality = None
-    if sched.faithful and x.is_fully_defined():
+    if sched.faithful and admissibility.fully_defined:
         minimality = [
             f"{name}:{status}" for name, status, _ in
-            minimality_witnesses(x, sched, depth).rows()
+            minimality_witnesses(admissibility, sched).rows()
         ]
 
     q_count = table.squarefree_count(count)

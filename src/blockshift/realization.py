@@ -27,7 +27,7 @@ from .mobius import mobius_sieve
 from .schedule import Schedule
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of, check_cell_count,
-                    hull_of_blocks)
+                    hull_of_blocks, on_block_grid)
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
     m_old = schedule.m(level - 1)
     r = m_new // m_old
     q = r // 3
-    h = (m_new - 1) // 2
-    if (x.start + h) % m_new != 0 or len(x) % m_new != 0:
+    if not on_block_grid(x.start, len(x), m_new):
         raise ConstructionInvariantError(
             f"window {x.interval()} is not a union of level-{level} blocks"
         )

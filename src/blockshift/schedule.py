@@ -17,7 +17,7 @@ guarantee.  Every schedule is stamped with its profile, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +28,15 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import STAR, Alphabet, PartialWindow, Word, hull_of_blocks
+from .words import STAR, Alphabet, PartialWindow, Word, hull_of_blocks, on_block_grid
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
 DEFAULT_SCAN_CAP = 1000
 DEFAULT_VALUE_CAP = 1 << 40
 DEFAULT_WINDOW_HINT = (0, 1000)
+# exact counts longer than this (Python's default str limit) print as a digit count
+MAX_SHOWN_DIGITS = 4300
 POOL_SIZE = 16
 PROFILES = ("faithful", "fast")
 
@@ -79,9 +81,13 @@ class Card:
         )
 
     def describe(self) -> str:
-        if self.exact is not None:
+        if self.exact is None:
+            return f"log[{self.log_lower:.4f},{self.log_upper:.4f}]"
+        if self.exact < 10**MAX_SHOWN_DIGITS:
             return f"exact:{self.exact}"
-        return f"log[{self.log_lower:.4f},{self.log_upper:.4f}]"
+        digits = int(math.log10(self.exact)) + 1
+        digits += (self.exact >= 10**digits) - (self.exact < 10 ** (digits - 1))
+        return f"exact:{digits}-digit,ln={self.log_upper:.4f}"
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,7 @@ class LevelParams:
     m: int
     pillar: Word
     card: Card
+    pillar_check: LevelCheck | None = None  # w_k as one level-k block; None at k = 0
 
 
 @dataclass(frozen=True)
@@ -389,8 +396,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
     m_prev = schedule.m(level - 1)
     r = m // m_prev
     q = r // 3
-    h = (m - 1) // 2
-    if (x.start + h) % m != 0 or len(x) % m != 0:
+    if not on_block_grid(x.start, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
     n_blocks = len(x) // m
     blocks = x.cells.reshape(n_blocks, m)
@@ -536,8 +542,12 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
             return cand
         last = (witness, count, threshold)
         j = max(j + 2, count + 1 + (count % 2))
-    witness, count, threshold = last if last else ((0, 0), 0, 0)
-    raise DensityViolation(k, witness, count, threshold)
+    if last is None:
+        raise InfeasibleDepth(
+            f"no candidate for m_{k + 1} within the caps: the smallest is {step * j}, "
+            f"value cap {value_cap}, scan cap {scan_cap}"
+        )
+    raise DensityViolation(k, *last)
 
 
 def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
@@ -597,9 +607,10 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         m_k, card_k = plan[k]
         pillar = _build_pillar(sched, k, m_k)
         sched.levels.append(LevelParams(k, m_k, pillar, card_k))
-        failure = _failure(_check_level(_one_block(pillar), sched, k, sched.faithful))
-        if failure:
-            raise ConstructionInvariantError(f"pillar w_{k} not admissible: {failure}")
+        check = _check_level(_one_block(pillar), sched, k, sched.faithful)
+        if not check.ok:
+            raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
+        sched.levels[k] = replace(sched.levels[k], pillar_check=check)
         if not sched.faithful:
             _check_fast_pillar(sched, k, pillar)
     sched.verified_range = verified

@@ -18,6 +18,8 @@ from .errors import IncompleteDataError, InvalidParameterError
 
 # floor(n*ln n) values closer than this to an integer are recomputed with mpmath
 _NLOGN_GUARD = 1e-9
+# largest monomial degree and power numerator P: term(n) computes n**P exactly
+MAX_EXPONENT = 1000
 
 
 def kth_root_floor(x: int, k: int) -> int:
@@ -82,6 +84,11 @@ class SparseSetSpec:
         if self.kind == "power":
             if self.gamma is None or self.gamma <= 1:
                 raise InvalidParameterError("power kind needs rational gamma > 1")
+        exponent = self.degree if self.kind == "monomial" else (
+            self.gamma.numerator if self.kind == "power" else 0)
+        if exponent > MAX_EXPONENT:
+            raise InvalidParameterError(
+                f"{self.kind} exponent {exponent} exceeds the bound {MAX_EXPONENT}")
         if self.kind == "explicit":
             v = self.values
             if not v:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChecksumError, InconsistencyError, InvalidParameterError, VersionError
 from .schedule import PROFILES
-from .words import Alphabet, PartialWindow
+from .words import Alphabet, PartialWindow, on_block_grid
 
 FORMAT_TAG = "BLOCKSHIFT/1"
 LINE_CELLS = 1 << 16
@@ -159,8 +159,7 @@ def load_window(path) -> WindowFile:
     bad = [m for m in m_list if m < 1 or m % 2 == 0]
     if bad:
         raise InconsistencyError(f"header 'm-list': {bad[0]} is not an odd positive integer")
-    m_top = m_list[-1]
-    if (window.start + (m_top - 1) // 2) % m_top or length % m_top:
+    if not on_block_grid(window.start, length, m_list[-1]):
         raise InconsistencyError(
             f"window {window.interval()} is not a union of level-{depth} blocks"
         )

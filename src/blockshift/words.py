@@ -244,34 +244,18 @@ def hull_of_blocks(lo: int, hi: int, m: int) -> tuple[int, int]:
     return (block_interval(i_lo, m)[0], block_interval(i_hi, m)[1])
 
 
+def on_block_grid(start: int, length: int, m: int) -> bool:
+    """Whether [start, start + length - 1] is a union of centred length-m blocks."""
+    return (start + (m - 1) // 2) % m == 0 and length % m == 0
+
+
 def decompose_blocks(w: PartialWindow, m: int) -> list[tuple[int, PartialWindow]]:
     """Split a block-aligned window into its (index, sub-window) pieces."""
     _check_block_length(m)
-    h = (m - 1) // 2
-    if (w.start + h) % m != 0:
-        raise AlignmentError(
-            f"window start {w.start} is not a level-{m} block boundary "
-            f"(expected i*{m} - {h})"
-        )
-    if len(w) % m != 0:
-        raise AlignmentError(
-            f"window end {w.end} is not a level-{m} block boundary "
-            f"(length {len(w)} not a multiple of {m})"
-        )
-    i0 = (w.start + h) // m
+    if not on_block_grid(w.start, len(w), m):
+        raise AlignmentError(f"window {w.interval()} is not a union of length-{m} blocks")
+    i0 = block_of(w.start, m)
     return [
         (i0 + t, w.sub(w.start + t * m, w.start + t * m + m - 1))
         for t in range(len(w) // m)
     ]
-
-
-def occurrences(pattern: Word, text: PartialWindow) -> list[int]:
-    """All coordinates where the fully defined pattern occurs; STAR never matches."""
-    needle = pattern.cells
-    hay = text.cells.tobytes()
-    out = []
-    pos = hay.find(needle)
-    while pos != -1:
-        out.append(text.offset + pos)
-        pos = hay.find(needle, pos + 1)
-    return out

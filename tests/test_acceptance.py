@@ -141,7 +141,7 @@ def test_criterion_4_entropy_chain(sched2):
 
 
 def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
-    mini = minimality_witnesses(x2, sched2, 2)
+    mini = minimality_witnesses(window_admissibility_report(x2, sched2, 2), sched2)
     statuses = {name: status for name, status, _ in mini.rows()}
     witnesses_ok = (
         statuses["pillar-containment k=0"] == "ok"

@@ -17,6 +17,7 @@ from blockshift import (
     positive_density_bound,
     realization_forced_count,
     save_window,
+    window_admissibility_report,
 )
 from blockshift.cli import main
 
@@ -155,7 +156,7 @@ def test_decay_report(sched2):
 
 
 def test_minimality_on_depth2(x2, sched2):
-    rep = minimality_witnesses(x2, sched2, 2)
+    rep = minimality_witnesses(window_admissibility_report(x2, sched2, 2), sched2)
     assert rep.ok
     names = {name: (status, detail) for name, status, detail in rep.rows()}
     assert names["pillar-containment k=0"][0] == "ok"
@@ -166,7 +167,7 @@ def test_minimality_on_depth2(x2, sched2):
 
 def test_minimality_fails_on_constant_window(binary, sched2):
     allones = PartialWindow.from_text("1" * 15, binary, offset=-7)
-    rep = minimality_witnesses(allones, sched2, 1)
+    rep = minimality_witnesses(window_admissibility_report(allones, sched2, 1), sched2)
     assert not rep.ok
     statuses = dict((n, s) for n, s, _ in rep.rows())
     assert statuses["pillar-containment k=0"] == "fail"

@@ -229,6 +229,14 @@ def _empty_payload(lines):
      "error: [Errno 21] Is a directory: '{dir}'"),
     ("", DENSITY + ["--sparse", "file:{dir}"], 2,
      "error: [Errno 21] Is a directory: '{dir}'"),
+    ("", DENSITY + ["--sparse", "power:9999999/2"], 2,
+     "error: power exponent 9999999 exceeds the bound 1000"),
+    ("", ["schedule", "--alphabet", "01", "--sparse", "nlogn", "--depth", "2"], 3,
+     "error: no candidate for m_2 within the caps: the smallest is 342635036076524313, "
+     "value cap 1099511627776"),
+    ("", ["schedule", "--alphabet", "0+-", "--sparse", "monomial:3", "--depth", "3",
+          "--profile", "fast"], 0,
+     "3   29295        exact:6356-digit,ln=14634.5472   len=29295,sha256-64="),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

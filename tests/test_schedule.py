@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockshift import (
     Alphabet,
+    Card,
     DensityViolation,
     InfeasibleDepth,
     InvalidParameterError,
@@ -300,3 +301,10 @@ def test_frozen_output_bytes(tmp_path, capsys):
     assert main(["demo-sarnak", "--profile", "faithful", "--depth", "2", "--N", "832"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "64cd01d3d07eaf6cc1094886ff19093b33860905c00018bf360d7b251ee53b8c")
+
+
+def test_card_describe_past_the_str_digit_limit():
+    assert Card.exact_count(10**4300 - 1).describe() == "exact:" + "9" * 4300
+    assert Card.exact_count(10**4300).describe() == "exact:4301-digit,ln=9901.1159"
+    assert Card.exact_count(10**5000 + 1).describe() == "exact:5001-digit,ln=11512.9255"
+    assert Card.exact_count(2**30000).describe().startswith("exact:9031-digit,")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blockshift import IncompleteDataError, InvalidParameterError, SparseSetSpec
-from blockshift.sparse import kth_root_floor
+from blockshift.sparse import MAX_EXPONENT, kth_root_floor
 
 
 def oracle_max_window(elems, window_len, lo, hi):
@@ -190,3 +190,12 @@ def test_parse_gives_spec_or_invalid_parameter(prefix, tail):
     except InvalidParameterError:
         return
     assert SparseSetSpec.parse(spec.describe()) == spec
+
+
+def test_exponent_bound():
+    assert SparseSetSpec.parse("power:101/100").gamma == Fraction(101, 100)
+    assert SparseSetSpec.parse(f"monomial:{MAX_EXPONENT}").degree == MAX_EXPONENT
+    for text in (f"monomial:{MAX_EXPONENT + 1}", f"power:{MAX_EXPONENT + 1}/2",
+                 "power:9999999/2"):
+        with pytest.raises(InvalidParameterError, match="exceeds the bound"):
+            SparseSetSpec.parse(text)

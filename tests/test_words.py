@@ -10,8 +10,9 @@ from blockshift import (
     block_interval,
     block_of,
     decompose_blocks,
-    occurrences,
 )
+from blockshift.words import on_block_grid
+from tests.oracles import occurrences
 
 odd_lengths = st.integers(min_value=0, max_value=40).map(lambda t: 2 * t + 1)
 indices = st.integers(min_value=-1000, max_value=1000)
@@ -87,6 +88,14 @@ def test_decompose_roundtrip_random(lengths):
     assert len(parts) == 3
     total = sum(len(p) for _, p in parts)
     assert total == len(w)
+
+
+@given(odd_lengths, indices, st.integers(min_value=1, max_value=200))
+def test_on_block_grid_matches_block_index(m, start, length):
+    end = start + length - 1
+    expected = block_interval(block_of(start, m), m)[0] == start and (
+        block_interval(block_of(end, m), m)[1] == end)
+    assert on_block_grid(start, length, m) == expected
 
 
 def test_occurrences_examples(binary):
