@@ -109,15 +109,18 @@ def _cmd_verify(args) -> int:
         rep = verify_realization(wf.window, u, sparse)
         rows.append(("realization", "PASS" if rep.passed else "FAIL", rep.describe()))
 
-    adm = analysis.window_admissibility_report(wf.window, sched, wf.depth)
-    rows.append(("admissibility", "PASS" if adm.ok else "FAIL", adm.summary()))
-
-    if adm.fully_defined:
-        mini = analysis.minimality_witnesses(adm, sched)
-        rows.append(("minimality", "PASS" if mini.ok else "FAIL",
-                     "; ".join(f"{n}:{s}" for n, s, _ in mini.rows())))
+    if built != wf.m_list:
+        why = "m-list differs from the rebuilt schedule"
+        rows += [("admissibility", "SKIP", why), ("minimality", "SKIP", why)]
     else:
-        rows.append(("minimality", "SKIP", "window not fully defined"))
+        adm = analysis.window_admissibility_report(wf.window, sched, wf.depth)
+        rows.append(("admissibility", "PASS" if adm.ok else "FAIL", adm.summary()))
+        if adm.fully_defined:
+            mini = analysis.minimality_witnesses(adm, sched)
+            rows.append(("minimality", "PASS" if mini.ok else "FAIL",
+                         "; ".join(f"{n}:{s}" for n, s, _ in mini.rows())))
+        else:
+            rows.append(("minimality", "SKIP", "window not fully defined"))
 
     for name, status, detail in rows:
         print(f"{name:<14}{status:<6}{detail}")

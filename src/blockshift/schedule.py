@@ -28,7 +28,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import STAR, Alphabet, PartialWindow, Word, hull_of_blocks, on_block_grid
+from .words import (STAR, Alphabet, PartialWindow, Word, check_cell_count, hull_of_blocks,
+                    on_block_grid)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -547,6 +548,13 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
             f"no candidate for m_{k + 1} within the caps: the smallest is {step * j}, "
             f"value cap {value_cap}, scan cap {scan_cap}"
         )
+    if sparse.zero_density:
+        # a larger candidate passes; the caps, not the set, ended the search
+        cap = f"scan cap {scan_cap}" if scanned >= scan_cap else f"value cap {value_cap}"
+        raise InfeasibleDepth(
+            f"no candidate for m_{k + 1} passes the sparsity gate within the {cap} "
+            f"({scanned} tried); the next is {step * j}"
+        )
     raise DensityViolation(k, *last)
 
 
@@ -633,13 +641,12 @@ def _build_pillar(sched: Schedule, k: int, m_k: int) -> Word:
     r = m_k // m_prev
     q = r // 3
     prev_pillar = sched.pillar(k - 1).cells
+    try:
+        words = sched.words(k - 1) if sched.faithful else None
+        check_cell_count(m_k)
+    except (InfeasibleDepth, InvalidParameterError) as exc:
+        raise InfeasibleDepth(f"cannot build w_{k}: {exc}") from exc
     if sched.faithful:
-        try:
-            words = sched.words(k - 1)
-        except InfeasibleDepth as exc:
-            raise InfeasibleDepth(
-                f"cannot build w_{k}: {exc}"
-            ) from exc
         a = len(words)
         copies = r - a + 1
         if copies < q:

@@ -4,6 +4,10 @@ maxima, and the block-length sparsity test that gates the construction.
 Rule-backed sets are enumerated bit-exactly: the power kind keeps its
 exponent as a rational and takes integer roots, and the n*ln(n) kind
 recomputes near-boundary values at high precision before flooring.
+
+Every rule kind has the form s_n = floor(f(n)) with f convex, so its
+window maxima come in closed form from a few O(log) counts instead of a
+scan over the elements (SparseSetSpec._rule_max).  Explicit lists scan.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from pathlib import Path
 
 from .errors import IncompleteDataError, InvalidParameterError
 
-# floor(n*ln n) values closer than this to an integer are recomputed with mpmath
+# floor(n*ln n) is recomputed with mpmath when the float product lies within
+# this absolute guard, plus its relative rounding error, of an integer: the
+# float log and the product each err by at most about one ulp, 2**-52
 _NLOGN_GUARD = 1e-9
+_NLOGN_REL_GUARD = 2.0**-50
 # largest monomial degree and power numerator P: term(n) computes n**P exactly
 MAX_EXPONENT = 1000
 
@@ -49,12 +56,18 @@ def _int_field(where: str, text: str) -> int:
 def _nlogn(n: int) -> int:
     v = n * math.log(n)
     f = math.floor(v)
-    if min(v - f, f + 1 - v) < _NLOGN_GUARD:
+    if min(v - f, f + 1 - v) < _NLOGN_GUARD + v * _NLOGN_REL_GUARD:
         import mpmath
 
         with mpmath.workdps(40):
             return int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n)))
     return int(f)
+
+
+def _window_at(s: int, hi: int, window_len: int) -> tuple[int, int]:
+    """The length-L window starting at s, moved left to end by hi."""
+    left = min(s, hi - window_len + 1)
+    return left, left + window_len - 1
 
 
 _KINDS = ("explicit", "monomial", "power", "nlogn", "evens")
@@ -262,6 +275,11 @@ class SparseSetSpec:
 
     # --- window statistics ---------------------------------------------
 
+    @property
+    def zero_density(self) -> bool:
+        """Whether the rule has Banach density zero (monomial:D >= 2, power, nlogn)."""
+        return self.kind in ("power", "nlogn") or (self.kind == "monomial" and self.degree > 1)
+
     def max_window_count(
         self,
         window_len: int,
@@ -271,9 +289,13 @@ class SparseSetSpec:
     ) -> tuple[int, tuple[int, int]]:
         """Largest |S ∩ I| over length-L subintervals I of rng, with a witness.
 
-        Sliding two-pointer scan over the elements inside rng.  When
-        stop_at is given, the scan may stop early once the count reaches
-        it (the certified answer is then "at least stop_at").
+        The witness is the leftmost densest window: it starts at an element
+        of S, moved left where needed to end inside rng.  When stop_at is
+        given, the answer stops at stop_at (the certified answer is then
+        "at least stop_at") with the leftmost window holding that many.
+
+        Rule kinds are answered from a few count_in calls (see _rule_max);
+        explicit lists scan their elements in rng.
         """
         lo, hi = int(rng[0]), int(rng[1])
         if window_len < 1:
@@ -282,18 +304,61 @@ class SparseSetSpec:
             raise InvalidParameterError(
                 f"range [{lo},{hi}] shorter than window length {window_len}"
             )
+        goal = None if stop_at is None else max(stop_at, 1)
+        if self.kind == "explicit":
+            return self._scan_max(window_len, lo, hi, goal)
+        return self._rule_max(window_len, lo, hi, goal)
+
+    def _rule_max(self, window_len: int, lo: int, hi: int,
+                  goal: int | None) -> tuple[int, tuple[int, int]]:
+        """max_window_count in closed form for a rule s_n = floor(f(n)), f convex.
+
+        Let s_f be the first element >= lo.  The window from
+        min(s_f, hi - L + 1) holds ``lower`` elements.  When the gaps never
+        shrink it is the densest window.  Otherwise convexity and the two
+        floors give s_{i+t} - s_i >= s_{f+t} - s_f - 1 for i >= f, so no
+        length-L window anywhere in N holds more than |S ∩ [s_f, s_f + L]|
+        elements; that bound exceeds ``lower`` by at most one.  When it
+        does, the walk looks for the first s_i with s_{i+lower} - s_i < L;
+        it ends at the first s_i with s_{i+lower} - s_i > L, since
+        convexity keeps every later difference >= L.
+        """
+        first = self._first_index_with_term_at_least(lo)
+        s_first = self.term(first)
+        if s_first > hi:
+            return 0, (lo, lo + window_len - 1)
+        witness = _window_at(s_first, hi, window_len)
+        lower = self.count_in(witness)
+        if self._gaps_never_shrink() or (goal is not None and goal <= lower):
+            return (lower if goal is None else min(lower, goal)), witness
+        upper = min(self.count_in((s_first, s_first + window_len)),
+                    self.count_in((s_first, hi)))
+        i = first
+        while upper > lower:
+            s_i, s_far = self.term(i), self.term(i + lower)
+            if s_far > hi or s_far - s_i > window_len:
+                break
+            if s_far - s_i < window_len:
+                return upper, _window_at(s_i, hi, window_len)
+            i += 1
+        return lower, witness
+
+    def _gaps_never_shrink(self) -> bool:
+        """s_{n+1} - s_n is nondecreasing: evens, monomials, integer powers."""
+        return self.kind in ("evens", "monomial") or (
+            self.kind == "power" and self.gamma.denominator == 1)
+
+    def _scan_max(self, window_len: int, lo: int, hi: int,
+                  goal: int | None) -> tuple[int, tuple[int, int]]:
+        """max_window_count by counting the window at every element in rng."""
         pos = [s for _, s in self.elements_in((lo, hi))]
         best, witness = 0, (lo, lo + window_len - 1)
-        i = 0
-        for j in range(len(pos)):
-            while pos[j] - pos[i] >= window_len:
-                i += 1
-            if j - i + 1 > best:
-                best = j - i + 1
-                left = min(pos[i], hi - window_len + 1)
-                witness = (left, left + window_len - 1)
-                if stop_at is not None and best >= stop_at:
-                    return best, witness
+        for i, s in enumerate(pos):
+            count = bisect.bisect_right(pos, s + window_len - 1, i) - i
+            if count > best:
+                best, witness = count, _window_at(s, hi, window_len)
+                if goal is not None and best >= goal:
+                    return goal, witness
         return best, witness
 
     def sparsity_report(

@@ -18,6 +18,25 @@ def occurrences(pattern, text):
     return out
 
 
+def max_window_by_scan(spec, window_len, rng, stop_at=None):
+    """SparseSetSpec.max_window_count by a two-pointer scan over every
+    element of S in rng; with stop_at it stops once the count reaches it."""
+    lo, hi = int(rng[0]), int(rng[1])
+    pos = [s for _, s in spec.elements_in((lo, hi))]
+    best, witness = 0, (lo, lo + window_len - 1)
+    i = 0
+    for j in range(len(pos)):
+        while pos[j] - pos[i] >= window_len:
+            i += 1
+        if j - i + 1 > best:
+            best = j - i + 1
+            left = min(pos[i], hi - window_len + 1)
+            witness = (left, left + window_len - 1)
+            if stop_at is not None and best >= stop_at:
+                return best, witness
+    return best, witness
+
+
 def minimality_by_occurrences(x, schedule, depth):
     """The minimality rows from every occurrence of each pillar in the window.
 

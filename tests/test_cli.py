@@ -3,7 +3,7 @@ import json
 import mpmath
 import pytest
 
-from blockshift import cli, errors
+from blockshift import SparseSetSpec, cli, errors
 from blockshift.cli import main
 from blockshift.windowfile import checksum64
 
@@ -237,6 +237,17 @@ def _empty_payload(lines):
     ("", ["schedule", "--alphabet", "0+-", "--sparse", "monomial:3", "--depth", "3",
           "--profile", "fast"], 0,
      "3   29295        exact:6356-digit,ln=14634.5472   len=29295,sha256-64="),
+    ("", ["schedule", "--alphabet", "0+-", "--sparse", "squares", "--depth", "4",
+          "--profile", "fast"], 3,
+     "error: no candidate for m_4 passes the sparsity gate within the value cap "
+     "1099511627776 (1 tried); the next is 1328120888985"),
+    ("", ["schedule", "--alphabet", "0+-", "--sparse", "power:7/4", "--depth", "3",
+          "--profile", "fast"], 3,
+     "error: cannot build w_3: window of 13183777215 cells exceeds the 2147483648-cell limit"),
+    ("", ["schedule", "--alphabet", "01", "--sparse", "power:3/2", "--depth", "2"], 3,
+     "error: cannot build w_2: |A_1| = exact:8439258405 is not enumerable"),
+    ({"offset": "3", "m-list": "1,5"}, ["verify", "{file}"], 1,
+     "admissibility SKIP  m-list differs from the rebuilt schedule"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -254,6 +265,24 @@ def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line)
     stream = err if "error:" in line else out
     assert any(l.startswith(line.format(file=path, dir=tmp_path))
                for l in stream.splitlines())
+
+
+# The density-scan calls of the benchmark, plus one range the element scan
+# could never finish: rule kinds answer them without listing elements.
+@pytest.mark.parametrize("sparse,L,rng,code,line", [
+    ("nlogn", "3000", "1:10000000", 0, "max=484 quotient=0.1613 satisfies 1/(3·1)"),
+    ("power:3/2", "3000", "1:100000000", 0, "max=208 quotient=0.0693 satisfies 1/(3·1)"),
+    ("squares", "4000", "1:10000000000", 0, "max=63 quotient=0.0158 satisfies 1/(3·1)"),
+    ("evens", "15", "1:2000000", 3, "max=8 quotient=0.5333 violates 1/(3·1)"),
+    ("nlogn", "3000", "1:10000000000", 0, "max=484 quotient=0.1613 satisfies 1/(3·1)"),
+])
+def test_density_lists_no_elements(monkeypatch, capsys, sparse, L, rng, code, line):
+    def refuse(self, interval):
+        raise AssertionError(f"elements_in{interval} called")
+
+    monkeypatch.setattr(SparseSetSpec, "elements_in", refuse)
+    got = run(capsys, "density", "--sparse", sparse, "--L", L, "--range", rng)
+    assert got == (code, line + "\n", "")
 
 
 # The documented exit status of each library error class, written out here

@@ -3,11 +3,13 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blockshift import IncompleteDataError, InvalidParameterError, SparseSetSpec
-from blockshift.sparse import MAX_EXPONENT, kth_root_floor
+from blockshift.sparse import MAX_EXPONENT, _nlogn, kth_root_floor
+from tests.oracles import max_window_by_scan
 
 
 def oracle_max_window(elems, window_len, lo, hi):
@@ -119,6 +121,65 @@ def test_max_window_count_explicit_oracle(values, window_len):
         for a in range(rng[0], rng[1] - window_len + 2)
     )
     assert got == want
+
+
+RULE_SPECS = ["squares", "monomial:1", "monomial:3", "power:3/2", "power:7/4",
+              "power:5/4", "power:11/3", "power:101/100", "nlogn", "evens"]
+
+
+@st.composite
+def window_queries(draw):
+    lists = st.lists(st.integers(1, 20000), min_size=1, max_size=60, unique=True)
+    text = draw(st.one_of(st.sampled_from(RULE_SPECS),
+                          lists.map(lambda v: "list:" + ",".join(map(str, sorted(v))))))
+    # power:101/100 needs n**101 per term, so its ranges stay small
+    big = 1 if text == "power:101/100" else 10
+    window_len = draw(st.integers(1, 300 * big))
+    lo = draw(st.one_of(st.integers(-50, 0), st.integers(2, 5000 * big)))
+    # a short slack clips windows at hi; a long one lets the maximum move right
+    slack = draw(st.one_of(st.integers(0, 50), st.integers(0, 2000 * big)))
+    stop_at = draw(st.one_of(st.none(), st.integers(1, 80)))
+    return text, window_len, (lo, lo + window_len - 1 + slack), stop_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_queries())
+@example(("monomial:3", 5, (9, 26), None))   # no cube in range
+@example(("squares", 3, (5, 8), 1))           # no square in range, with stop_at
+@example(("nlogn", 10, (-5, 4), None))        # window clipped at hi
+# floored kinds whose densest window holds one more than the first one
+@example(("nlogn", 595, (17554, 18180), None))
+@example(("power:5/4", 1053, (12777, 15888), 127))
+@example(("power:101/100", 22, (3372, 3414), None))
+def test_max_window_count_matches_scan(query):
+    text, window_len, rng, stop_at = query
+    spec = SparseSetSpec.parse(text)
+    got = spec.max_window_count(window_len, rng, stop_at=stop_at)
+    assert got == max_window_by_scan(spec, window_len, rng, stop_at)
+
+
+# n below 2*10^8 whose n*ln(n) lies within 4e-8 of an integer; at 193751193
+# a flat 1e-9 guard floors the float product one below the true value
+NEAR_INTEGER_N = [64795933, 53124054, 132488711, 81332127, 119709099, 144228346,
+                  145495423, 193751193, 140231643, 185704010, 20527686]
+
+
+def _nearest_to_integer(start):
+    """The n in [start, start + 4096) whose float n*ln(n) is nearest an integer."""
+    n = np.arange(start, start + 4096, dtype=np.float64)
+    v = n * np.log(n)
+    return start + int(np.argmin(np.abs(v - np.rint(v))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(NEAR_INTEGER_N),
+                 st.integers(2, 10**12).map(_nearest_to_integer),
+                 st.integers(2, 10**6)))
+@example(193751193)
+def test_nlogn_matches_exact_floor(n):
+    with mpmath.workdps(60):
+        want = int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n)))
+    assert _nlogn(n) == want
 
 
 def test_count_in_matches_elements(squares):
