@@ -235,10 +235,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose LO:HI value may start with a minus sign.  argparse reads
+# "-5:40" as an option of its own, but "--range=-5:40" as one argument.
+_RANGE_OPTIONS = ("--range", "--window")
+
+
+def _attach_range_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

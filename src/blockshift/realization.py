@@ -7,6 +7,12 @@ condition) are kept, the first third of the undefined sub-blocks become
 the pillar word, and the rest cycle through the level's word list
 (faithful profile) or the seeded sample pool (fast profile), restarted
 per block.  Cells written at an earlier level are never overwritten.
+
+A level is filled in block-aligned batches of the blocks that meet the
+set, a sub-block row at a time: row max and min tell the defined rows
+from the starred ones, and a running count ranks the starred rows.  No
+temporary grows with the window.  ``realize`` allocates one cell buffer
+and fills every level in it; ``fill_level`` copies its input first.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from .errors import (
 from .mobius import mobius_sieve
 from .schedule import Schedule
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of, check_cell_count,
-                    hull_of_blocks, on_block_grid)
+from .words import (STAR, Alphabet, PartialWindow, block_batches, block_interval,
+                    block_of, check_cell_count, count_rows, fold_rows, hull_of_blocks,
+                    on_block_grid)
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,11 @@ def init_partial(u: TargetSequence, sparse: SparseSetSpec,
                  alphabet: Alphabet | None = None) -> PartialWindow:
     """u written on the sparse set inside the window, stars elsewhere."""
     lo, hi = int(window[0]), int(window[1])
+    return PartialWindow(lo, _pinned_cells(u, sparse, lo, hi, alphabet))
+
+
+def _pinned_cells(u: TargetSequence, sparse: SparseSetSpec, lo: int, hi: int,
+                  alphabet: Alphabet | None) -> np.ndarray:
     if lo > hi:
         raise InvalidParameterError(f"empty window [{lo},{hi}]")
     check_cell_count(hi - lo + 1)
@@ -103,7 +115,7 @@ def init_partial(u: TargetSequence, sparse: SparseSetSpec,
                 f"target value u({n}) = {v} outside alphabet of size {alphabet.size}"
             )
         cells[s - lo] = v
-    return PartialWindow(lo, cells)
+    return cells
 
 
 def fill_level(x: PartialWindow, level: int, schedule: Schedule,
@@ -118,72 +130,121 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
     """
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth {schedule.depth}")
+    cells = x.cells.copy()
+    _fill_in_place(cells, x.start, level, schedule, cycle_start)
+    return x.with_cells(cells)
+
+
+def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule,
+                   cycle_start: int) -> None:
+    """fill_level on a writable cell buffer whose first cell is ``start``.
+
+    The window is read in block-aligned batches (words.block_batches).
+    The alphabet check and the defined-cell count run first over every
+    batch; the blocks that meet S are then filled batch by batch, each
+    batch a slice view when its blocks are consecutive and a gathered
+    copy otherwise.  Errors name the first offending block in window
+    order, as a block-by-block loop would.
+    """
     m_new = schedule.m(level)
     m_old = schedule.m(level - 1)
     r = m_new // m_old
     q = r // 3
-    if not on_block_grid(x.start, len(x), m_new):
+    size = cells.size
+    if not on_block_grid(start, size, m_new):
         raise ConstructionInvariantError(
-            f"window {x.interval()} is not a union of level-{level} blocks"
+            f"window {(start, start + size - 1)} is not a union of level-{level} blocks"
         )
-    out = x.cells.copy()
-    off = x.offset
-    if bool(((out != STAR) & (out >= schedule.alphabet.size)).any()):
-        raise ConstructionInvariantError("window holds cell values outside the alphabet")
+    a = schedule.alphabet.size
+    n_blocks = size // m_new
+    batches = block_batches(n_blocks, m_new)
+    defined_total = 0
+    for b0, b1 in batches:
+        # STAR wraps to 0 and symbol c to c + 1, so a cell outside the
+        # alphabet is one above a, and the defined cells are the nonzero ones
+        shifted = cells[b0 * m_new:b1 * m_new] + np.uint8(1)
+        if int(shifted.max()) > a:
+            raise ConstructionInvariantError("window holds cell values outside the alphabet")
+        defined_total += int(np.count_nonzero(shifted))
 
-    meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
+    pinned = np.fromiter((s for _, s in schedule.sparse.elements_in((start, start + size - 1))),
+                         dtype=np.int64)
+    meeting = np.unique((pinned - start) // m_new)  # window-local block indices
+    first_block = block_of(start, m_new)
     fill_src = schedule.fill_matrix(level - 1)
     n_src = fill_src.shape[0]
     pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    grid = cells.reshape(n_blocks, m_new)
 
-    defined_total = int((out != STAR).sum())
     defined_in_meeting = 0
-    for i in meeting:
-        lo, hi = block_interval(i, m_new)
-        seg = out[lo - off: hi + 1 - off].reshape(r, m_old)
-        row_star = seg == STAR
-        full_star = row_star.all(axis=1)
-        any_star = row_star.any(axis=1)
-        mixed = any_star & ~full_star
-        if mixed.any():
-            t = int(np.nonzero(mixed)[0][0])
-            raise ConstructionInvariantError(
-                f"level-{level} block {i}: sub-block {t} is partially defined"
-            )
-        defined_rows = r - int(any_star.sum())
-        defined_in_meeting += defined_rows * m_old
-        if defined_rows >= q:
-            raise DensityViolation(
-                level - 1, (lo, hi), defined_rows, q,
-                message=(
-                    f"level-{level} block {i} already holds {defined_rows} defined "
-                    f"sub-blocks, sparsity promised < {q}"
-                ),
-            )
-        star_rows = np.nonzero(full_star)[0]
-        seg[star_rows[:q]] = pillar
-        rest = star_rows[q:]
-        if schedule.faithful and rest.size < n_src:
-            raise ConstructionInvariantError(
-                f"level-{level} block {i}: {rest.size} free sub-blocks cannot "
-                f"use all {n_src} words"
-            )
-        if rest.size:
-            idx = (cycle_start + np.arange(rest.size)) % n_src
-            seg[rest] = fill_src[idx]
+    # a block costs its cells and, per sub-block, a few int64 row indices
+    for j0, j1 in block_batches(meeting.size, max(m_new, 8 * r)):
+        idx = meeting[j0:j1]
+        run = idx[-1] - idx[0] + 1 == idx.size
+        blocks = grid[idx[0]:idx[-1] + 1] if run else grid[idx]
+        rows = blocks.reshape(-1, m_old)
+        if m_old == 1:
+            row_top = row_low = rows[:, 0]
+        else:
+            row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
+        star = (row_low == STAR).reshape(-1, r)      # wholly undefined sub-blocks
+        touched = (row_top == STAR).reshape(-1, r)   # sub-blocks holding a STAR
+        defined_rows = r - count_rows(touched).astype(np.intp)
+        mixed = touched & ~star
+        bad = (defined_rows >= q) | mixed.any(axis=1)
+        if schedule.faithful:
+            bad |= r - defined_rows - q < n_src
+        if bad.any():
+            j = int(bad.argmax())
+            _raise_block_error(level, first_block + int(idx[j]), m_new, q, n_src,
+                               int(defined_rows[j]), mixed[j])
+        defined_in_meeting += int(defined_rows.sum()) * m_old
+
+        # rank each undefined sub-block within its block: the first q take
+        # the pillar, the rest cycle through the fill source
+        n_star = r - defined_rows
+        free = np.flatnonzero(star)
+        rank = np.arange(free.size) - np.repeat(np.cumsum(n_star) - n_star, n_star)
+        rows[free[rank < q]] = pillar
+        tail = rank >= q
+        at, pick = free[tail], (cycle_start + rank[tail] - q) % n_src
+        for k0, k1 in block_batches(at.size, m_old):  # gather one batch of cells at a time
+            rows[at[k0:k1]] = fill_src[pick[k0:k1]]
+        if not run:
+            grid[idx] = blocks
 
     if defined_total != defined_in_meeting:
-        meeting_set = set(meeting)
-        coords = np.nonzero(x.cells != STAR)[0]
-        bad = next(
-            (int(c) + off for c in coords
-             if block_of(int(c) + off, m_new) not in meeting_set),
-            x.start,
-        )
+        outside = np.ones(n_blocks, dtype=bool)
+        outside[meeting] = False
+        for b0, b1 in batches:
+            hits = np.flatnonzero((grid[b0:b1] != STAR) & outside[b0:b1, None])
+            if hits.size:
+                raise ConstructionInvariantError(
+                    f"defined cell at {start + b0 * m_new + int(hits[0])} lies in a "
+                    f"level-{level} block disjoint from S"
+                )
+
+
+def _raise_block_error(level: int, i: int, m_new: int, q: int, n_src: int,
+                       defined_rows: int, mixed: np.ndarray):
+    """The first failed test of level-``level`` block i, in the order fill_level runs them."""
+    if mixed.any():
         raise ConstructionInvariantError(
-            f"defined cell at {bad} lies in a level-{level} block disjoint from S"
+            f"level-{level} block {i}: sub-block {int(mixed.argmax())} is partially defined"
         )
-    return x.with_cells(out)
+    r = mixed.size
+    if defined_rows >= q:
+        raise DensityViolation(
+            level - 1, block_interval(i, m_new), defined_rows, q,
+            message=(
+                f"level-{level} block {i} already holds {defined_rows} defined "
+                f"sub-blocks, sparsity promised < {q}"
+            ),
+        )
+    raise ConstructionInvariantError(
+        f"level-{level} block {i}: {r - defined_rows - q} free sub-blocks cannot "
+        f"use all {n_src} words"
+    )
 
 
 def realize(u: TargetSequence, schedule: Schedule, depth: int,
@@ -195,6 +256,7 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     The central variant returns a fully defined admissible word.  The
     window variant may keep whole blocks starred when they miss S; its
     sparsity certificate is re-checked over the extended hull first.
+    One cell buffer is allocated and every level is filled in place.
     """
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth {schedule.depth}")
@@ -209,9 +271,10 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
         hull = hull_of_blocks(int(window[0]), int(window[1]), m_top)
         _extend_sparsity_certificate(schedule, depth, hull)
 
-    x = init_partial(u, schedule.sparse, hull, schedule.alphabet)
+    cells = _pinned_cells(u, schedule.sparse, hull[0], hull[1], schedule.alphabet)
     for level in range(1, depth + 1):
-        x = fill_level(x, level, schedule, cycle_start=cycle_start)
+        _fill_in_place(cells, hull[0], level, schedule, cycle_start)
+    x = PartialWindow(hull[0], cells)
 
     from .analysis import window_admissibility_report
 

@@ -28,8 +28,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, Word, check_cell_count, hull_of_blocks,
-                    on_block_grid)
+from .words import (STAR, Alphabet, PartialWindow, Word, block_batches, check_cell_count,
+                    count_rows, fold_rows, hull_of_blocks, on_block_grid, rows_equal)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -391,6 +391,12 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
     rule also checks that every sub-block lies in A_{level-1} and that
     every block uses every word of A_{level-1}; both are "unverifiable"
     when A_{level-1} is not enumerable.  The fast rule waives them.
+
+    The window is read in block-aligned batches of sub-block rows
+    (words.block_batches), so no temporary grows with the window.  Block
+    star masks are built only when the window holds a STAR, from each
+    block's max and min (STAR is the largest cell value), and each
+    sub-block row is matched against the pillar as one unit.
     """
     a = schedule.alphabet.size
     m = schedule.m(level)
@@ -400,54 +406,76 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
     if not on_block_grid(x.start, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
     n_blocks = len(x) // m
-    blocks = x.cells.reshape(n_blocks, m)
-    starred = blocks == STAR
-    star_any = starred.any(axis=1)
-    star_all = starred.all(axis=1)
-    if bool((star_any & ~star_all).any()):
-        i = int(np.nonzero(star_any & ~star_all)[0][0])
-        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
-                          f"block {i} partially defined")
-    defined = ~star_any
-    n_def = int(defined.sum())
-
-    sub = x.cells.reshape(n_blocks * r, m_prev)
+    top = int(x.cells.max())
+    starred = top == STAR
     pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
-    counts = (sub == pillar).all(axis=1).reshape(n_blocks, r).sum(axis=1)
-    min_share = int(counts[defined].min()) if n_def else None
-    pillar_total = int(counts[defined].sum()) if n_def else 0
+    listed = faithful and level > 1 and schedule.words_available(level - 1)
+
+    n_def = pillar_total = 0
+    min_share = None
+    stray = top >= a and not starred  # a defined level-1 cell outside the alphabet
+    present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
+    keys: set[bytes] = set()          # faithful, when row codes overflow int64
+    ref = None                        # faithful: sorted codes of A_{level-1}
+    seen, member, every = [], True, True
+    for b0, b1 in block_batches(n_blocks, m):
+        chunk = x.cells[b0 * m:b1 * m]
+        blocks = chunk.reshape(-1, m)
+        counts = count_rows(rows_equal(chunk.reshape(-1, m_prev), pillar).reshape(-1, r))
+        if starred:
+            block_top = fold_rows(np.maximum, blocks)
+            undefined = block_top == STAR
+            partial = undefined & (fold_rows(np.minimum, blocks) != STAR)
+            if partial.any():
+                i = b0 + int(partial.argmax())
+                return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
+                                  f"block {i} partially defined")
+            if undefined.all():
+                continue
+            if undefined.any():
+                defined = ~undefined
+                blocks, counts, block_top = blocks[defined], counts[defined], block_top[defined]
+            if level == 1:
+                stray = stray or bool((block_top >= a).any())
+        n_def += counts.size
+        pillar_total += int(counts.sum())
+        low = int(counts.min())
+        min_share = low if min_share is None else min(min_share, low)
+        if faithful and level == 1:
+            for c in range(a):
+                present[c] &= bool(fold_rows(np.logical_or, blocks == c).all())
+        elif listed:
+            sub_def = blocks.reshape(-1, m_prev)
+            codes = _row_codes(sub_def, a)
+            if codes is None:
+                keys.update(sub_def[i].tobytes() for i in range(sub_def.shape[0]))
+            else:
+                if ref is None:
+                    ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
+                member = member and bool(np.isin(codes, ref).all())
+                seen.append(np.unique(codes))
+                # every block must use every word, not just the union
+                every = every and all(
+                    np.unique(row).size >= ref.size and bool(np.isin(ref, row).all())
+                    for row in codes.reshape(-1, r))
 
     membership = every_word = "ok" if faithful else "waived"
     covered = None
     if n_def and level == 1:
-        # STAR cells fill the undefined blocks only, so any other cell >= a
-        # is outside the alphabet; the max is the cheap test when none is.
-        if int(x.cells.max()) >= a and (
-                np.count_nonzero(x.cells >= a) > (n_blocks - n_def) * m):
+        if stray:
             membership = "fail"
         if faithful:
-            defined_blocks = blocks[defined]
-            covered = sum(bool((defined_blocks == c).any(axis=1).all()) for c in range(a))
+            covered = int(present.sum())
             every_word = "ok" if covered == a else "fail"
-    elif n_def and faithful and schedule.words_available(level - 1):
-        sub_def = sub[np.repeat(defined, r)]
-        codes = _row_codes(sub_def, a)
-        if codes is None:
-            wordset = schedule.word_set(level - 1)
-            keys = {sub_def[i].tobytes() for i in range(sub_def.shape[0])}
-            membership = "ok" if keys <= wordset else "fail"
-            covered = len(keys & wordset)
-            every_word = "ok" if wordset <= keys else "fail"
-        else:
-            ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
-            membership = "ok" if bool(np.isin(codes, ref).all()) else "fail"
-            uniq = np.unique(codes)
-            covered = int(np.isin(ref, uniq).sum())
-            # every block must use every word, not just the union
-            for row in codes.reshape(n_def, r):
-                if np.unique(row).size < ref.size or not bool(np.isin(ref, row).all()):
-                    every_word = "fail"
-                    break
+    elif n_def and listed and ref is None:
+        wordset = schedule.word_set(level - 1)
+        membership = "ok" if keys <= wordset else "fail"
+        covered = len(keys & wordset)
+        every_word = "ok" if wordset <= keys else "fail"
+    elif n_def and listed:
+        membership = "ok" if member else "fail"
+        covered = int(np.isin(ref, np.concatenate(seen)).sum())
+        every_word = "ok" if every else "fail"
     elif n_def and faithful:
         membership = every_word = "unverifiable"
 

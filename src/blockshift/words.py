@@ -184,7 +184,7 @@ class PartialWindow:
         return PartialWindow(lo, self.cells[lo - self.offset : hi - self.offset + 1])
 
     def is_fully_defined(self) -> bool:
-        return not bool((self.cells == STAR).any())
+        return int(self.cells.max()) != STAR  # STAR is the largest cell value
 
     def star_count(self) -> int:
         return int((self.cells == STAR).sum())
@@ -247,6 +247,47 @@ def hull_of_blocks(lo: int, hi: int, m: int) -> tuple[int, int]:
 def on_block_grid(start: int, length: int, m: int) -> bool:
     """Whether [start, start + length - 1] is a union of centred length-m blocks."""
     return (start + (m - 1) // 2) % m == 0 and length % m == 0
+
+
+# The level passes (star-filling and the admissibility check) walk a window
+# in block-aligned batches of about this many cells, so no temporary of a
+# pass grows with the window.
+_BATCH_CELLS = 1 << 22
+# Rows at most this wide are reduced column by column: numpy's reduction
+# along a short row costs several times more per cell.
+_NARROW_ROW = 32
+
+
+def block_batches(n_blocks: int, m: int) -> list[tuple[int, int]]:
+    """Block-index ranges [b0, b1) of about _BATCH_CELLS cells, at least one block each."""
+    step = max(1, _BATCH_CELLS // m)
+    return [(b0, min(b0 + step, n_blocks)) for b0 in range(0, n_blocks, step)]
+
+
+def fold_rows(ufunc, rows: np.ndarray) -> np.ndarray:
+    """A binary ufunc reduced along each row of a 2-D array."""
+    if rows.shape[1] > _NARROW_ROW:
+        return ufunc.reduce(rows, axis=1)
+    out = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        ufunc(out, rows[:, j], out=out)
+    return out
+
+
+def count_rows(mask: np.ndarray) -> np.ndarray:
+    """The number of true entries in each row of a 2-D bool array (as
+    uint8 when the rows are narrow)."""
+    if mask.shape[1] > _NARROW_ROW:
+        return np.count_nonzero(mask, axis=1)
+    return fold_rows(np.add, mask.view(np.uint8))
+
+
+def rows_equal(rows: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """Whether each row of a C-contiguous uint8 array equals the word."""
+    if rows.shape[1] == 1:
+        return rows[:, 0] == word[0]
+    whole = np.dtype((np.void, rows.shape[1]))
+    return rows.view(whole)[:, 0] == word.view(whole)[0]
 
 
 def decompose_blocks(w: PartialWindow, m: int) -> list[tuple[int, PartialWindow]]:

@@ -3,7 +3,10 @@ checked against; nothing under src/ imports them."""
 
 import numpy as np
 
-from blockshift import InvalidParameterError, PartialWindow, aligned_block_census
+from blockshift import (STAR, ConstructionInvariantError, DensityViolation, InvalidParameterError,
+                        PartialWindow, aligned_block_census, block_interval, block_of)
+from blockshift.schedule import LevelCheck, _row_codes
+from blockshift.words import on_block_grid
 
 
 def occurrences(pattern, text):
@@ -100,3 +103,139 @@ def minimality_by_occurrences(x, schedule, depth):
         else:
             checks.append((name_c, "ok", f"all {len(schedule.word_set(k))} words aligned in w_{k + 1}"))
     return checks
+
+
+def check_level_dense(x, schedule, level, faithful):
+    """schedule._check_level by whole-window masks: one bool array per
+    test over every cell, and per-row reductions over every sub-block."""
+    a = schedule.alphabet.size
+    m = schedule.m(level)
+    m_prev = schedule.m(level - 1)
+    r = m // m_prev
+    q = r // 3
+    if not on_block_grid(x.start, len(x), m):
+        raise InvalidParameterError(f"window not aligned to level-{level} blocks")
+    n_blocks = len(x) // m
+    blocks = x.cells.reshape(n_blocks, m)
+    starred = blocks == STAR
+    star_any = starred.any(axis=1)
+    star_all = starred.all(axis=1)
+    if bool((star_any & ~star_all).any()):
+        i = int(np.nonzero(star_any & ~star_all)[0][0])
+        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
+                          f"block {i} partially defined")
+    defined = ~star_any
+    n_def = int(defined.sum())
+
+    sub = x.cells.reshape(n_blocks * r, m_prev)
+    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    counts = (sub == pillar).all(axis=1).reshape(n_blocks, r).sum(axis=1)
+    min_share = int(counts[defined].min()) if n_def else None
+    pillar_total = int(counts[defined].sum()) if n_def else 0
+
+    membership = every_word = "ok" if faithful else "waived"
+    covered = None
+    if n_def and level == 1:
+        if int(x.cells.max()) >= a and (
+                np.count_nonzero(x.cells >= a) > (n_blocks - n_def) * m):
+            membership = "fail"
+        if faithful:
+            defined_blocks = blocks[defined]
+            covered = sum(bool((defined_blocks == c).any(axis=1).all()) for c in range(a))
+            every_word = "ok" if covered == a else "fail"
+    elif n_def and faithful and schedule.words_available(level - 1):
+        sub_def = sub[np.repeat(defined, r)]
+        codes = _row_codes(sub_def, a)
+        if codes is None:
+            wordset = schedule.word_set(level - 1)
+            keys = {sub_def[i].tobytes() for i in range(sub_def.shape[0])}
+            membership = "ok" if keys <= wordset else "fail"
+            covered = len(keys & wordset)
+            every_word = "ok" if wordset <= keys else "fail"
+        else:
+            ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
+            membership = "ok" if bool(np.isin(codes, ref).all()) else "fail"
+            uniq = np.unique(codes)
+            covered = int(np.isin(ref, uniq).sum())
+            for row in codes.reshape(n_def, r):
+                if np.unique(row).size < ref.size or not bool(np.isin(ref, row).all()):
+                    every_word = "fail"
+                    break
+    elif n_def and faithful:
+        membership = every_word = "unverifiable"
+
+    return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
+                      membership, every_word, covered)
+
+
+def fill_level_by_blocks(x, level, schedule, cycle_start=0):
+    """realization.fill_level by a Python loop over the blocks that meet S,
+    with whole-window masks for the alphabet and defined-cell checks."""
+    if not 1 <= level <= schedule.depth:
+        raise InvalidParameterError(f"level {level} outside built depth {schedule.depth}")
+    m_new = schedule.m(level)
+    m_old = schedule.m(level - 1)
+    r = m_new // m_old
+    q = r // 3
+    if not on_block_grid(x.start, len(x), m_new):
+        raise ConstructionInvariantError(
+            f"window {x.interval()} is not a union of level-{level} blocks"
+        )
+    out = x.cells.copy()
+    off = x.offset
+    if bool(((out != STAR) & (out >= schedule.alphabet.size)).any()):
+        raise ConstructionInvariantError("window holds cell values outside the alphabet")
+
+    meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
+    fill_src = schedule.fill_matrix(level - 1)
+    n_src = fill_src.shape[0]
+    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+
+    defined_total = int((out != STAR).sum())
+    defined_in_meeting = 0
+    for i in meeting:
+        lo, hi = block_interval(i, m_new)
+        seg = out[lo - off: hi + 1 - off].reshape(r, m_old)
+        row_star = seg == STAR
+        full_star = row_star.all(axis=1)
+        any_star = row_star.any(axis=1)
+        mixed = any_star & ~full_star
+        if mixed.any():
+            t = int(np.nonzero(mixed)[0][0])
+            raise ConstructionInvariantError(
+                f"level-{level} block {i}: sub-block {t} is partially defined"
+            )
+        defined_rows = r - int(any_star.sum())
+        defined_in_meeting += defined_rows * m_old
+        if defined_rows >= q:
+            raise DensityViolation(
+                level - 1, (lo, hi), defined_rows, q,
+                message=(
+                    f"level-{level} block {i} already holds {defined_rows} defined "
+                    f"sub-blocks, sparsity promised < {q}"
+                ),
+            )
+        star_rows = np.nonzero(full_star)[0]
+        seg[star_rows[:q]] = pillar
+        rest = star_rows[q:]
+        if schedule.faithful and rest.size < n_src:
+            raise ConstructionInvariantError(
+                f"level-{level} block {i}: {rest.size} free sub-blocks cannot "
+                f"use all {n_src} words"
+            )
+        if rest.size:
+            idx = (cycle_start + np.arange(rest.size)) % n_src
+            seg[rest] = fill_src[idx]
+
+    if defined_total != defined_in_meeting:
+        meeting_set = set(meeting)
+        coords = np.nonzero(x.cells != STAR)[0]
+        bad = next(
+            (int(c) + off for c in coords
+             if block_of(int(c) + off, m_new) not in meeting_set),
+            x.start,
+        )
+        raise ConstructionInvariantError(
+            f"defined cell at {bad} lies in a level-{level} block disjoint from S"
+        )
+    return x.with_cells(out)

@@ -248,6 +248,10 @@ def _empty_payload(lines):
      "error: cannot build w_2: |A_1| = exact:8439258405 is not enumerable"),
     ({"offset": "3", "m-list": "1,5"}, ["verify", "{file}"], 1,
      "admissibility SKIP  m-list differs from the rebuilt schedule"),
+    ("", ["density", "--sparse", "squares", "--L", "15", "--range", "-5:40"], 0,
+     "max=3 quotient=0.2000 satisfies 1/(3·1)"),
+    ("", REALIZE + ["--u", "mu-indicator", "--window", "-5:40", "--out", "{dir}/x.bsw"], 0,
+     "wrote {dir}/x.bsw: offset=-7 length=60"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

@@ -302,6 +302,21 @@ def test_frozen_output_bytes(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "64cd01d3d07eaf6cc1094886ff19093b33860905c00018bf360d7b251ee53b8c")
 
+    fast = ["--alphabet", "0+-", "--sparse", "squares", "--depth", "2", "--u", "mu-sign",
+            "--profile", "fast"]
+    # the central block, and a far window whose blocks partly miss S and stay starred
+    for window, digest in (
+            ([], "8f8ec5099cb03d032934a1b5a428f9d1c039a415a010057a488458cbcbef3dac"),
+            (["--window", "10000000:10020000"],
+             "a18c6d40f047b64da93e36df18499e614680cf93f60ba31c960a15126153f810")):
+        path = tmp_path / "fast.bsw"
+        assert main(["realize", *fast, *window, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["demo-sarnak", "--profile", "fast", "--depth", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "dc0ce7f1f6ee356382bf46dd8bcbc37d9c4a79d577f294f4d0c5da345d4f103c")
+
 
 def test_card_describe_past_the_str_digit_limit():
     assert Card.exact_count(10**4300 - 1).describe() == "exact:" + "9" * 4300
