@@ -202,7 +202,7 @@ def window_admissibility_report(x: PartialWindow, schedule: Schedule,
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth")
     return WindowAdmissibilityReport(tuple(
-        _check_level(x, schedule, level, schedule.faithful) for level in range(1, depth + 1)
+        _check_level(x, schedule, level) for level in range(1, depth + 1)
     ))
 
 
@@ -232,7 +232,7 @@ def minimality_witnesses(report: WindowAdmissibilityReport,
         adjacent level-(k+1) blocks sit at most 2*m_{k+1} - m_k apart;
     (c) pillar-coverage: w_{k+1} holds every word of A_k, a schedule
         property checked when w_{k+1} was built (waived in the fast
-        profile, unverifiable where A_k is not enumerable).
+        profile).
 
     An aligned copy is an occurrence, so each "ok" also holds for
     occurrences anywhere in the window.

@@ -102,7 +102,7 @@ class LevelParams:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    status: str  # "ok" | "fail" | "undetermined"
+    status: str  # "ok" | "fail"
     reason: str
     pillar_count: int | None = None
 
@@ -124,9 +124,7 @@ class Schedule:
         self.enum_cap = enum_cap
         self.verified_range: tuple[int, int] | None = None
         self.levels: list[LevelParams] = []
-        self._words_cache: dict[int, list[bytes]] = {}
-        self._set_cache: dict[int, frozenset] = {}
-        self._matrix_cache: dict[int, np.ndarray] = {}
+        self._words_cache: dict[int, np.ndarray] = {}
         self._pool_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -153,49 +151,26 @@ class Schedule:
         """r = m_k / m_{k-1}, the block count of a level-k word."""
         return self.m(k) // self.m(k - 1)
 
-    def words_available(self, k: int) -> bool:
-        card = self.level(k).card
-        return card.exact is not None and card.exact <= self.enum_cap
-
-    def words(self, k: int) -> list[bytes]:
-        """The enumerated admissible word set of level k, in lexicographic order."""
-        if k in self._words_cache:
-            return self._words_cache[k]
-        if k == 0:
-            out = [bytes([i]) for i in range(self.alphabet.size)]
-        else:
-            if not self.words_available(k):
-                raise InfeasibleDepth(
-                    f"|A_{k}| = {self.level(k).card.describe()} is not enumerable "
-                    f"under cap {self.enum_cap}"
-                )
-            prev = self.words(k - 1)
-            r = self.ratio(k)
-            out = [
-                b"".join(prev[c] for c in tup)
-                for tup in _admissible_tuples(r, len(prev), r // 3, every_word=self.faithful)
-            ]
-            if len(out) != self.level(k).card.exact:
-                raise ConstructionInvariantError(
-                    f"enumeration of A_{k} produced {len(out)} words, "
-                    f"count says {self.level(k).card.exact}"
-                )
-        self._words_cache[k] = out
-        return out
-
-    def word_set(self, k: int) -> frozenset:
-        if k not in self._set_cache:
-            self._set_cache[k] = frozenset(self.words(k))
-        return self._set_cache[k]
-
-    def word_matrix(self, k: int) -> np.ndarray:
-        if k not in self._matrix_cache:
-            words = self.words(k)
-            flat = np.frombuffer(b"".join(words), dtype=np.uint8)
-            mat = flat.reshape(len(words), self.m(k)).copy()
-            mat.setflags(write=False)
-            self._matrix_cache[k] = mat
-        return self._matrix_cache[k]
+    def words(self, k: int) -> np.ndarray:
+        """A_k as a read-only matrix, one word per row, rows in lexicographic order."""
+        if k not in self._words_cache:
+            if k == 0:
+                out = np.arange(self.alphabet.size, dtype=np.uint8).reshape(-1, 1)
+            else:
+                card = self.level(k).card
+                if card.exact is None or card.exact > self.enum_cap:
+                    raise InfeasibleDepth(
+                        f"|A_{k}| = {card.describe()} is not enumerable under cap {self.enum_cap}"
+                    )
+                out = _admissible_rows(self.words(k - 1), self.ratio(k), self.faithful)
+                if out.shape[0] != card.exact:
+                    raise ConstructionInvariantError(
+                        f"enumeration of A_{k} produced {out.shape[0]} words, "
+                        f"count says {card.exact}"
+                    )
+            out.setflags(write=False)
+            self._words_cache[k] = out
+        return self._words_cache[k]
 
     def pool_matrix(self, k: int) -> np.ndarray:
         """Fast-profile fill pool: row 0 is w_k, the rest seeded samples."""
@@ -223,7 +198,7 @@ class Schedule:
 
     def fill_matrix(self, k: int) -> np.ndarray:
         """Cycle source for the non-pillar fill at level k."""
-        return self.word_matrix(k) if self.faithful else self.pool_matrix(k)
+        return self.words(k) if self.faithful else self.pool_matrix(k)
 
     def fill_convention(self, cycle_start: int) -> str:
         """The ``fill`` header of a window realized from this schedule."""
@@ -295,28 +270,45 @@ def next_card(r: int, prev: Card, every_word: bool, exact_r_cap: int = DEFAULT_E
 # --- enumeration ------------------------------------------------------
 
 
-def _admissible_tuples(r: int, a: int, q: int, every_word: bool):
-    """Lexicographic index tuples: >= q copies of index 0, every index used."""
-    buf = [0] * r
-    used = [0] * a
+def _admissible_rows(prev: np.ndarray, r: int, every_word: bool) -> np.ndarray:
+    """The concatenations of r rows of ``prev`` (A_{k-1} in lexicographic
+    order, so row 0 is its pillar) with at least r/3 copies of row 0 and,
+    with every_word, every row used; one word per row, lexicographically.
 
-    def rec(pos, pillars, missing_nonzero):
-        if pos == r:
-            yield tuple(buf)
-            return
-        remaining = r - pos
-        for c in range(a):
-            n_pillars = pillars + (c == 0)
-            n_missing = missing_nonzero - (1 if c != 0 and used[c] == 0 else 0)
-            need = max(0, q - n_pillars) + (n_missing if every_word else 0)
-            if remaining - 1 < need:
-                continue
-            buf[pos] = c
-            used[c] += 1
-            yield from rec(pos + 1, n_pillars, n_missing)
-            used[c] -= 1
-
-    yield from rec(0, 0, a - 1)
+    Index tuples grow one slot (one column) at a time, breadth first.  A
+    prefix is kept only while its remaining slots can still hold the
+    pillar copies and unused rows it lacks; every kept prefix then
+    completes, so no step holds more prefixes than there are words.
+    """
+    a = prev.shape[0]
+    owed = np.array([r // 3], dtype=np.int32)  # pillar copies still due
+    unused = np.array([a - 1], dtype=np.int32) if every_word else 0  # rows > 0 not yet used
+    used = np.zeros((1, a), dtype=bool)
+    cols: list[np.ndarray] = []
+    for pos in range(r):
+        spare = r - pos - 1
+        fits = np.empty((owed.size, a), dtype=bool)
+        fits[:, 0] = np.maximum(owed - 1, 0) + unused <= spare
+        need = owed + unused
+        if every_word:
+            fits[:, 1:] = need[:, None] - ~used[:, 1:] <= spare
+        else:
+            fits[:, 1:] = (need <= spare)[:, None]
+        parent, label = np.divmod(np.flatnonzero(fits), a)
+        label = label.astype(np.min_scalar_type(a - 1))
+        for j, col in enumerate(cols):  # in place, so each old column is freed at once
+            cols[j] = col[parent]
+        cols.append(label)
+        owed = np.maximum(owed[parent] - (label == 0), 0)
+        if every_word:
+            used = used[parent]
+            at = (np.arange(label.size), label)
+            unused = unused[parent] - (~used[at] & (label != 0))
+            used[at] = True
+    out = np.empty((cols[0].size, r, prev.shape[1]), dtype=np.uint8)
+    for j, col in enumerate(cols):
+        out[:, j] = prev[col]
+    return out.reshape(-1, r * prev.shape[1])
 
 
 def enumerate_level_words(level: int, schedule: Schedule, cap: int | None = None):
@@ -329,12 +321,8 @@ def enumerate_level_words(level: int, schedule: Schedule, cap: int | None = None
         raise InfeasibleDepth(f"|A_{level}| only bounded: {card.describe()}")
     if card.exact > cap:
         raise InfeasibleDepth(f"|A_{level}| = {card.exact} exceeds cap {cap}")
-    if level == 0:
-        for i in range(schedule.alphabet.size):
-            yield Word(bytes([i]))
-        return
-    for cells in schedule.words(level):
-        yield Word(cells)
+    for row in schedule.words(level):
+        yield Word(row.tobytes())
 
 
 # --- admissibility ----------------------------------------------------
@@ -348,8 +336,8 @@ class LevelCheck:
     required_share: int
     min_pillar_share: int | None
     pillar_total: int
-    membership: str      # ok | fail | waived | unverifiable
-    every_word: str      # ok | fail | waived | unverifiable
+    membership: str      # ok | fail | waived
+    every_word: str      # ok | fail | waived
     covered_words: int | None
     detail: str = ""
 
@@ -372,25 +360,32 @@ def _failure(c: LevelCheck) -> str:
     return ""
 
 
-def _row_codes(rows: np.ndarray, base: int):
-    """Exact integer codes of fixed-width rows, or None when they overflow."""
-    width = rows.shape[1]
-    if base ** width >= 2**62:
-        return None
-    powers = (base ** np.arange(width - 1, -1, -1, dtype=np.int64))
-    return rows.astype(np.int64) @ powers
+def _word_ids(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index among the sorted row keys of a word matrix, and
+    whether the row is there at all."""
+    probe = rows.view(keys.dtype)[:, 0]
+    ids = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return ids, keys[ids] == probe
 
 
-def _check_level(x: PartialWindow, schedule: Schedule, level: int,
-                 faithful: bool) -> LevelCheck:
+def _uses_every_word(ids: np.ndarray, found: np.ndarray, n_words: int) -> bool:
+    """Whether each row of word ids names every one of the n_words words."""
+    ids = np.sort(np.where(found, ids, n_words), axis=1)
+    fresh = (ids[:, 1:] != ids[:, :-1]) & (ids[:, 1:] < n_words)
+    distinct = (ids[:, 0] < n_words) + np.count_nonzero(fresh, axis=1)
+    return bool((distinct == n_words).all())
+
+
+def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck:
     """The admissibility rule of A_level on every fully defined aligned
     block of a block-aligned window.
 
-    Both rules check that every cell is a symbol and that at least
+    Both profiles check that every cell is a symbol and that at least
     one-third of each block's sub-blocks equal w_{level-1}.  The faithful
-    rule also checks that every sub-block lies in A_{level-1} and that
-    every block uses every word of A_{level-1}; both are "unverifiable"
-    when A_{level-1} is not enumerable.  The fast rule waives them.
+    profile also checks that every sub-block lies in A_{level-1} and that
+    every block uses every word of A_{level-1}; the fast profile waives
+    both.  Sub-blocks are looked up in the sorted word matrix of
+    A_{level-1} (Schedule.words) by binary search on whole rows.
 
     The window is read in block-aligned batches of sub-block rows
     (words.block_batches), so no temporary grows with the window.  Block
@@ -409,15 +404,17 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
     top = int(x.cells.max())
     starred = top == STAR
     pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
-    listed = faithful and level > 1 and schedule.words_available(level - 1)
+    faithful = schedule.faithful
+    listed = faithful and level > 1
+    if listed:
+        keys = schedule.words(level - 1).view(np.dtype((np.void, m_prev)))[:, 0]
+        hit = np.zeros(keys.size, dtype=bool)  # words of A_{level-1} seen so far
 
     n_def = pillar_total = 0
     min_share = None
     stray = top >= a and not starred  # a defined level-1 cell outside the alphabet
     present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
-    keys: set[bytes] = set()          # faithful, when row codes overflow int64
-    ref = None                        # faithful: sorted codes of A_{level-1}
-    seen, member, every = [], True, True
+    member = every = True
     for b0, b1 in block_batches(n_blocks, m):
         chunk = x.cells[b0 * m:b1 * m]
         blocks = chunk.reshape(-1, m)
@@ -445,19 +442,12 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
             for c in range(a):
                 present[c] &= bool(fold_rows(np.logical_or, blocks == c).all())
         elif listed:
-            sub_def = blocks.reshape(-1, m_prev)
-            codes = _row_codes(sub_def, a)
-            if codes is None:
-                keys.update(sub_def[i].tobytes() for i in range(sub_def.shape[0]))
-            else:
-                if ref is None:
-                    ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
-                member = member and bool(np.isin(codes, ref).all())
-                seen.append(np.unique(codes))
-                # every block must use every word, not just the union
-                every = every and all(
-                    np.unique(row).size >= ref.size and bool(np.isin(ref, row).all())
-                    for row in codes.reshape(-1, r))
+            ids, found = _word_ids(blocks.reshape(-1, m_prev), keys)
+            member = member and bool(found.all())
+            hit[ids[found]] = True
+            # every block must use every word, not just the union
+            every = every and _uses_every_word(ids.reshape(-1, r), found.reshape(-1, r),
+                                               keys.size)
 
     membership = every_word = "ok" if faithful else "waived"
     covered = None
@@ -467,17 +457,10 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int,
         if faithful:
             covered = int(present.sum())
             every_word = "ok" if covered == a else "fail"
-    elif n_def and listed and ref is None:
-        wordset = schedule.word_set(level - 1)
-        membership = "ok" if keys <= wordset else "fail"
-        covered = len(keys & wordset)
-        every_word = "ok" if wordset <= keys else "fail"
     elif n_def and listed:
         membership = "ok" if member else "fail"
-        covered = int(np.isin(ref, np.concatenate(seen)).sum())
+        covered = int(hit.sum())
         every_word = "ok" if every else "fail"
-    elif n_def and faithful:
-        membership = every_word = "unverifiable"
 
     return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
                       membership, every_word, covered)
@@ -488,20 +471,15 @@ def _one_block(word: Word) -> PartialWindow:
     return PartialWindow.from_word(word, offset=-((len(word) - 1) // 2))
 
 
-def is_admissible_block(word, level: int, schedule: Schedule,
-                        semantics: str | None = None) -> AdmissibilityResult:
+def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityResult:
     """Check one word against the level's admissibility rule.
 
     The word is checked as a one-block window at every level from 1 to
     ``level``: every cell a symbol, at least one-third of the sub-blocks
     of each block equal to the pillar one level down, and (faithful
-    semantics) every admissible word of the level below present in each
-    block.  When that last component needs a level that is not
-    enumerated, the result is the three-valued "undetermined".
+    profile) every sub-block an admissible word of the level below, each
+    of those words present in each block.
     """
-    sem = schedule.profile if semantics is None else semantics
-    if sem not in PROFILES:
-        raise InvalidParameterError(f"unknown semantics {sem!r}")
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
     word = word if isinstance(word, Word) else Word(bytes(word))
@@ -509,16 +487,11 @@ def is_admissible_block(word, level: int, schedule: Schedule,
     if len(word) != m:
         raise InvalidParameterError(f"word length {len(word)} != m_{level} = {m}")
     x = _one_block(word)
-    checks = [_check_level(x, schedule, k, sem == "faithful") for k in range(1, level + 1)]
+    checks = [_check_level(x, schedule, k) for k in range(1, level + 1)]
     pillar_count = checks[-1].pillar_total
     for c in checks:
         if not c.ok:
             return AdmissibilityResult("fail", f"level {c.level}: {_failure(c)}", pillar_count)
-    for c in checks:
-        if c.every_word == "unverifiable":
-            return AdmissibilityResult(
-                "undetermined", f"level {c.level}: every-word unverifiable", pillar_count
-            )
     return AdmissibilityResult("ok", "", pillar_count)
 
 
@@ -643,7 +616,7 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         m_k, card_k = plan[k]
         pillar = _build_pillar(sched, k, m_k)
         sched.levels.append(LevelParams(k, m_k, pillar, card_k))
-        check = _check_level(_one_block(pillar), sched, k, sched.faithful)
+        check = _check_level(_one_block(pillar), sched, k)
         if not check.ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
         sched.levels[k] = replace(sched.levels[k], pillar_check=check)
@@ -675,14 +648,14 @@ def _build_pillar(sched: Schedule, k: int, m_k: int) -> Word:
     except (InfeasibleDepth, InvalidParameterError) as exc:
         raise InfeasibleDepth(f"cannot build w_{k}: {exc}") from exc
     if sched.faithful:
-        a = len(words)
+        a = words.shape[0]
         copies = r - a + 1
         if copies < q:
             raise ConstructionInvariantError(
                 f"pillar construction needs r - |A_{k-1}| + 1 >= r/3 at level {k}"
             )
-        rest = [w for w in words if w != prev_pillar]
-        return Word(prev_pillar * copies + b"".join(rest))
+        rest = words[~rows_equal(words, np.frombuffer(prev_pillar, dtype=np.uint8))]
+        return Word(prev_pillar * copies + rest.tobytes())
     pool = sched.pool_matrix(k - 1)
     parts = [prev_pillar] * q
     parts.extend(pool[t % POOL_SIZE].tobytes() for t in range(r - q))

@@ -5,7 +5,7 @@ import numpy as np
 
 from blockshift import (STAR, ConstructionInvariantError, DensityViolation, InvalidParameterError,
                         PartialWindow, aligned_block_census, block_interval, block_of)
-from blockshift.schedule import LevelCheck, _row_codes
+from blockshift.schedule import LevelCheck
 from blockshift.words import on_block_grid
 
 
@@ -19,6 +19,34 @@ def occurrences(pattern, text):
         out.append(text.offset + pos)
         pos = hay.find(needle, pos + 1)
     return out
+
+
+def admissible_words_by_recursion(prev, r, every_word):
+    """Schedule.words by a recursive walk over index tuples: the words of
+    r slots over the list ``prev`` of bytes (row 0 the pillar) with at
+    least r/3 pillars and, with every_word, every word used, as bytes in
+    lexicographic order."""
+    a, q = len(prev), r // 3
+    buf = [0] * r
+    used = [0] * a
+
+    def rec(pos, pillars, missing_nonzero):
+        if pos == r:
+            yield b"".join(prev[c] for c in buf)
+            return
+        remaining = r - pos
+        for c in range(a):
+            n_pillars = pillars + (c == 0)
+            n_missing = missing_nonzero - (1 if c != 0 and used[c] == 0 else 0)
+            need = max(0, q - n_pillars) + (n_missing if every_word else 0)
+            if remaining - 1 < need:
+                continue
+            buf[pos] = c
+            used[c] += 1
+            yield from rec(pos + 1, n_pillars, n_missing)
+            used[c] -= 1
+
+    return list(rec(0, 0, a - 1))
 
 
 def max_window_by_scan(spec, window_len, rng, stop_at=None):
@@ -90,24 +118,23 @@ def minimality_by_occurrences(x, schedule, depth):
         if not schedule.faithful:
             checks.append((name_c, "waived", "fast profile"))
             continue
-        if not schedule.words_available(k):
-            checks.append((name_c, "unverifiable", f"A_{k} not enumerable"))
-            continue
         m_k = schedule.m(k)
         pillar_win = PartialWindow.from_word(schedule.pillar(k + 1),
                                              offset=-(m_k - 1) // 2)
         census = aligned_block_census(pillar_win, m_k)
-        missing = schedule.word_set(k) - set(census)
+        wordset = {row.tobytes() for row in schedule.words(k)}
+        missing = wordset - set(census)
         if missing:
             checks.append((name_c, "fail", f"{len(missing)} words missing from w_{k + 1}"))
         else:
-            checks.append((name_c, "ok", f"all {len(schedule.word_set(k))} words aligned in w_{k + 1}"))
+            checks.append((name_c, "ok", f"all {len(wordset)} words aligned in w_{k + 1}"))
     return checks
 
 
-def check_level_dense(x, schedule, level, faithful):
+def check_level_dense(x, schedule, level):
     """schedule._check_level by whole-window masks: one bool array per
-    test over every cell, and per-row reductions over every sub-block."""
+    test over every cell, per-row reductions over every sub-block, and
+    sets of bytes for the faithful word tests."""
     a = schedule.alphabet.size
     m = schedule.m(level)
     m_prev = schedule.m(level - 1)
@@ -115,6 +142,7 @@ def check_level_dense(x, schedule, level, faithful):
     q = r // 3
     if not on_block_grid(x.start, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
+    faithful = schedule.faithful
     n_blocks = len(x) // m
     blocks = x.cells.reshape(n_blocks, m)
     starred = blocks == STAR
@@ -143,26 +171,13 @@ def check_level_dense(x, schedule, level, faithful):
             defined_blocks = blocks[defined]
             covered = sum(bool((defined_blocks == c).any(axis=1).all()) for c in range(a))
             every_word = "ok" if covered == a else "fail"
-    elif n_def and faithful and schedule.words_available(level - 1):
-        sub_def = sub[np.repeat(defined, r)]
-        codes = _row_codes(sub_def, a)
-        if codes is None:
-            wordset = schedule.word_set(level - 1)
-            keys = {sub_def[i].tobytes() for i in range(sub_def.shape[0])}
-            membership = "ok" if keys <= wordset else "fail"
-            covered = len(keys & wordset)
-            every_word = "ok" if wordset <= keys else "fail"
-        else:
-            ref = np.sort(_row_codes(schedule.word_matrix(level - 1), a))
-            membership = "ok" if bool(np.isin(codes, ref).all()) else "fail"
-            uniq = np.unique(codes)
-            covered = int(np.isin(ref, uniq).sum())
-            for row in codes.reshape(n_def, r):
-                if np.unique(row).size < ref.size or not bool(np.isin(ref, row).all()):
-                    every_word = "fail"
-                    break
     elif n_def and faithful:
-        membership = every_word = "unverifiable"
+        wordset = {row.tobytes() for row in schedule.words(level - 1)}
+        keys = [row.tobytes() for row in sub[np.repeat(defined, r)]]
+        membership = "ok" if wordset.issuperset(keys) else "fail"
+        covered = len(wordset.intersection(keys))
+        if not all(wordset <= set(keys[i:i + r]) for i in range(0, len(keys), r)):
+            every_word = "fail"
 
     return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
                       membership, every_word, covered)

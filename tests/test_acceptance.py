@@ -110,7 +110,7 @@ def test_criterion_2_realization_exactness(sched2, mu_target, squares, binary):
 def test_criterion_3_admissibility(x2, sched2):
     census = aligned_block_census(x2, 15)
     blocks = sum(census.values())
-    a1 = sched2.word_set(1)
+    a1 = {row.tobytes() for row in sched2.words(1)}
     all_in = set(census) <= a1
     coverage = len(set(census)) == 30826 and set(census) == a1
     w1_count = census[W1]
@@ -152,7 +152,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
     )
     # positional coverage of w_2: pillar run, then A_1 \ {w_1} ascending
     w2 = sched2.pillar(2).cells
-    words = sched2.words(1)
+    words = [row.tobytes() for row in sched2.words(1)]
     copies = 92481 - 30826 + 1
     positional = (
         w2[: 15 * copies] == words[0] * copies

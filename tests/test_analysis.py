@@ -110,7 +110,7 @@ def test_complexity_fallback_path(binary):
 
 def test_depth2_complexity_at_block_length(x2, sched2):
     rep = complexity_profile(x2, 15, aligned_lengths=(15,))
-    a1 = sched2.word_set(1)
+    a1 = {row.tobytes() for row in sched2.words(1)}
     census = aligned_block_census(x2, 15)
     assert set(census) <= a1
     # aligned blocks realize exactly A_1; straddling positions add more
@@ -176,7 +176,7 @@ def test_minimality_fails_on_constant_window(binary, sched2):
 def test_w2_coverage_positional(sched2):
     # blocks 61657..92481 of w_2 enumerate A_1 minus its first word, ascending
     w2 = sched2.pillar(2).cells
-    words = sched2.words(1)
+    words = [row.tobytes() for row in sched2.words(1)]
     copies = 92481 - 30826 + 1
     for t in (0, 1, copies - 1):
         assert w2[15 * t: 15 * (t + 1)] == words[0]

@@ -252,6 +252,9 @@ def _empty_payload(lines):
      "max=3 quotient=0.2000 satisfies 1/(3·1)"),
     ("", REALIZE + ["--u", "mu-indicator", "--window", "-5:40", "--out", "{dir}/x.bsw"], 0,
      "wrote {dir}/x.bsw: offset=-7 length=60"),
+    ("", REALIZE + ["--u", "mu-indicator", "--cycle-start", "99999999999999999999",
+                    "--out", "{dir}/x.bsw"], 0,
+     "wrote {dir}/x.bsw: offset=-7 length=15"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

@@ -121,12 +121,9 @@ def check_case(built, name, data):
     defined = np.flatnonzero(cells.reshape(nb, m).max(axis=1) != STAR)
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=defined)
     w = PartialWindow(x.start + b0 * m, cells)
-    # the faithful rule enumerates A_{level-1}; 8.5 M ternary words are too slow per example
-    small = level == 1 or sched.level(level - 1).card.exact <= 10**5
-    faithful = data.draw(st.booleans(), label="faithful") if small else sched.faithful
     with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(st.integers(0, 99))):
-        got = outcome(lambda: schedule._check_level(w, sched, level, faithful))
-    want = outcome(lambda: check_level_dense(w, sched, level, faithful))
+        got = outcome(lambda: schedule._check_level(w, sched, level))
+    want = outcome(lambda: check_level_dense(w, sched, level))
     event(f"level {level}: " + (want.detail or f"membership {want.membership}"))
     assert got == want
 
@@ -177,24 +174,27 @@ def test_faithful_d2_passes_match(built, data):
     fill_case(built, "faithful-01-d2", data)
 
 
-def test_row_code_overflow_path_matches(built, monkeypatch):
-    """The faithful membership by word set, taken when row codes overflow int64."""
+def test_faithful_word_lookup_matches(built):
+    """Sub-blocks looked up in the sorted A_1 matrix: strangers, extra
+    pillars, and a two-block window whose first block misses words that
+    the second one holds, one block per batch."""
     sched, _, x = built["faithful-01-d2"]
     cells = x.cells.copy()
     mutate(cells, sched, 2, np.random.default_rng(5), [("word", 2), ("pillar", 1)])
-    monkeypatch.setattr(schedule, "_row_codes", lambda rows, base: None)
-    monkeypatch.setattr("tests.oracles._row_codes", lambda rows, base: None)
-    for window in (x, PartialWindow(x.start, cells)):
-        with batch_of(sched.m(1), 4, 0):
-            got = schedule._check_level(window, sched, 2, True)
-        assert got == check_level_dense(window, sched, 2, True)
+    mutated = PartialWindow(x.start, cells)
+    pair = PartialWindow(x.start - len(x), np.concatenate([cells, x.cells]))
+    for window in (x, mutated, pair):
+        with batch_of(sched.m(2), 1, 0):
+            got = schedule._check_level(window, sched, 2)
+        assert got == check_level_dense(window, sched, 2)
+    assert schedule._check_level(pair, sched, 2).covered_words == 30826
 
 
 def test_realized_windows_pass_unchanged(built):
     for sched, u, x in built.values():
         for level in range(1, sched.depth + 1):
-            got = schedule._check_level(x, sched, level, sched.faithful)
-            assert got == check_level_dense(x, sched, level, sched.faithful)
+            got = schedule._check_level(x, sched, level)
+            assert got == check_level_dense(x, sched, level)
 
 
 def test_failures_in_an_early_batch_persist(built):
@@ -206,16 +206,16 @@ def test_failures_in_an_early_batch_persist(built):
     blocks[first, 3] = sched.alphabet.size  # outside the alphabet, in a starred window
     w = PartialWindow(x.start, cells)
     with batch_of(sched.m(1), 1, 0):
-        got = schedule._check_level(w, sched, 1, False)
-    assert got.membership == "fail" and got == check_level_dense(w, sched, 1, False)
+        got = schedule._check_level(w, sched, 1)
+    assert got.membership == "fail" and got == check_level_dense(w, sched, 1)
 
     sched, _, x = built["faithful-01-d2"]
     flat = np.zeros(len(x), dtype=np.uint8)  # not a word of A_1, and uses no 1
     w = PartialWindow(x.start, np.concatenate([flat, x.cells]))
     with batch_of(sched.m(2), 1, 0):
-        got = schedule._check_level(w, sched, 2, True)
+        got = schedule._check_level(w, sched, 2)
     assert (got.membership, got.every_word) == ("fail", "fail")
-    assert got == check_level_dense(w, sched, 2, True)
+    assert got == check_level_dense(w, sched, 2)
 
 
 def test_no_temporary_grows_with_the_window(ternary):
@@ -238,6 +238,6 @@ def test_no_temporary_grows_with_the_window(ternary):
         n = len(x)
         assert peak(lambda: realize(u, sched, 2, window=hull)) < n * 5 // 4
         for level in (1, 2):
-            assert peak(lambda: schedule._check_level(x, sched, level, False)) < n // 4
+            assert peak(lambda: schedule._check_level(x, sched, level)) < n // 4
         start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
         assert peak(lambda: fill_level(start, 1, sched)) < n * 5 // 4

@@ -170,7 +170,7 @@ def test_coverage_reads_the_check_of_the_next_pillar(sched2, x2):
     sched.levels = list(sched2.levels)
     level1 = sched.levels[1]
     sched.levels[1] = replace(level1, pillar_check=replace(level1.pillar_check,
-                                                           every_word="unverifiable"))
+                                                           every_word="fail"))
     rows = {name: status for name, status, _ in minimality_witnesses(report, sched).rows()}
-    assert rows["pillar-coverage k=0"] == "unverifiable"
+    assert rows["pillar-coverage k=0"] == "fail"
     assert rows["pillar-coverage k=1"] == "ok"

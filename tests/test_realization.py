@@ -21,6 +21,7 @@ from blockshift import (
     window_admissibility_report,
 )
 from blockshift import realization
+from blockshift.schedule import POOL_SIZE
 from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
 
@@ -163,6 +164,18 @@ def test_cycle_start_keeps_target_cells(binary, squares, sched2, mu_target):
     assert xa != xb  # fill order genuinely changed
     for n, s in squares.elements_in(xa.interval()):
         assert xa[s] == xb[s]
+
+
+@pytest.mark.parametrize("big", [10**20 + 5, -(10**20) - 3])
+def test_cycle_start_past_int64(sched2, mu_target, ternary, squares, big):
+    """A cycle start beyond int64 fills as its residue mod the fill source:
+    the two symbols of A_0 (faithful binary), the pool rows (fast)."""
+    fast = build_schedule(ternary, squares, 2, profile="fast")
+    u = TargetSequence.mu_sign(ternary)
+    for sched, target, depth, n_src in ((sched2, mu_target, 1, 2), (fast, u, 2, POOL_SIZE)):
+        got = realize(target, sched, depth, cycle_start=big)
+        want = realize(target, sched, depth, cycle_start=big % n_src)
+        assert got.cells.tobytes() == want.cells.tobytes()
 
 
 def test_monotonicity_of_fill(binary, squares, sched2, mu_target):

@@ -2,8 +2,9 @@ import hashlib
 import math
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blockshift import (
     Alphabet,
@@ -18,7 +19,8 @@ from blockshift import (
     is_admissible_block,
 )
 from blockshift.cli import main
-from blockshift.schedule import exact_next_count, surjection_count
+from blockshift.schedule import LevelParams, Schedule, exact_next_count, surjection_count
+from tests.oracles import admissible_words_by_recursion
 
 
 def brute_force_level1_binary():
@@ -69,6 +71,52 @@ def test_enumeration_matches_brute_force(sched2, binary):
     assert words == sorted(words)
     assert words == oracle
     assert words[0] == "000000000000001"
+
+
+@st.composite
+def small_word_sets(draw):
+    """(alphabet size, level ratios, every_word) with small, nonempty A_k."""
+    every_word = draw(st.booleans())
+    a = n = draw(st.integers(2, 4))
+    ratios = []
+    # one more level only over a few words, so that its count stays cheap
+    while not ratios or (n <= 64 and draw(st.booleans())):
+        r = draw(st.sampled_from([3, 6, 9, 12]))
+        n = exact_next_count(r, n, every_word)
+        assume(0 < n <= 20_000)
+        ratios.append(r)
+    return a, ratios, every_word
+
+
+def hand_schedule(a, ratios, every_word):
+    """Levels of the given ratios over a symbols, set by hand (no search);
+    Schedule.words reads only the ratios, the counts and the profile."""
+    sched = Schedule(Alphabet("0123"[:a]), SparseSetSpec.squares(),
+                     "faithful" if every_word else "fast")
+    m, card = 1, Card.exact_count(a)
+    sched.levels.append(LevelParams(0, m, Word(b"\0"), card))
+    for k, r in enumerate(ratios, 1):
+        m *= r
+        card = Card.exact_count(exact_next_count(r, card.exact, every_word))
+        sched.levels.append(LevelParams(k, m, Word(b"\0" * m), card))
+    return sched
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_word_sets())
+def test_words_match_recursive_oracle(case):
+    a, ratios, every_word = case
+    sched = hand_schedule(a, ratios, every_word)
+    for k in range(1, sched.depth + 1):
+        prev = [row.tobytes() for row in sched.words(k - 1)]
+        got = sched.words(k)
+        rows = [row.tobytes() for row in got]
+        assert rows == admissible_words_by_recursion(prev, sched.ratio(k), every_word)
+        assert all(x < y for x, y in zip(rows, rows[1:]))
+        # the admissibility check finds sub-blocks by binary search on these keys
+        keys = got.view(np.dtype((np.void, got.shape[1])))[:, 0]
+        assert (np.searchsorted(keys, keys) == np.arange(keys.size)).all()
+        assert not got.flags.writeable
 
 
 def test_enumeration_cap(sched2):
@@ -150,7 +198,7 @@ def test_canonical_pillar_structure(sched2, binary):
     assert w1.text(binary) == "0" * 14 + "1"  # 14 copies of w_0 then "1"
     w2 = sched2.pillar(2)
     assert len(w2) == 1387215
-    words = sched2.words(1)
+    words = [row.tobytes() for row in sched2.words(1)]
     r, a = 92481, 30826
     copies = r - a + 1
     assert copies == 61656
@@ -194,19 +242,6 @@ def test_fast_profile_depth3(binary, squares):
         assert res.status == "ok"
 
 
-def test_undetermined_every_word(squares):
-    # with the enumeration capped, the every-word component of faithful
-    # admissibility is unverifiable at level 2
-    sched = build_schedule(Alphabet("01"), squares, 2, profile="fast", enum_cap=100)
-    w2 = sched.pillar(2)
-    res = is_admissible_block(w2, 2, sched, semantics="faithful")
-    assert res.status in ("undetermined", "fail")
-    if res.status == "undetermined":
-        assert "unverifiable" in res.reason
-    # under the schedule's own (fast) semantics it is decidable
-    assert is_admissible_block(w2, 2, sched).status == "ok"
-
-
 def test_recurrence_inequality(sched2):
     # ln|A_2|-upper / m_2 <= ln2/m_1 + (2/3) ln|A_1|/m_1, within rounding slack
     lhs = sched2.level(2).card.log_upper / sched2.m(2)
@@ -221,23 +256,19 @@ def test_verified_range_recorded(sched2):
     assert hi >= 1387215
 
 
-def paper_rule(cells, level, sched, faithful):
+def paper_rule(cells, level, sched):
     """Membership in A_level straight from the definition: a concatenation
     of words of A_{level-1}, at least a third of them w_{level-1}, and
-    (faithful) every word of A_{level-1} among them.  None when that last
-    clause needs a level that is not enumerated."""
+    (faithful profile) every word of A_{level-1} among them."""
     if level == 0:
         return cells[0] < sched.alphabet.size
     m = sched.m(level - 1)
     subs = [cells[i:i + m] for i in range(0, len(cells), m)]
-    verdicts = [paper_rule(s, level - 1, sched, faithful) for s in subs]
-    if False in verdicts or 3 * subs.count(sched.pillar(level - 1).cells) < len(subs):
+    if not all(paper_rule(s, level - 1, sched) for s in subs):
         return False
-    if faithful and level > 1 and not sched.words_available(level - 1):
-        return None
-    if faithful and not set(sched.words(level - 1)) <= set(subs):
+    if 3 * subs.count(sched.pillar(level - 1).cells) < len(subs):
         return False
-    return None if None in verdicts else True
+    return not sched.faithful or {w.tobytes() for w in sched.words(level - 1)} <= set(subs)
 
 
 @st.composite
@@ -266,23 +297,17 @@ def rule_schedules(sched2, binary, squares):
     return {
         "faithful": sched2,
         "fast": build_schedule(binary, squares, 2, profile="fast"),
-        "capped": build_schedule(binary, squares, 2, profile="fast", enum_cap=100),
     }
 
 
-@pytest.mark.parametrize("name,level,semantics", [
-    ("fast", 1, None), ("fast", 2, None), ("faithful", 1, None),
-    ("capped", 1, "faithful"), ("capped", 2, "faithful"),
-])
+@pytest.mark.parametrize("name,level", [("fast", 1), ("fast", 2), ("faithful", 1)])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_checker_matches_paper_rule(rule_schedules, name, level, semantics, data):
+def test_checker_matches_paper_rule(rule_schedules, name, level, data):
     sched = rule_schedules[name]
     cells = data.draw(words_around_rule(sched, level))
-    faithful = (semantics or sched.profile) == "faithful"
-    want = {True: "ok", False: "fail", None: "undetermined"}[
-        paper_rule(cells, level, sched, faithful)]
-    assert is_admissible_block(Word(cells), level, sched, semantics=semantics).status == want
+    want = "ok" if paper_rule(cells, level, sched) else "fail"
+    assert is_admissible_block(Word(cells), level, sched).status == want
 
 
 def test_out_of_alphabet_cell_fails(rule_schedules):
@@ -316,6 +341,22 @@ def test_frozen_output_bytes(tmp_path, capsys):
     assert main(["demo-sarnak", "--profile", "fast", "--depth", "2"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "dc0ce7f1f6ee356382bf46dd8bcbc37d9c4a79d577f294f4d0c5da345d4f103c")
+
+
+# The pillars fix the order of A_{k-1} that w_k and the faithful fill read.
+@pytest.mark.parametrize("argv,last,digest", [
+    (["--alphabet", "01", "--sparse", "squares", "--depth", "2"],
+     "2   1387215      log[377510.6338,701365.7027]     len=1387215,sha256-64=8a75e7461c702727",
+     "595a2ab722689dfbe9934081e3196d214a45790eb70e267839d78db1fdb5c703"),
+    (["--alphabet", "0+-", "--sparse", "squares", "--depth", "3", "--profile", "fast"],
+     "3   40271715     log[20163736.6217,20164820.0650] len=40271715,sha256-64=ba8d6cb89a3ae233",
+     "dd368aa4ae54eca5976d263a805c5a12d538824c359c144ea7001626ee205189"),
+], ids=["faithful-01-d2", "fast-0+--d3"])
+def test_schedule_pillar_digests(capsys, argv, last, digest):
+    assert main(["schedule", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == last
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_card_describe_past_the_str_digit_limit():
