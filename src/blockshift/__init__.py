@@ -53,7 +53,6 @@ from .schedule import (
     LevelParams,
     Schedule,
     build_schedule,
-    enumerate_level_words,
     is_admissible_block,
 )
 from .sparse import SparseSetSpec
@@ -62,7 +61,6 @@ from .words import (
     STAR,
     Alphabet,
     PartialWindow,
-    Word,
     block_interval,
     block_of,
     decompose_blocks,

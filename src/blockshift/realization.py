@@ -174,7 +174,7 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
     fill_src = schedule.fill_matrix(level - 1)
     n_src = fill_src.shape[0]
     cycle_start %= n_src  # the fill index is taken mod n_src; past int64 it would overflow
-    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    pillar = schedule.pillar(level - 1)
     grid = cells.reshape(n_blocks, m_new)
 
     defined_in_meeting = 0

@@ -28,8 +28,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, Word, block_batches, check_cell_count,
-                    count_rows, fold_rows, hull_of_blocks, on_block_grid, rows_equal)
+from .words import (STAR, Alphabet, PartialWindow, block_batches, check_cell_count, count_rows,
+                    fold_rows, hull_of_blocks, on_block_grid, rows_equal)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -95,7 +95,7 @@ class Card:
 class LevelParams:
     k: int
     m: int
-    pillar: Word
+    pillar: np.ndarray  # read-only (m,) uint8
     card: Card
     pillar_check: LevelCheck | None = None  # w_k as one level-k block; None at k = 0
 
@@ -144,7 +144,7 @@ class Schedule:
     def m(self, k: int) -> int:
         return self.level(k).m
 
-    def pillar(self, k: int) -> Word:
+    def pillar(self, k: int) -> np.ndarray:
         return self.level(k).pillar
 
     def ratio(self, k: int) -> int:
@@ -173,25 +173,25 @@ class Schedule:
         return self._words_cache[k]
 
     def pool_matrix(self, k: int) -> np.ndarray:
-        """Fast-profile fill pool: row 0 is w_k, the rest seeded samples."""
+        """Fast-profile fill pool: row 0 is w_k, the rest seeded samples.
+
+        Above level 0 a sample is r/3 copies of w_{k-1} (row 0 of the pool
+        one level down) and then seeded rows of that pool, taken in one gather.
+        """
         if k not in self._pool_cache:
-            m_k = self.m(k)
-            pool = np.empty((POOL_SIZE, m_k), dtype=np.uint8)
-            pool[0] = np.frombuffer(self.pillar(k).cells, dtype=np.uint8)
+            pool = np.empty((POOL_SIZE, self.m(k)), dtype=np.uint8)
+            pool[0] = self.pillar(k)
             if k == 0:
-                a = self.alphabet.size
-                for i in range(1, POOL_SIZE):
-                    pool[i, 0] = mix64(self.seed, 0xA1FA, 0, i) % a
+                src = self.words(0)
+                picks = [[mix64(self.seed, 0xA1FA, 0, i) % self.alphabet.size]
+                         for i in range(1, POOL_SIZE)]
             else:
-                prev = self.pool_matrix(k - 1)
+                src = self.pool_matrix(k - 1)
                 r, q = self.ratio(k), self.ratio(k) // 3
-                prev_pillar = np.frombuffer(self.pillar(k - 1).cells, dtype=np.uint8)
-                m_prev = self.m(k - 1)
-                for i in range(1, POOL_SIZE):
-                    rows = pool[i].reshape(r, m_prev)
-                    rows[:q] = prev_pillar
-                    for j in range(q, r):
-                        rows[j] = prev[mix64(self.seed, 0xA1FA, k, i, j) % POOL_SIZE]
+                picks = [[0] * q + [mix64(self.seed, 0xA1FA, k, i, j) % POOL_SIZE
+                                    for j in range(q, r)]
+                         for i in range(1, POOL_SIZE)]
+            pool[1:] = src[picks].reshape(POOL_SIZE - 1, -1)
             pool.setflags(write=False)
             self._pool_cache[k] = pool
         return self._pool_cache[k]
@@ -210,12 +210,12 @@ class Schedule:
                 for lv in self.levels]
 
 
-def _digest_word(word: Word, alphabet: Alphabet) -> str:
+def _digest_word(word: np.ndarray, alphabet: Alphabet) -> str:
     if len(word) <= 32:
-        return word.text(alphabet)
+        return alphabet.text_of_cells(word)
     import hashlib
 
-    h = hashlib.sha256(word.cells).hexdigest()[:16]
+    h = hashlib.sha256(word).hexdigest()[:16]
     return f"len={len(word)},sha256-64={h}"
 
 
@@ -311,20 +311,6 @@ def _admissible_rows(prev: np.ndarray, r: int, every_word: bool) -> np.ndarray:
     return out.reshape(-1, r * prev.shape[1])
 
 
-def enumerate_level_words(level: int, schedule: Schedule, cap: int | None = None):
-    """Iterator over the admissible words of a level, lexicographically."""
-    if not 0 <= level <= schedule.depth:
-        raise InvalidParameterError(f"level {level} outside built depth")
-    cap = schedule.enum_cap if cap is None else cap
-    card = schedule.level(level).card
-    if card.exact is None:
-        raise InfeasibleDepth(f"|A_{level}| only bounded: {card.describe()}")
-    if card.exact > cap:
-        raise InfeasibleDepth(f"|A_{level}| = {card.exact} exceeds cap {cap}")
-    for row in schedule.words(level):
-        yield Word(row.tobytes())
-
-
 # --- admissibility ----------------------------------------------------
 
 
@@ -403,7 +389,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     n_blocks = len(x) // m
     top = int(x.cells.max())
     starred = top == STAR
-    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    pillar = schedule.pillar(level - 1)
     faithful = schedule.faithful
     listed = faithful and level > 1
     if listed:
@@ -466,13 +452,33 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
                       membership, every_word, covered)
 
 
-def _one_block(word: Word) -> PartialWindow:
+def _one_block(word: np.ndarray) -> PartialWindow:
     """A word as the centred block of its level."""
-    return PartialWindow.from_word(word, offset=-((len(word) - 1) // 2))
+    return PartialWindow(-((len(word) - 1) // 2), word)
+
+
+def _word_cells(word) -> np.ndarray:
+    """A word given as bytes or as a 1-D sequence of ints, as uint8 cells."""
+    if isinstance(word, (bytes, bytearray, memoryview)):
+        cells = np.frombuffer(word, dtype=np.uint8)
+    else:
+        cells = np.asarray(word)
+        if cells.size and (cells.ndim != 1 or cells.dtype.kind not in "iu"
+                           or int(cells.min()) < 0 or int(cells.max()) > 255):
+            raise InvalidParameterError(
+                f"a word is bytes or a 1-D sequence of cell values 0..255, not {type(word).__name__}"
+            )
+        cells = cells.astype(np.uint8, copy=False)
+    if cells.size == 0:
+        raise InvalidParameterError("empty word")
+    if int(cells.max()) == STAR:
+        raise InvalidParameterError("words may not contain the STAR sentinel")
+    return cells
 
 
 def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityResult:
-    """Check one word against the level's admissibility rule.
+    """Check one word, given as bytes or a uint8 array, against the
+    level's admissibility rule.
 
     The word is checked as a one-block window at every level from 1 to
     ``level``: every cell a symbol, at least one-third of the sub-blocks
@@ -482,7 +488,7 @@ def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityRe
     """
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
-    word = word if isinstance(word, Word) else Word(bytes(word))
+    word = _word_cells(word)
     m = schedule.m(level)
     if len(word) != m:
         raise InvalidParameterError(f"word length {len(word)} != m_{level} = {m}")
@@ -611,7 +617,7 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     else:
         raise ConstructionInvariantError("schedule search did not stabilize in 8 passes")
 
-    sched.levels.append(LevelParams(0, 1, Word(bytes([0])), plan[0][1]))
+    sched.levels.append(LevelParams(0, 1, sched.words(0)[0], plan[0][1]))
     for k in range(1, depth + 1):
         m_k, card_k = plan[k]
         pillar = _build_pillar(sched, k, m_k)
@@ -620,28 +626,17 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         if not check.ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
         sched.levels[k] = replace(sched.levels[k], pillar_check=check)
-        if not sched.faithful:
-            _check_fast_pillar(sched, k, pillar)
     sched.verified_range = verified
     return sched
 
 
-def _check_fast_pillar(sched: Schedule, k: int, pillar: Word) -> None:
-    """Every sub-block of a fast pillar is a fill-pool row (row 0 is w_{k-1})."""
-    rows = np.frombuffer(pillar.cells, dtype=np.uint8).reshape(-1, sched.m(k - 1))
-    allowed = {row.tobytes() for row in sched.pool_matrix(k - 1)}
-    stray = {row.tobytes() for row in rows} - allowed
-    if stray:
-        raise ConstructionInvariantError(
-            f"pillar w_{k} holds {len(stray)} sub-blocks outside the fill pool"
-        )
-
-
-def _build_pillar(sched: Schedule, k: int, m_k: int) -> Word:
-    m_prev = sched.m(k - 1)
-    r = m_k // m_prev
+def _build_pillar(sched: Schedule, k: int, m_k: int) -> np.ndarray:
+    """w_k as one gather of rows of the fill source one level down, whose
+    row 0 is w_{k-1}: faithful, r - |A_{k-1}| + 1 copies of w_{k-1} and
+    then the other words of A_{k-1} in order; fast, r/3 copies of w_{k-1}
+    and then the pool rows in turn."""
+    r = m_k // sched.m(k - 1)
     q = r // 3
-    prev_pillar = sched.pillar(k - 1).cells
     try:
         words = sched.words(k - 1) if sched.faithful else None
         check_cell_count(m_k)
@@ -654,9 +649,10 @@ def _build_pillar(sched: Schedule, k: int, m_k: int) -> Word:
             raise ConstructionInvariantError(
                 f"pillar construction needs r - |A_{k-1}| + 1 >= r/3 at level {k}"
             )
-        rest = words[~rows_equal(words, np.frombuffer(prev_pillar, dtype=np.uint8))]
-        return Word(prev_pillar * copies + rest.tobytes())
-    pool = sched.pool_matrix(k - 1)
-    parts = [prev_pillar] * q
-    parts.extend(pool[t % POOL_SIZE].tobytes() for t in range(r - q))
-    return Word(b"".join(parts))
+        src, picks = words, np.r_[np.zeros(copies, dtype=np.intp), 1:a]
+    else:
+        src = sched.pool_matrix(k - 1)
+        picks = np.r_[np.zeros(q, dtype=np.intp), np.arange(r - q) % POOL_SIZE]
+    pillar = src[picks].reshape(-1)
+    pillar.setflags(write=False)
+    return pillar

@@ -12,8 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ChecksumError, InconsistencyError, InvalidParameterError, VersionError
 from .schedule import PROFILES
 from .words import Alphabet, PartialWindow, on_block_grid
@@ -150,8 +148,7 @@ def load_window(path) -> WindowFile:
         cells = alphabet.cells_of_text(payload)
     except InvalidParameterError as exc:
         raise InconsistencyError(f"payload {exc}") from None
-    window = PartialWindow(_header_int("offset", fields["offset"]),
-                           np.frombuffer(cells, dtype=np.uint8))
+    window = PartialWindow(_header_int("offset", fields["offset"]), cells)
     m_list = tuple(_header_int("m-list", v) for v in fields["m-list"].split(","))
     depth = _header_int("depth", fields["depth"])
     if len(m_list) != depth + 1:

@@ -59,8 +59,8 @@ class Alphabet:
             raise InvalidParameterError(f"symbol {ch!r} not in alphabet {self.symbols!r}")
         return i
 
-    def cells_of_text(self, text: str) -> bytes:
-        """Translate a text into symbol indices; '*' becomes STAR."""
+    def cells_of_text(self, text: str) -> np.ndarray:
+        """Translate a text into a uint8 array of symbol indices; '*' becomes STAR."""
         try:
             raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         except UnicodeEncodeError as exc:
@@ -71,49 +71,15 @@ class Alphabet:
             raise InvalidParameterError(
                 f"symbol {text[pos]!r} not in alphabet {self.symbols!r}"
             )
-        return cells.astype(np.uint8).tobytes()
+        return cells.astype(np.uint8)
 
-    def text_of_cells(self, cells) -> str:
-        if isinstance(cells, (bytes, bytearray)):
-            arr = np.frombuffer(cells, dtype=np.uint8)
-        else:
-            arr = np.ascontiguousarray(cells, dtype=np.uint8)
+    def text_of_cells(self, cells: np.ndarray) -> str:
+        arr = np.ascontiguousarray(cells, dtype=np.uint8)
         chars = self._decode[arr]
         if chars.size and bool((chars < 0).any()):
             pos = int((chars < 0).argmax())
             raise InvalidParameterError(f"cell value {int(arr[pos])} outside alphabet")
         return chars.astype(np.uint8).tobytes().decode("ascii")
-
-
-@dataclass(frozen=True)
-class Word:
-    """A finite string of symbol indices, stored as bytes."""
-
-    cells: bytes
-
-    def __post_init__(self):
-        if len(self.cells) == 0:
-            raise InvalidParameterError("empty word")
-        if STAR in self.cells:
-            raise InvalidParameterError("words may not contain the STAR sentinel")
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    @classmethod
-    def from_text(cls, text: str, alphabet: Alphabet) -> "Word":
-        cells = alphabet.cells_of_text(text)
-        if STAR in cells:
-            raise InvalidParameterError("words may not contain '*'")
-        return cls(cells)
-
-    def text(self, alphabet: Alphabet) -> str:
-        return alphabet.text_of_cells(self.cells)
-
-    def validate(self, alphabet: Alphabet) -> "Word":
-        if any(c >= alphabet.size for c in self.cells):
-            raise InvalidParameterError("word cell index outside alphabet")
-        return self
 
 
 def check_cell_count(n: int) -> None:
@@ -150,12 +116,8 @@ class PartialWindow:
         return cls(offset, np.full(length, STAR, dtype=np.uint8))
 
     @classmethod
-    def from_word(cls, word: Word, offset: int = 0) -> "PartialWindow":
-        return cls(offset, np.frombuffer(word.cells, dtype=np.uint8))
-
-    @classmethod
     def from_text(cls, text: str, alphabet: Alphabet, offset: int = 0) -> "PartialWindow":
-        return cls(offset, np.frombuffer(alphabet.cells_of_text(text), dtype=np.uint8))
+        return cls(offset, alphabet.cells_of_text(text))
 
     def __len__(self) -> int:
         return int(self.cells.size)
@@ -188,11 +150,6 @@ class PartialWindow:
 
     def star_count(self) -> int:
         return int((self.cells == STAR).sum())
-
-    def to_word(self) -> Word:
-        if not self.is_fully_defined():
-            raise InvalidParameterError("window contains '*' cells")
-        return Word(self.cells.tobytes())
 
     def to_text(self, alphabet: Alphabet) -> str:
         return alphabet.text_of_cells(self.cells)

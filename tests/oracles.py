@@ -10,8 +10,9 @@ from blockshift.words import on_block_grid
 
 
 def occurrences(pattern, text):
-    """All coordinates where the fully defined pattern occurs; STAR never matches."""
-    needle = pattern.cells
+    """All coordinates where the fully defined pattern (a uint8 array or
+    bytes) occurs in the window; STAR never matches."""
+    needle = bytes(pattern)
     hay = text.cells.tobytes()
     out = []
     pos = hay.find(needle)
@@ -19,6 +20,13 @@ def occurrences(pattern, text):
         out.append(text.offset + pos)
         pos = hay.find(needle, pos + 1)
     return out
+
+
+def rows_outside(word, allowed):
+    """The sub-blocks of a word, cut to the width of the rows of the
+    matrix ``allowed``, that are not rows of it, as a set of bytes."""
+    rows = word.reshape(-1, allowed.shape[1])
+    return {row.tobytes() for row in rows} - {row.tobytes() for row in allowed}
 
 
 def admissible_words_by_recursion(prev, r, every_word):
@@ -119,8 +127,7 @@ def minimality_by_occurrences(x, schedule, depth):
             checks.append((name_c, "waived", "fast profile"))
             continue
         m_k = schedule.m(k)
-        pillar_win = PartialWindow.from_word(schedule.pillar(k + 1),
-                                             offset=-(m_k - 1) // 2)
+        pillar_win = PartialWindow(-(m_k - 1) // 2, schedule.pillar(k + 1))
         census = aligned_block_census(pillar_win, m_k)
         wordset = {row.tobytes() for row in schedule.words(k)}
         missing = wordset - set(census)
@@ -156,7 +163,7 @@ def check_level_dense(x, schedule, level):
     n_def = int(defined.sum())
 
     sub = x.cells.reshape(n_blocks * r, m_prev)
-    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    pillar = schedule.pillar(level - 1)
     counts = (sub == pillar).all(axis=1).reshape(n_blocks, r).sum(axis=1)
     min_share = int(counts[defined].min()) if n_def else None
     pillar_total = int(counts[defined].sum()) if n_def else 0
@@ -204,7 +211,7 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
     meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
     fill_src = schedule.fill_matrix(level - 1)
     n_src = fill_src.shape[0]
-    pillar = np.frombuffer(schedule.pillar(level - 1).cells, dtype=np.uint8)
+    pillar = schedule.pillar(level - 1)
 
     defined_total = int((out != STAR).sum())
     defined_in_meeting = 0

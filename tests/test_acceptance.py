@@ -151,7 +151,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
         and statuses["pillar-coverage k=1"] == "ok"
     )
     # positional coverage of w_2: pillar run, then A_1 \ {w_1} ascending
-    w2 = sched2.pillar(2).cells
+    w2 = sched2.pillar(2).tobytes()
     words = [row.tobytes() for row in sched2.words(1)]
     copies = 92481 - 30826 + 1
     positional = (

@@ -175,7 +175,7 @@ def test_minimality_fails_on_constant_window(binary, sched2):
 
 def test_w2_coverage_positional(sched2):
     # blocks 61657..92481 of w_2 enumerate A_1 minus its first word, ascending
-    w2 = sched2.pillar(2).cells
+    w2 = sched2.pillar(2).tobytes()
     words = [row.tobytes() for row in sched2.words(1)]
     copies = 92481 - 30826 + 1
     for t in (0, 1, copies - 1):

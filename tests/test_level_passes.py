@@ -69,7 +69,7 @@ def mutate(cells, sched, level, rng, ops, focus=None):
     m, m_prev = sched.m(level), sched.m(level - 1)
     r = m // m_prev
     subs = cells.reshape(-1, r, m_prev)
-    pillar = np.frombuffer(sched.pillar(level - 1).cells, dtype=np.uint8)
+    pillar = sched.pillar(level - 1)
     for op, count in ops:
         for _ in range(count):
             hot = focus is not None and focus.size and rng.random() < 0.9

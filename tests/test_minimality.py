@@ -136,7 +136,7 @@ def random_windows(draw, schedules):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n1 = n_top * m_top // m1
     kinds = rng.choice(3, size=n1, p=weights / weights.sum())
-    pillar = np.frombuffer(schedule.pillar(1).cells, dtype=np.uint8)
+    pillar = schedule.pillar(1)
     rows = rng.integers(0, a, size=(n1, m1), dtype=np.uint8)
     rows[kinds == 0] = pillar
     rows[kinds == 2] = rng.integers(1, a, size=(int((kinds == 2).sum()), m1), dtype=np.uint8)

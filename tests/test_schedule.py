@@ -7,20 +7,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blockshift import (
+    STAR,
     Alphabet,
     Card,
     DensityViolation,
     InfeasibleDepth,
     InvalidParameterError,
     SparseSetSpec,
-    Word,
     build_schedule,
-    enumerate_level_words,
     is_admissible_block,
 )
 from blockshift.cli import main
-from blockshift.schedule import LevelParams, Schedule, exact_next_count, surjection_count
-from tests.oracles import admissible_words_by_recursion
+from blockshift.schedule import (POOL_SIZE, LevelParams, Schedule, exact_next_count,
+                                 surjection_count)
+from tests.oracles import admissible_words_by_recursion, rows_outside
 
 
 def brute_force_level1_binary():
@@ -39,8 +39,8 @@ def test_level_sizes_binary_squares(sched2, binary):
     assert sched2.level(0).card.exact == 2
     assert sched2.level(1).card.exact == 30826
     assert sched2.level(2).card.exact is None
-    assert sched2.pillar(0).text(binary) == "0"
-    assert sched2.pillar(1).text(binary) == "000000000000001"
+    assert binary.text_of_cells(sched2.pillar(0)) == "0"
+    assert binary.text_of_cells(sched2.pillar(1)) == "000000000000001"
 
 
 def test_m2_is_first_admissible_candidate(squares):
@@ -66,7 +66,7 @@ def test_m1_candidate_scan(binary, squares):
 
 def test_enumeration_matches_brute_force(sched2, binary):
     oracle = brute_force_level1_binary()
-    words = [w.text(binary) for w in enumerate_level_words(1, sched2)]
+    words = [binary.text_of_cells(w) for w in sched2.words(1)]
     assert len(words) == 30826
     assert words == sorted(words)
     assert words == oracle
@@ -94,11 +94,11 @@ def hand_schedule(a, ratios, every_word):
     sched = Schedule(Alphabet("0123"[:a]), SparseSetSpec.squares(),
                      "faithful" if every_word else "fast")
     m, card = 1, Card.exact_count(a)
-    sched.levels.append(LevelParams(0, m, Word(b"\0"), card))
+    sched.levels.append(LevelParams(0, m, np.zeros(1, dtype=np.uint8), card))
     for k, r in enumerate(ratios, 1):
         m *= r
         card = Card.exact_count(exact_next_count(r, card.exact, every_word))
-        sched.levels.append(LevelParams(k, m, Word(b"\0" * m), card))
+        sched.levels.append(LevelParams(k, m, np.zeros(m, dtype=np.uint8), card))
     return sched
 
 
@@ -119,27 +119,26 @@ def test_words_match_recursive_oracle(case):
         assert not got.flags.writeable
 
 
-def test_enumeration_cap(sched2):
+def test_enumeration_cap(sched2, binary, squares):
     with pytest.raises(InfeasibleDepth):
-        list(enumerate_level_words(1, sched2, cap=100))
+        build_schedule(binary, squares, 1, enum_cap=100).words(1)
     with pytest.raises(InfeasibleDepth):
-        list(enumerate_level_words(2, sched2))
-    assert [w.cells for w in enumerate_level_words(0, sched2)] == [b"\x00", b"\x01"]
+        sched2.words(2)
+    assert [w.tobytes() for w in sched2.words(0)] == [b"\x00", b"\x01"]
 
 
 def test_every_enumerated_word_is_admissible(sched2):
-    words = list(enumerate_level_words(1, sched2))
-    for w in words[:: 500]:
+    for w in sched2.words(1)[:: 500]:
         assert is_admissible_block(w, 1, sched2).status == "ok"
 
 
 def test_full_equivalence_enumeration_vs_checker(sched2):
     # the checker accepts exactly the enumerated words, over all 2^15 strings
-    enumerated = {w.cells for w in enumerate_level_words(1, sched2)}
+    enumerated = {w.tobytes() for w in sched2.words(1)}
     accepted = set()
     for bits in range(1 << 15):
         cells = bytes((bits >> (14 - t)) & 1 for t in range(15))
-        if is_admissible_block(Word(cells), 1, sched2).status == "ok":
+        if is_admissible_block(cells, 1, sched2).status == "ok":
             accepted.add(cells)
     assert accepted == enumerated
 
@@ -157,16 +156,16 @@ def test_level_size_bounds(sched2):
 
 
 def test_admissibility_examples(sched2, binary):
-    ok = is_admissible_block(Word.from_text("000000000000001", binary), 1, sched2)
+    ok = is_admissible_block(binary.cells_of_text("000000000000001"), 1, sched2)
     assert ok.status == "ok" and ok.pillar_count == 14
-    bad = is_admissible_block(Word.from_text("1" * 15, binary), 1, sched2)
+    bad = is_admissible_block(binary.cells_of_text("1" * 15), 1, sched2)
     assert bad.status == "fail"
-    fill = is_admissible_block(Word.from_text("000000101100101", binary), 1, sched2)
+    fill = is_admissible_block(binary.cells_of_text("000000101100101"), 1, sched2)
     assert fill.status == "ok" and fill.pillar_count == 10
-    missing_one = is_admissible_block(Word.from_text("0" * 15, binary), 1, sched2)
+    missing_one = is_admissible_block(binary.cells_of_text("0" * 15), 1, sched2)
     assert missing_one.status == "fail" and "never used" in missing_one.reason
     with pytest.raises(InvalidParameterError):
-        is_admissible_block(Word.from_text("01", binary), 1, sched2)
+        is_admissible_block(binary.cells_of_text("01"), 1, sched2)
 
 
 def test_level_counts(sched2):
@@ -195,14 +194,14 @@ def test_surjection_and_closed_form():
 
 def test_canonical_pillar_structure(sched2, binary):
     w1 = sched2.pillar(1)
-    assert w1.text(binary) == "0" * 14 + "1"  # 14 copies of w_0 then "1"
+    assert binary.text_of_cells(w1) == "0" * 14 + "1"  # 14 copies of w_0 then "1"
     w2 = sched2.pillar(2)
     assert len(w2) == 1387215
     words = [row.tobytes() for row in sched2.words(1)]
     r, a = 92481, 30826
     copies = r - a + 1
     assert copies == 61656
-    cells = w2.cells
+    cells = w2.tobytes()
     assert cells[: 15 * copies] == words[0] * copies
     rest = [cells[15 * (copies + t): 15 * (copies + t + 1)] for t in range(a - 1)]
     assert rest == words[1:]
@@ -266,7 +265,7 @@ def paper_rule(cells, level, sched):
     subs = [cells[i:i + m] for i in range(0, len(cells), m)]
     if not all(paper_rule(s, level - 1, sched) for s in subs):
         return False
-    if 3 * subs.count(sched.pillar(level - 1).cells) < len(subs):
+    if 3 * subs.count(sched.pillar(level - 1).tobytes()) < len(subs):
         return False
     return not sched.faithful or {w.tobytes() for w in sched.words(level - 1)} <= set(subs)
 
@@ -287,7 +286,7 @@ def words_around_rule(draw, sched, level):
     else:
         m = sched.m(level - 1)
         other = st.binary(min_size=m, max_size=m).map(lambda b: bytes(c % a for c in b))
-    subs = [sched.pillar(level - 1).cells] * (r - n_other)
+    subs = [sched.pillar(level - 1).tobytes()] * (r - n_other)
     subs += [draw(other) for _ in range(n_other)]
     return b"".join(draw(st.permutations(subs)))
 
@@ -307,11 +306,77 @@ def test_checker_matches_paper_rule(rule_schedules, name, level, data):
     sched = rule_schedules[name]
     cells = data.draw(words_around_rule(sched, level))
     want = "ok" if paper_rule(cells, level, sched) else "fail"
-    assert is_admissible_block(Word(cells), level, sched).status == want
+    assert is_admissible_block(cells, level, sched).status == want
+
+
+@pytest.mark.parametrize("word,match", [
+    ("0" * 15, "not str"),
+    ([256] * 15, "cell values 0..255"),
+    ([-1] * 15, "cell values 0..255"),
+    (np.zeros((3, 5), dtype=np.uint8), "1-D"),
+    (np.zeros(15), "cell values 0..255"),
+    (None, "not NoneType"),
+    (bytes([0] * 14 + [255]), "STAR"),
+    (b"", "empty word"),
+    ([], "empty word"),
+    (bytes(14), "word length 14 != m_1 = 15"),
+], ids=["str", "above-255", "negative", "2-d", "float", "none", "star", "empty-bytes",
+        "empty-list", "wrong-length"])
+def test_bad_word_is_invalid_parameter(sched2, word, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        is_admissible_block(word, 1, sched2)
+
+
+def test_word_forms_agree(sched2):
+    word = sched2.words(1)[123]
+    want = is_admissible_block(word, 1, sched2)
+    assert want.status == "ok"
+    for form in (word.tobytes(), bytearray(word.tobytes()), word.tolist(),
+                 word.astype(np.int64)):
+        assert is_admissible_block(form, 1, sched2) == want
+
+
+@pytest.fixture(scope="module")
+def fast3(ternary, squares):
+    return build_schedule(ternary, squares, 3, profile="fast")
+
+
+def pillar_gather(sched, k):
+    """w_k rebuilt from the fill source one level down: copies of its row
+    0, then faithful the other words of A_{k-1} in order, fast the pool
+    rows in turn."""
+    src = sched.fill_matrix(k - 1)
+    r = sched.ratio(k)
+    if sched.faithful:
+        picks = [0] * (r - src.shape[0] + 1) + list(range(1, src.shape[0]))
+    else:
+        picks = [0] * (r // 3) + [t % POOL_SIZE for t in range(r - r // 3)]
+    return src[picks].reshape(-1)
+
+
+@pytest.mark.parametrize("name", ["sched2", "fast3"])
+def test_fill_row_zero_is_the_pillar(request, name):
+    sched = request.getfixturevalue(name)
+    for k in range(sched.depth):
+        assert np.array_equal(sched.fill_matrix(k)[0], sched.pillar(k))
+    for k in range(1, sched.depth + 1):
+        w = sched.pillar(k)
+        assert w.dtype == np.uint8 and w.shape == (sched.m(k),) and not w.flags.writeable
+        assert np.array_equal(w, pillar_gather(sched, k))
+
+
+def test_fast_pillar_rows_are_pool_rows(fast3):
+    for k in range(1, fast3.depth + 1):
+        pool = fast3.pool_matrix(k - 1)
+        assert not rows_outside(fast3.pillar(k), pool)
+        # the oracle sees one stray sub-block
+        stray = fast3.pillar(k).copy()
+        stray[-1] = STAR
+        assert rows_outside(stray, pool) == {stray[-fast3.m(k - 1):].tobytes()}
 
 
 def test_out_of_alphabet_cell_fails(rule_schedules):
-    word = Word(bytes([0] * 14 + [2]))
+    word = bytes([0] * 14 + [2])
     for name in ("faithful", "fast"):
         assert is_admissible_block(word, 1, rule_schedules[name]).status == "fail"
 

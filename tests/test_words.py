@@ -6,7 +6,6 @@ from blockshift import (
     AlignmentError,
     InvalidParameterError,
     PartialWindow,
-    Word,
     block_interval,
     block_of,
     decompose_blocks,
@@ -100,11 +99,11 @@ def test_on_block_grid_matches_block_index(m, start, length):
 
 def test_occurrences_examples(binary):
     t = PartialWindow.from_text("0101", binary, offset=0)
-    assert occurrences(Word.from_text("01", binary), t) == [0, 2]
+    assert occurrences(binary.cells_of_text("01"), t) == [0, 2]
     t2 = PartialWindow.from_text("*0", binary, offset=0)
-    assert occurrences(Word.from_text("0", binary), t2) == [1]
+    assert occurrences(binary.cells_of_text("0"), t2) == [1]
     t3 = PartialWindow.from_text("0*0", binary, offset=5)
-    assert occurrences(Word.from_text("00", binary), t3) == []
+    assert occurrences(binary.cells_of_text("00"), t3) == []
 
 
 @given(st.text(alphabet="01*", min_size=1, max_size=60),
@@ -118,7 +117,7 @@ def test_occurrences_matches_naive(text, pattern, offset):
         for i in range(len(text) - len(pattern) + 1)
         if text[i:i + len(pattern)] == pattern
     ]
-    assert occurrences(Word.from_text(pattern, ab), win) == expected
+    assert occurrences(ab.cells_of_text(pattern), win) == expected
 
 
 def test_alphabet_validation():
@@ -139,7 +138,5 @@ def test_window_basics(binary):
     assert w.to_text(binary) == "0*1"
     with pytest.raises(InvalidParameterError):
         w[2]
-    with pytest.raises(InvalidParameterError):
-        w.to_word()
     sub = w.sub(0, 1)
     assert sub.to_text(binary) == "*1" and sub.start == 0
