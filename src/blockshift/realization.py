@@ -255,9 +255,11 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     depth-level blocks meeting the given window).
 
     The central variant returns a fully defined admissible word.  The
-    window variant may keep whole blocks starred when they miss S; its
-    sparsity certificate is re-checked over the extended hull first.
-    One cell buffer is allocated and every level is filled in place.
+    window variant may keep whole blocks starred when they miss S; any
+    window may be asked for, since the schedule certified sparsity over
+    all of N (a list with a horizon: through the horizon, beyond which
+    the set raises IncompleteDataError).  One cell buffer is allocated
+    and every level is filled in place.
     """
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth {schedule.depth}")
@@ -270,7 +272,6 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
             )
     else:
         hull = hull_of_blocks(int(window[0]), int(window[1]), m_top)
-        _extend_sparsity_certificate(schedule, depth, hull)
 
     cells = _pinned_cells(u, schedule.sparse, hull[0], hull[1], schedule.alphabet)
     for level in range(1, depth + 1):
@@ -285,19 +286,6 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     if not report.ok:
         raise ConstructionInvariantError(f"realized window fails admissibility: {report.summary()}")
     return x
-
-
-def _extend_sparsity_certificate(schedule: Schedule, depth: int, hull: tuple[int, int]):
-    base = schedule.verified_range
-    if base is not None and base[0] <= hull[0] and hull[1] <= base[1]:
-        return
-    rng = hull if base is None else (min(base[0], hull[0]), max(base[1], hull[1]))
-    for k in range(depth):
-        ok, count, threshold, witness = schedule.sparse.sparsity_report(
-            schedule.m(k + 1), schedule.m(k), rng
-        )
-        if not ok:
-            raise DensityViolation(k, witness, count, threshold)
 
 
 @dataclass(frozen=True)

@@ -504,25 +504,19 @@ def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityRe
 # --- construction -----------------------------------------------------
 
 
-def _interval_union(a: tuple[int, int] | None, b: tuple[int, int]) -> tuple[int, int]:
-    if a is None:
-        return b
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
 def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
-                  hint: tuple[int, int], prev_range,
                   scan_cap: int, value_cap: int) -> int:
     """Smallest odd multiple of 3*m_k above 3*m_k*size_floor passing the
-    sparsity gate (the faithful size gate takes size_floor = |A_k|).
+    sparsity gate over N (the faithful size gate takes size_floor = |A_k|).
 
-    A candidate c = 3*m_k*j has sparsity threshold exactly j.  The probe
-    range always contains [1, c], so a certified count n inside [1, c]
-    disqualifies every candidate with threshold <= n (the left-anchored
-    window only grows); the scan jumps straight past those.  This keeps
-    the scan short both when the set is sparse (counts grow like the
-    set, reaching the passing candidate in a few jumps) and when it is
-    dense (counts grow linearly, reaching the value cap geometrically).
+    A candidate c = 3*m_k*j has sparsity threshold exactly j, so a count
+    n >= j in any length-c window disqualifies every candidate with
+    threshold <= n (a longer window holds at least as many elements);
+    the scan jumps straight past those.  The window [1, c] is tried first
+    by one count.  This keeps the scan short both when the set is sparse
+    (counts grow like the set, reaching the passing candidate in a few
+    jumps) and when it is dense (counts grow linearly, reaching the value
+    cap geometrically).
     """
     step = 3 * m_k
     float_bound = 12.0 * math.log(2.0) * (4.0 / 3.0) ** (k + 1)
@@ -541,11 +535,7 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
             last = ((1, cand), left_count, j)
             j = left_count + 1 + (left_count % 2)  # next odd index past the kill
             continue
-        rng = _interval_union(
-            _interval_union(prev_range, hull_of_blocks(hint[0], hint[1], cand)),
-            (1, cand),
-        )
-        ok, count, threshold, witness = sparse.sparsity_report(cand, m_k, rng)
+        ok, count, threshold, witness = sparse.sparsity_report(cand, m_k)
         if ok:
             return cand
         last = (witness, count, threshold)
@@ -565,8 +555,27 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
     raise DensityViolation(k, *last)
 
 
+def _plan_levels(sparse: SparseSetSpec, depth: int, a: int, faithful: bool, *,
+                 exact_r_cap: int = DEFAULT_EXACT_R_CAP,
+                 scan_cap: int = DEFAULT_SCAN_CAP,
+                 value_cap: int = DEFAULT_VALUE_CAP) -> list[tuple[int, Card]]:
+    """(m_k, |A_k|) for k = 0..depth over a alphabet symbols, each m_{k+1}
+    searched once by _search_level."""
+    plan = [(1, Card.exact_count(a))]
+    for k in range(depth):
+        m_k, card_k = plan[k]
+        if faithful and card_k.exact is None:
+            raise InfeasibleDepth(
+                f"faithful profile needs exact |A_{k}| to bound m_{k + 1}; "
+                f"have {card_k.describe()}"
+            )
+        size_floor = card_k.exact if faithful else 0
+        m_next = _search_level(sparse, k, m_k, size_floor, scan_cap, value_cap)
+        plan.append((m_next, next_card(m_next // m_k, card_k, faithful, exact_r_cap)))
+    return plan
+
+
 def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
-                   window_hint: tuple[int, int] | None = None,
                    profile: str = "faithful", *, seed: int = 0,
                    enum_cap: int = DEFAULT_ENUM_CAP,
                    exact_r_cap: int = DEFAULT_EXACT_R_CAP,
@@ -575,47 +584,17 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     """Compute (m_k, |A_k|, w_k) up to the requested depth.
 
     Every m_{k+1} is the smallest odd multiple of 3*m_k that clears the
-    size bound and keeps |S ∩ I| < m_{k+1}/(3*m_k) for each length-
-    m_{k+1} window inside the verified range.  The verified range is the
-    hull of the depth-level blocks meeting the window hint; since it
-    depends on m_depth, the search is iterated to a fixed point, and the
-    recorded range is the one every level was re-verified against.
+    size bound and keeps |S ∩ I| < m_{k+1}/(3*m_k) for every length-
+    m_{k+1} window I in N (a list with a horizon: inside [1, horizon]),
+    so each level is searched once.  The recorded verified range is the
+    hull of the depth-level blocks meeting DEFAULT_WINDOW_HINT, joined
+    with [1, m_depth]: the range the default window covers.
     """
     sched = Schedule(alphabet, sparse, profile, seed=seed, enum_cap=enum_cap)
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    hint = DEFAULT_WINDOW_HINT if window_hint is None else (int(window_hint[0]), int(window_hint[1]))
-    if hint[0] > hint[1]:
-        raise InvalidParameterError("empty window hint")
-
-    prev_range = None
-    prev_plan = None
-    for _ in range(8):
-        plan: list[tuple[int, Card]] = [(1, Card.exact_count(alphabet.size))]
-        for k in range(depth):
-            m_k, card_k = plan[k]
-            if sched.faithful and card_k.exact is None:
-                raise InfeasibleDepth(
-                    f"faithful profile needs exact |A_{k}| to bound m_{k + 1}; "
-                    f"have {card_k.describe()}"
-                )
-            size_floor = card_k.exact if sched.faithful else 0
-            m_next = _search_level(sparse, k, m_k, size_floor, hint, prev_range,
-                                   scan_cap, value_cap)
-            plan.append((m_next, next_card(m_next // m_k, card_k, sched.faithful, exact_r_cap)))
-        m_depth = plan[depth][0]
-        verified = _interval_union(hull_of_blocks(hint[0], hint[1], m_depth),
-                                   (1, m_depth))
-        ok = all(
-            sparse.sparsity_ok(plan[k + 1][0], plan[k][0], verified)
-            for k in range(depth)
-        )
-        if ok and (prev_range is None or [m for m, _ in plan] == prev_plan):
-            break
-        prev_plan = [m for m, _ in plan]
-        prev_range = verified
-    else:
-        raise ConstructionInvariantError("schedule search did not stabilize in 8 passes")
+    plan = _plan_levels(sparse, depth, alphabet.size, sched.faithful,
+                        exact_r_cap=exact_r_cap, scan_cap=scan_cap, value_cap=value_cap)
 
     sched.levels.append(LevelParams(0, 1, sched.words(0)[0], plan[0][1]))
     for k in range(1, depth + 1):
@@ -626,7 +605,9 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         if not check.ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
         sched.levels[k] = replace(sched.levels[k], pillar_check=check)
-    sched.verified_range = verified
+    m_depth = plan[depth][0]
+    lo, hi = hull_of_blocks(*DEFAULT_WINDOW_HINT, m_depth)
+    sched.verified_range = (min(lo, 1), max(hi, m_depth))
     return sched
 
 

@@ -64,7 +64,7 @@ def _nlogn(n: int) -> int:
     return int(f)
 
 
-def _window_at(s: int, hi: int, window_len: int) -> tuple[int, int]:
+def _window_at(s: int, hi: int | float, window_len: int) -> tuple[int, int]:
     """The length-L window starting at s, moved left to end by hi."""
     left = min(s, hi - window_len + 1)
     return left, left + window_len - 1
@@ -309,7 +309,7 @@ class SparseSetSpec:
             return self._scan_max(window_len, lo, hi, goal)
         return self._rule_max(window_len, lo, hi, goal)
 
-    def _rule_max(self, window_len: int, lo: int, hi: int,
+    def _rule_max(self, window_len: int, lo: int, hi: int | float,
                   goal: int | None) -> tuple[int, tuple[int, int]]:
         """max_window_count in closed form for a rule s_n = floor(f(n)), f convex.
 
@@ -321,7 +321,9 @@ class SparseSetSpec:
         elements; that bound exceeds ``lower`` by at most one.  When it
         does, the walk looks for the first s_i with s_{i+lower} - s_i < L;
         it ends at the first s_i with s_{i+lower} - s_i > L, since
-        convexity keeps every later difference >= L.
+        convexity keeps every later difference >= L.  A hi of math.inf
+        asks for all of [lo, ∞); the walk then ends because the set has
+        density zero (evens and monomial:1 never walk).
         """
         first = self._first_index_with_term_at_least(lo)
         s_first = self.term(first)
@@ -331,8 +333,9 @@ class SparseSetSpec:
         lower = self.count_in(witness)
         if self._gaps_never_shrink() or (goal is not None and goal <= lower):
             return (lower if goal is None else min(lower, goal)), witness
-        upper = min(self.count_in((s_first, s_first + window_len)),
-                    self.count_in((s_first, hi)))
+        upper = self.count_in((s_first, s_first + window_len))
+        if hi < math.inf:
+            upper = min(upper, self.count_in((s_first, hi)))
         i = first
         while upper > lower:
             s_i, s_far = self.term(i), self.term(i + lower)
@@ -362,21 +365,30 @@ class SparseSetSpec:
         return best, witness
 
     def sparsity_report(
-        self, window_len: int, m_k: int, rng: tuple[int, int]
+        self, window_len: int, m_k: int
     ) -> tuple[bool, int, int, tuple[int, int]]:
-        """(ok, max count, threshold, witness) for |S ∩ I| < L/(3 m_k)."""
+        """(ok, max count, threshold, witness) for |S ∩ I| < L/(3 m_k) over
+        every length-L window I in N.
+
+        Rule kinds are answered over all of N in closed form (_rule_max),
+        a complete list over every element, and a list enumerated through
+        a horizon over the windows inside [1, horizon].
+        """
         if m_k < 1:
             raise InvalidParameterError("m_k must be positive")
-        if window_len % (3 * m_k) != 0:
+        if window_len < 1 or window_len % (3 * m_k) != 0:
             raise InvalidParameterError(
-                f"window length {window_len} is not a multiple of 3*{m_k}"
+                f"window length {window_len} is not a positive multiple of 3*{m_k}"
             )
         threshold = window_len // (3 * m_k)
-        count, witness = self.max_window_count(window_len, rng, stop_at=threshold)
+        if self.kind != "explicit":
+            count, witness = self._rule_max(window_len, 1, math.inf, threshold)
+        else:
+            # a horizon shorter than the window raises IncompleteDataError in the scan
+            hi = (self.values[-1] + window_len - 1 if self.horizon is None
+                  else max(self.horizon, window_len))
+            count, witness = self._scan_max(window_len, 1, hi, threshold)
         return count < threshold, count, threshold, witness
-
-    def sparsity_ok(self, window_len: int, m_k: int, rng: tuple[int, int]) -> bool:
-        return self.sparsity_report(window_len, m_k, rng)[0]
 
     def density_estimate(self, window_len: int, rng: tuple[int, int]) -> Fraction:
         count, _ = self.max_window_count(window_len, rng)

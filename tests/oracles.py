@@ -1,12 +1,16 @@
 """Slow reference implementations that fast paths of the package are
 checked against; nothing under src/ imports them."""
 
+import math
+
 import numpy as np
 
-from blockshift import (STAR, ConstructionInvariantError, DensityViolation, InvalidParameterError,
-                        PartialWindow, aligned_block_census, block_interval, block_of)
-from blockshift.schedule import LevelCheck
-from blockshift.words import on_block_grid
+from blockshift import (STAR, Card, ConstructionInvariantError, DensityViolation, InfeasibleDepth,
+                        InvalidParameterError, PartialWindow, aligned_block_census,
+                        block_interval, block_of)
+from blockshift.schedule import (DEFAULT_EXACT_R_CAP, DEFAULT_SCAN_CAP, DEFAULT_VALUE_CAP,
+                                 DEFAULT_WINDOW_HINT, LevelCheck, next_card)
+from blockshift.words import hull_of_blocks, on_block_grid
 
 
 def occurrences(pattern, text):
@@ -261,3 +265,81 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
             f"defined cell at {bad} lies in a level-{level} block disjoint from S"
         )
     return x.with_cells(out)
+
+
+def _union(a, b):
+    return b if a is None else (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _search_level_in_range(sparse, k, m_k, size_floor, hint, prev_range, scan_cap, value_cap):
+    """The level search with the sparsity gate taken only over the hull of
+    the candidate's blocks meeting ``hint``, joined with [1, c] and
+    ``prev_range``."""
+    step = 3 * m_k
+    float_bound = 12.0 * math.log(2.0) * (4.0 / 3.0) ** (k + 1)
+    j = size_floor + 1
+    while step * j <= float_bound:
+        j += 1
+    if j % 2 == 0:
+        j += 1
+    scanned = 0
+    last = None
+    while scanned < scan_cap and step * j <= value_cap:
+        cand = step * j
+        scanned += 1
+        left_count = sparse.count_in((1, cand))
+        if left_count >= j:
+            last = ((1, cand), left_count, j)
+            j = left_count + 1 + (left_count % 2)
+            continue
+        rng = _union(_union(prev_range, hull_of_blocks(hint[0], hint[1], cand)), (1, cand))
+        count, witness = sparse.max_window_count(cand, rng, stop_at=j)
+        if count < j:
+            return cand
+        last = (witness, count, j)
+        j = max(j + 2, count + 1 + (count % 2))
+    if last is None:
+        raise InfeasibleDepth(
+            f"no candidate for m_{k + 1} within the caps: the smallest is {step * j}, "
+            f"value cap {value_cap}, scan cap {scan_cap}"
+        )
+    if sparse.zero_density:
+        cap = f"scan cap {scan_cap}" if scanned >= scan_cap else f"value cap {value_cap}"
+        raise InfeasibleDepth(
+            f"no candidate for m_{k + 1} passes the sparsity gate within the {cap} "
+            f"({scanned} tried); the next is {step * j}"
+        )
+    raise DensityViolation(k, *last)
+
+
+def plan_by_fixed_point(sparse, depth, a, faithful, *, exact_r_cap=DEFAULT_EXACT_R_CAP,
+                        scan_cap=DEFAULT_SCAN_CAP, value_cap=DEFAULT_VALUE_CAP,
+                        hint=DEFAULT_WINDOW_HINT):
+    """schedule._plan_levels with the sparsity gate over a finite verified
+    range: the hull of the depth-level blocks meeting
+    ``hint``, joined with [1, m_depth].  That range depends on m_depth, so
+    the search is repeated, each pass gated over the previous pass's
+    range as well, until a pass keeps the m-list and every level passes
+    over the final range (at most 8 passes)."""
+    prev_range = prev_plan = None
+    for _ in range(8):
+        plan = [(1, Card.exact_count(a))]
+        for k in range(depth):
+            m_k, card_k = plan[k]
+            if faithful and card_k.exact is None:
+                raise InfeasibleDepth(
+                    f"faithful profile needs exact |A_{k}| to bound m_{k + 1}; "
+                    f"have {card_k.describe()}"
+                )
+            m_next = _search_level_in_range(sparse, k, m_k, card_k.exact if faithful else 0,
+                                            hint, prev_range, scan_cap, value_cap)
+            plan.append((m_next, next_card(m_next // m_k, card_k, faithful, exact_r_cap)))
+        m_list = [m for m, _ in plan]
+        verified = _union(hull_of_blocks(hint[0], hint[1], m_list[-1]), (1, m_list[-1]))
+        ok = all(sparse.max_window_count(m_list[k + 1], verified,
+                                         stop_at=m_list[k + 1] // (3 * m_list[k]))[0]
+                 < m_list[k + 1] // (3 * m_list[k]) for k in range(depth))
+        if ok and (prev_range is None or m_list == prev_plan):
+            return plan
+        prev_plan, prev_range = m_list, verified
+    raise ConstructionInvariantError("schedule search did not stabilize in 8 passes")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import mpmath
@@ -147,6 +148,12 @@ def d1_lines(tmp_path_factory):
 
 DENSITY = ["density", "--L", "15", "--range", "1:100"]
 REALIZE = ["realize", "--sparse", "squares", "--depth", "1"]
+# a burst of 11 elements far past [1, m_1]: a gate over every element sets m_1 = 39
+BURST = [3, 50, *range(2000, 2011)]
+BURST_LIST = "list:" + ",".join(map(str, BURST))
+BURST_FILE = "# horizon: 5000\n" + "".join(f"{v}\n" for v in BURST)
+BURST_REALIZE = ["realize", "--depth", "1", "--u", "text:0000000000000",
+                 "--window", "1990:2020", "--out", "{dir}/x.bsw"]
 
 
 def _with_header(lines, values):
@@ -255,6 +262,14 @@ def _empty_payload(lines):
     ("", REALIZE + ["--u", "mu-indicator", "--cycle-start", "99999999999999999999",
                     "--out", "{dir}/x.bsw"], 0,
      "wrote {dir}/x.bsw: offset=-7 length=15"),
+    ("", ["schedule", "--sparse", BURST_LIST, "--depth", "1"], 0,
+     "1   39           exact:543240464643"),
+    ("", ["schedule", "--sparse", BURST_LIST, "--depth", "1"], 0, "verified-range: -19:1033"),
+    ("", BURST_REALIZE + ["--sparse", BURST_LIST], 0, "wrote {dir}/x.bsw: offset=1970 length=78"),
+    (BURST_FILE, ["schedule", "--sparse", "file:{file}", "--depth", "1"], 0,
+     "verified-range: -19:1033"),
+    (BURST_FILE, BURST_REALIZE + ["--sparse", "file:{file}"], 0,
+     "wrote {dir}/x.bsw: offset=1970 length=78"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -341,6 +356,23 @@ def test_demo_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "N,numerator,denominator,value"
     assert out.splitlines()[-1] == "2,1,2,0.5"
+
+
+def test_realize_past_the_verified_range(tmp_path, capsys):
+    """A window far past the verified range realizes and verifies with no
+    second sparsity certificate: the schedule was gated over all of N."""
+    path = tmp_path / "far.bsw"
+    code, _, _ = run(capsys, "realize", "--alphabet", "01", "--sparse", "squares", "--depth",
+                     "2", "--u", "mu-indicator", "--window", "1000000000000:1000000100000",
+                     "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "95fd2a96e275112fbbddda55328e73dc4268a7dc7024ef6e015928f9e3396305")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert [l[:20] for l in out.splitlines()] == [
+        f"{name:<14}PASS  " for name in
+        ("checksum", "m-list", "realization", "admissibility", "minimality")]
 
 
 def test_realize_with_text_target(tmp_path, capsys):

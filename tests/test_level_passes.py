@@ -46,8 +46,7 @@ def built(sched2, x2):
         if name == "faithful-01-d2":
             out[name] = (sched2, u, x2)
             continue
-        sched = build_schedule(ab, SparseSetSpec.squares(), depth, profile=profile,
-                               window_hint=window)
+        sched = build_schedule(ab, SparseSetSpec.squares(), depth, profile=profile)
         out[name] = (sched, u, realize(u, sched, depth, window=window, cycle_start=2))
     return out
 
@@ -222,7 +221,7 @@ def test_no_temporary_grows_with_the_window(ternary):
     """With a batch budget far below the window, each pass allocates little
     beyond its output (the dense passes allocated two to four windows)."""
     hull = (1, 3_000_000)
-    sched = build_schedule(ternary, SparseSetSpec.squares(), 2, profile="fast", window_hint=hull)
+    sched = build_schedule(ternary, SparseSetSpec.squares(), 2, profile="fast")
     u = TargetSequence.mu_sign(ternary)
 
     def peak(fn):

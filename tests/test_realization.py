@@ -235,7 +235,7 @@ def test_realize_on_rule_sets(binary, spec_text):
     s = SparseSetSpec.parse(spec_text)
     sched = build_schedule(binary, s, 1)
     m1 = sched.m(1)
-    assert s.sparsity_ok(m1, 1, (1, 4 * m1))
+    assert s.sparsity_report(m1, 1)[0]
     u = TargetSequence("parity", fn=lambda n: n % 2)
     x = realize(u, sched, 1, window=(1, 3 * m1))
     rep = verify_realization(x, u, s)

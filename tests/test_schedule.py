@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from blockshift import (
     STAR,
     Alphabet,
+    BlockshiftError,
     Card,
     DensityViolation,
     InfeasibleDepth,
@@ -18,9 +20,10 @@ from blockshift import (
     is_admissible_block,
 )
 from blockshift.cli import main
+from blockshift import schedule
 from blockshift.schedule import (POOL_SIZE, LevelParams, Schedule, exact_next_count,
                                  surjection_count)
-from tests.oracles import admissible_words_by_recursion, rows_outside
+from tests.oracles import admissible_words_by_recursion, plan_by_fixed_point, rows_outside
 
 
 def brute_force_level1_binary():
@@ -234,7 +237,7 @@ def test_fast_profile_depth3(binary, squares):
     assert sched.m(3) % (3 * 2115) == 0
     assert (sched.m(3) // (3 * 2115)) % 2 == 1
     # sparsity is the binding constraint at level 3
-    assert squares.sparsity_ok(sched.m(3), 2115, (1, sched.m(3)))
+    assert squares.sparsity_report(sched.m(3), 2115)[0]
     # pillar share holds at every level under fast semantics
     for k in (1, 2):
         res = is_admissible_block(sched.pillar(k), k, sched)
@@ -249,10 +252,55 @@ def test_recurrence_inequality(sched2):
     assert lhs <= rhs + 1e-12
 
 
-def test_verified_range_recorded(sched2):
-    lo, hi = sched2.verified_range
-    assert lo <= -(1387215 - 1) // 2
-    assert hi >= 1387215
+def test_verified_range_recorded(sched2, fast3):
+    # the hull of the level-2 blocks meeting [0, 1000], joined with [1, m_2]
+    assert sched2.verified_range == (-693607, 1387215)
+    assert fast3.verified_range == (-20135857, 40271715)
+
+
+def _passes_over_n(sparse, m_list):
+    return all(sparse.sparsity_report(m_list[k + 1], m_list[k])[0]
+               for k in range(len(m_list) - 1))
+
+
+def _plan_or_error(plan, *args, **kwargs):
+    try:
+        return [m for m, _ in plan(*args, **kwargs)], None
+    except BlockshiftError as exc:
+        return None, exc
+
+
+@st.composite
+def rule_specs(draw):
+    kind = draw(st.sampled_from(["squares", "monomial", "power", "nlogn"]))
+    if kind == "monomial":
+        return SparseSetSpec.monomial(draw(st.integers(1, 6)))
+    if kind == "power":
+        q = draw(st.integers(1, 6))
+        p = draw(st.integers(q + 1, 4 * q))
+        return SparseSetSpec.power(Fraction(p, q))
+    return SparseSetSpec.parse(kind)
+
+
+# exact_r_cap stays small: only the faithful size floor reads |A_k|, and the
+# long exact counts of the deep fast levels would dominate the run time
+@settings(max_examples=60, deadline=None)
+@given(rule_specs(), st.sampled_from([2, 3, 4]), st.booleans(), st.integers(1, 3))
+def test_one_pass_plan_against_fixed_point(sparse, a, faithful, depth):
+    """Each level gated once over N, against the fixed-point loop that gated
+    over the verified range only.  The one-pass m-list passes over N at
+    every level, and differs from the loop's only where the loop's fails
+    over N somewhere (the jumps of the search skip only candidates that
+    fail over N as well)."""
+    caps = dict(exact_r_cap=64)
+    got, err = _plan_or_error(schedule._plan_levels, sparse, depth, a, faithful, **caps)
+    want, want_err = _plan_or_error(plan_by_fixed_point, sparse, depth, a, faithful, **caps)
+    if got is not None:
+        assert _passes_over_n(sparse, got)
+    if want is not None and got != want:
+        assert not _passes_over_n(sparse, want)
+    if want is None:
+        assert got is None and (type(err), str(err)) == (type(want_err), str(want_err))
 
 
 def paper_rule(cells, level, sched):
@@ -409,17 +457,19 @@ def test_frozen_output_bytes(tmp_path, capsys):
 
 
 # The pillars fix the order of A_{k-1} that w_k and the faithful fill read.
-@pytest.mark.parametrize("argv,last,digest", [
-    (["--alphabet", "01", "--sparse", "squares", "--depth", "2"],
+@pytest.mark.parametrize("argv,verified,last,digest", [
+    (["--alphabet", "01", "--sparse", "squares", "--depth", "2"], "-693607:1387215",
      "2   1387215      log[377510.6338,701365.7027]     len=1387215,sha256-64=8a75e7461c702727",
      "595a2ab722689dfbe9934081e3196d214a45790eb70e267839d78db1fdb5c703"),
     (["--alphabet", "0+-", "--sparse", "squares", "--depth", "3", "--profile", "fast"],
+     "-20135857:40271715",
      "3   40271715     log[20163736.6217,20164820.0650] len=40271715,sha256-64=ba8d6cb89a3ae233",
      "dd368aa4ae54eca5976d263a805c5a12d538824c359c144ea7001626ee205189"),
 ], ids=["faithful-01-d2", "fast-0+--d3"])
-def test_schedule_pillar_digests(capsys, argv, last, digest):
+def test_schedule_pillar_digests(capsys, argv, verified, last, digest):
     assert main(["schedule", *argv]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[1] == f"verified-range: {verified}"
     assert out.splitlines()[-1] == last
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -204,13 +204,48 @@ def test_max_window_monotone(squares):
 
 
 def test_sparsity_examples(squares):
-    assert squares.sparsity_ok(15, 1, (1, 10**6)) is True
-    assert SparseSetSpec.evens().sparsity_ok(15, 1, (1, 1000)) is False
-    ok, count, threshold, _ = squares.sparsity_report(1387215, 15, (1, 2 * 10**6))
+    assert squares.sparsity_report(15, 1)[0] is True
+    assert SparseSetSpec.evens().sparsity_report(15, 1)[0] is False
+    ok, count, threshold, _ = squares.sparsity_report(1387215, 15)
     assert ok and threshold == 30827
     assert count == 1177  # floor(sqrt(1387215)): leftmost window is densest
     with pytest.raises(InvalidParameterError):
-        squares.sparsity_ok(16, 1, (1, 100))
+        squares.sparsity_report(16, 1)
+
+
+def test_sparsity_report_covers_every_element():
+    # the burst 2000..2010 lies far past [1, L]; the gate over N must see it
+    burst = [3, 50, *range(2000, 2011)]
+    spec = SparseSetSpec.explicit(burst)
+    assert spec.sparsity_report(15, 1) == (False, 5, 5, (2000, 2014))
+    assert spec.sparsity_report(39, 1) == (True, 11, 13, (2000, 2038))
+    # a horizon list is gated through its horizon
+    prefix = SparseSetSpec.explicit(burst, horizon=5000)
+    assert prefix.sparsity_report(39, 1) == spec.sparsity_report(39, 1)
+    with pytest.raises(IncompleteDataError):
+        SparseSetSpec.explicit([5, 17], horizon=20).sparsity_report(21, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(RULE_SPECS),
+                 st.lists(st.integers(1, 5000), min_size=1, max_size=40, unique=True)
+                 .map(lambda v: "list:" + ",".join(map(str, sorted(v))))),
+       st.integers(1, 20), st.integers(1, 20))
+def test_sparsity_report_over_n(text, m_k, j):
+    """The gate over N: a real witness window, a count capped at the
+    threshold, and no window of a long scan from 1 (for a list, of every
+    window meeting it) holding more."""
+    spec = SparseSetSpec.parse(text)
+    window_len = 3 * m_k * j
+    ok, count, threshold, witness = spec.sparsity_report(window_len, m_k)
+    assert threshold == j and count <= j and ok == (count < j)
+    assert witness[0] >= 1 and witness[1] - witness[0] + 1 == window_len
+    assert spec.count_in(witness) >= count
+    if spec.kind == "explicit":
+        rng = (1, spec.values[-1] + window_len - 1)
+        assert (count, witness) == max_window_by_scan(spec, window_len, rng, j)
+    else:
+        assert max_window_by_scan(spec, window_len, (1, 20 * window_len + 5000), j)[0] <= count
 
 
 def test_density_examples(squares):
