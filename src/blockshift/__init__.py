@@ -24,7 +24,6 @@ from .correlation import (
     sarnak_demo,
 )
 from .errors import (
-    AlignmentError,
     BlockshiftError,
     ChecksumError,
     ConstructionInvariantError,
@@ -63,7 +62,6 @@ from .words import (
     PartialWindow,
     block_interval,
     block_of,
-    decompose_blocks,
     hull_of_blocks,
 )
 

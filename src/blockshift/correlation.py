@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -32,39 +31,11 @@ class WeightTable:
 
     description: str
     values: dict[str, int]
-    weights: tuple[int, ...] | None = None
-    fn: Callable[[int], int] | None = None
-
-    def weight(self, n: int) -> int:
-        if self.weights is not None:
-            if not 1 <= n <= len(self.weights):
-                raise InvalidParameterError(
-                    f"weight table {self.description!r} covers 1..{len(self.weights)}"
-                )
-            return self.weights[n - 1]
-        return self.fn(n)
+    weight: Callable[[int], int]
 
     @classmethod
     def mobius(cls, table: MobiusTable, values: dict[str, int]) -> "WeightTable":
-        return cls("mobius", dict(values), fn=table.mu)
-
-    @classmethod
-    def constant_zero(cls, values: dict[str, int]) -> "WeightTable":
-        return cls("zero", dict(values), fn=lambda n: 0)
-
-    @classmethod
-    def from_csv(cls, path, values: dict[str, int]) -> "WeightTable":
-        """CSV rows "n,rho(n)" for n = 1..N, in order."""
-        weights = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            n_str, w_str = line.split(",")
-            if int(n_str) != len(weights) + 1:
-                raise InvalidParameterError(f"{path}:{lineno}: rows must enumerate n = 1,2,...")
-            weights.append(int(w_str))
-        return cls(f"csv:{path}", dict(values), weights=tuple(weights))
+        return cls("mobius", dict(values), table.mu)
 
 
 @dataclass(frozen=True)
@@ -152,7 +123,7 @@ class SarnakDemo:
 
 
 def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
-                alphabet: Alphabet | None = None, seed: int = 0) -> SarnakDemo:
+                seed: int = 0) -> SarnakDemo:
     """Full counterexample pipeline along p(n) = n^2 with rho = mu.
 
     Faithful profile uses the binary indicator target (averages tend to
@@ -160,16 +131,12 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     target, whose averages tend to the squarefree density 6/pi^2.
     """
     if profile == "faithful":
-        alphabet = Alphabet("01") if alphabet is None else alphabet
-        if alphabet.size != 2:
-            raise InvalidParameterError("faithful demo expects a binary alphabet")
+        alphabet = Alphabet("01")
         u = TargetSequence.mu_indicator(alphabet)
     else:
-        alphabet = Alphabet("0+-") if alphabet is None else alphabet
-        if alphabet.size < 3:
-            raise InvalidParameterError("fast demo expects a 3-symbol alphabet")
+        alphabet = Alphabet("0+-")
         u = TargetSequence.mu_sign(alphabet)
-    values = dict(zip(alphabet.symbols, [0, 1, -1] + [0] * (alphabet.size - 3)))
+    values = dict(zip(alphabet.symbols, [0, 1, -1]))
     squares = SparseSetSpec.squares()
     sched = build_schedule(alphabet, squares, depth, profile=profile, seed=seed)
 

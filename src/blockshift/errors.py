@@ -10,10 +10,6 @@ class InvalidParameterError(BlockshiftError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class AlignmentError(BlockshiftError):
-    """A window boundary does not sit on the required block grid."""
-
-
 class IncompleteDataError(BlockshiftError):
     """An explicit list or target sequence does not cover a requested index."""
 

@@ -41,13 +41,6 @@ class MobiusTable:
             raise InvalidParameterError(f"Q({n}) outside sieved range")
         return int(self._sqfree[n])
 
-    def summary(self) -> dict:
-        return {
-            "limit": self.limit,
-            "mertens": self.mertens(),
-            "squarefree": self.squarefree_count(),
-        }
-
 
 def mobius_sieve(limit: int) -> MobiusTable:
     """Sieve mu(1..limit): one sign flip per prime divisor, zero on square factors."""

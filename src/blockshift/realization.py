@@ -266,7 +266,7 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     m_top = schedule.m(depth)
     if window is None:
         hull = block_interval(0, m_top)
-        if not schedule.sparse.elements_in(hull):
+        if schedule.sparse.count_in(hull) == 0:
             raise EmptyCoreError(
                 f"central block {hull} misses S; build to a larger depth"
             )

@@ -113,15 +113,13 @@ class AdmissibilityResult:
 class Schedule:
     """Immutable-after-build container for the level parameters."""
 
-    def __init__(self, alphabet: Alphabet, sparse: SparseSetSpec, profile: str,
-                 seed: int = 0, enum_cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, alphabet: Alphabet, sparse: SparseSetSpec, profile: str, seed: int = 0):
         if profile not in PROFILES:
             raise InvalidParameterError(f"unknown profile {profile!r}")
         self.alphabet = alphabet
         self.sparse = sparse
         self.profile = profile
         self.seed = seed
-        self.enum_cap = enum_cap
         self.verified_range: tuple[int, int] | None = None
         self.levels: list[LevelParams] = []
         self._words_cache: dict[int, np.ndarray] = {}
@@ -158,9 +156,9 @@ class Schedule:
                 out = np.arange(self.alphabet.size, dtype=np.uint8).reshape(-1, 1)
             else:
                 card = self.level(k).card
-                if card.exact is None or card.exact > self.enum_cap:
+                if card.exact is None or card.exact > DEFAULT_ENUM_CAP:
                     raise InfeasibleDepth(
-                        f"|A_{k}| = {card.describe()} is not enumerable under cap {self.enum_cap}"
+                        f"|A_{k}| = {card.describe()} is not enumerable under cap {DEFAULT_ENUM_CAP}"
                     )
                 out = _admissible_rows(self.words(k - 1), self.ratio(k), self.faithful)
                 if out.shape[0] != card.exact:
@@ -230,7 +228,12 @@ def surjection_count(t: int, b: int) -> int:
 
 
 def exact_next_count(r: int, a: int, every_word: bool) -> int:
-    """|A_{k+1}| from r slots over a words with >= r/3 pillar copies."""
+    """|A_{k+1}| from r slots over a words with >= r/3 pillar copies.
+
+    Without every_word it is the sum of C(r, e) (a-1)^e over the e <= r - r/3
+    non-pillar slots, taken by Horner's rule in a-1, so no power of a-1 is
+    formed on its own.
+    """
     if r % 3 != 0:
         raise InvalidParameterError("slot count must be divisible by 3")
     q = r // 3
@@ -238,14 +241,17 @@ def exact_next_count(r: int, a: int, every_word: bool) -> int:
         return sum(
             math.comb(r, z) * surjection_count(r - z, a - 1) for z in range(q, r + 1)
         )
-    return sum(math.comb(r, z) * (a - 1) ** (r - z) for z in range(q, r + 1))
+    acc = 0
+    for e in range(r - q, -1, -1):
+        acc = acc * (a - 1) + math.comb(r, e)
+    return acc
 
 
 def _log_comb(r: int, q: int) -> float:
     return math.lgamma(r + 1) - math.lgamma(q + 1) - math.lgamma(r - q + 1)
 
 
-def next_card(r: int, prev: Card, every_word: bool, exact_r_cap: int = DEFAULT_EXACT_R_CAP) -> Card:
+def next_card(r: int, prev: Card, every_word: bool) -> Card:
     """Cardinality of the next level: exact when feasible, else log bounds.
 
     Upper bound is the choose/power bound relaxed through 2^r; the lower
@@ -253,7 +259,7 @@ def next_card(r: int, prev: Card, every_word: bool, exact_r_cap: int = DEFAULT_E
     mandatory words, leaving the remaining slots free.
     """
     q = r // 3
-    if prev.exact is not None and r <= exact_r_cap:
+    if prev.exact is not None and r <= DEFAULT_EXACT_R_CAP:
         return Card.exact_count(exact_next_count(r, prev.exact, every_word))
     upper = r * math.log(2.0) + (2 * r / 3.0) * prev.log_upper
     if prev.exact is not None:
@@ -504,8 +510,7 @@ def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityRe
 # --- construction -----------------------------------------------------
 
 
-def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
-                  scan_cap: int, value_cap: int) -> int:
+def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int) -> int:
     """Smallest odd multiple of 3*m_k above 3*m_k*size_floor passing the
     sparsity gate over N (the faithful size gate takes size_floor = |A_k|).
 
@@ -516,7 +521,8 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
     by one count.  This keeps the scan short both when the set is sparse
     (counts grow like the set, reaching the passing candidate in a few
     jumps) and when it is dense (counts grow linearly, reaching the value
-    cap geometrically).
+    cap geometrically).  At most DEFAULT_SCAN_CAP candidates are tried,
+    none above DEFAULT_VALUE_CAP.
     """
     step = 3 * m_k
     float_bound = 12.0 * math.log(2.0) * (4.0 / 3.0) ** (k + 1)
@@ -527,7 +533,7 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
         j += 1
     scanned = 0
     last = None
-    while scanned < scan_cap and step * j <= value_cap:
+    while scanned < DEFAULT_SCAN_CAP and step * j <= DEFAULT_VALUE_CAP:
         cand = step * j
         scanned += 1
         left_count = sparse.count_in((1, cand))
@@ -543,11 +549,12 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
     if last is None:
         raise InfeasibleDepth(
             f"no candidate for m_{k + 1} within the caps: the smallest is {step * j}, "
-            f"value cap {value_cap}, scan cap {scan_cap}"
+            f"value cap {DEFAULT_VALUE_CAP}, scan cap {DEFAULT_SCAN_CAP}"
         )
     if sparse.zero_density:
         # a larger candidate passes; the caps, not the set, ended the search
-        cap = f"scan cap {scan_cap}" if scanned >= scan_cap else f"value cap {value_cap}"
+        cap = (f"scan cap {DEFAULT_SCAN_CAP}" if scanned >= DEFAULT_SCAN_CAP
+               else f"value cap {DEFAULT_VALUE_CAP}")
         raise InfeasibleDepth(
             f"no candidate for m_{k + 1} passes the sparsity gate within the {cap} "
             f"({scanned} tried); the next is {step * j}"
@@ -555,10 +562,8 @@ def _search_level(sparse: SparseSetSpec, k: int, m_k: int, size_floor: int,
     raise DensityViolation(k, *last)
 
 
-def _plan_levels(sparse: SparseSetSpec, depth: int, a: int, faithful: bool, *,
-                 exact_r_cap: int = DEFAULT_EXACT_R_CAP,
-                 scan_cap: int = DEFAULT_SCAN_CAP,
-                 value_cap: int = DEFAULT_VALUE_CAP) -> list[tuple[int, Card]]:
+def _plan_levels(sparse: SparseSetSpec, depth: int, a: int,
+                 faithful: bool) -> list[tuple[int, Card]]:
     """(m_k, |A_k|) for k = 0..depth over a alphabet symbols, each m_{k+1}
     searched once by _search_level."""
     plan = [(1, Card.exact_count(a))]
@@ -570,17 +575,13 @@ def _plan_levels(sparse: SparseSetSpec, depth: int, a: int, faithful: bool, *,
                 f"have {card_k.describe()}"
             )
         size_floor = card_k.exact if faithful else 0
-        m_next = _search_level(sparse, k, m_k, size_floor, scan_cap, value_cap)
-        plan.append((m_next, next_card(m_next // m_k, card_k, faithful, exact_r_cap)))
+        m_next = _search_level(sparse, k, m_k, size_floor)
+        plan.append((m_next, next_card(m_next // m_k, card_k, faithful)))
     return plan
 
 
 def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
-                   profile: str = "faithful", *, seed: int = 0,
-                   enum_cap: int = DEFAULT_ENUM_CAP,
-                   exact_r_cap: int = DEFAULT_EXACT_R_CAP,
-                   scan_cap: int = DEFAULT_SCAN_CAP,
-                   value_cap: int = DEFAULT_VALUE_CAP) -> Schedule:
+                   profile: str = "faithful", *, seed: int = 0) -> Schedule:
     """Compute (m_k, |A_k|, w_k) up to the requested depth.
 
     Every m_{k+1} is the smallest odd multiple of 3*m_k that clears the
@@ -590,11 +591,10 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     hull of the depth-level blocks meeting DEFAULT_WINDOW_HINT, joined
     with [1, m_depth]: the range the default window covers.
     """
-    sched = Schedule(alphabet, sparse, profile, seed=seed, enum_cap=enum_cap)
+    sched = Schedule(alphabet, sparse, profile, seed=seed)
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
-    plan = _plan_levels(sparse, depth, alphabet.size, sched.faithful,
-                        exact_r_cap=exact_r_cap, scan_cap=scan_cap, value_cap=value_cap)
+    plan = _plan_levels(sparse, depth, alphabet.size, sched.faithful)
 
     sched.levels.append(LevelParams(0, 1, sched.words(0)[0], plan[0][1]))
     for k in range(1, depth + 1):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IncompleteDataError, InvalidParameterError
 
 # floor(n*ln n) is recomputed with mpmath when the float product lies within
@@ -231,6 +233,15 @@ class SparseSetSpec:
                 lo = mid
         return hi
 
+    def _list_span(self, lo: int, hi: int) -> tuple[int, int]:
+        """The slice of an explicit list's values that lies in [lo, hi]."""
+        if self.horizon is not None and hi > self.horizon:
+            raise IncompleteDataError(
+                f"explicit list only enumerated through {self.horizon}, "
+                f"interval reaches {hi}"
+            )
+        return bisect.bisect_left(self.values, lo), bisect.bisect_right(self.values, hi)
+
     def count_in(self, interval: tuple[int, int]) -> int:
         """|S ∩ interval| by rule inversion (O(log) for rule kinds)."""
         lo, hi = interval
@@ -239,12 +250,8 @@ class SparseSetSpec:
         if hi < lo:
             return 0
         if self.kind == "explicit":
-            if self.horizon is not None and hi > self.horizon:
-                raise IncompleteDataError(
-                    f"explicit list only enumerated through {self.horizon}, "
-                    f"interval reaches {hi}"
-                )
-            return bisect.bisect_right(self.values, hi) - bisect.bisect_left(self.values, lo)
+            i, j = self._list_span(lo, hi)
+            return j - i
         return self._first_index_with_term_at_least(hi + 1) - self._first_index_with_term_at_least(lo)
 
     def elements_in(self, interval: tuple[int, int]) -> list[tuple[int, int]]:
@@ -255,13 +262,7 @@ class SparseSetSpec:
         if hi < lo:
             return []
         if self.kind == "explicit":
-            if self.horizon is not None and hi > self.horizon:
-                raise IncompleteDataError(
-                    f"explicit list only enumerated through {self.horizon}, "
-                    f"interval reaches {hi}"
-                )
-            i = bisect.bisect_left(self.values, lo)
-            j = bisect.bisect_right(self.values, hi)
+            i, j = self._list_span(lo, hi)
             return [(n + 1, self.values[n]) for n in range(i, j)]
         n = self._first_index_with_term_at_least(lo)
         out = []
@@ -353,16 +354,21 @@ class SparseSetSpec:
 
     def _scan_max(self, window_len: int, lo: int, hi: int,
                   goal: int | None) -> tuple[int, tuple[int, int]]:
-        """max_window_count by counting the window at every element in rng."""
-        pos = [s for _, s in self.elements_in((lo, hi))]
-        best, witness = 0, (lo, lo + window_len - 1)
-        for i, s in enumerate(pos):
-            count = bisect.bisect_right(pos, s + window_len - 1, i) - i
-            if count > best:
-                best, witness = count, _window_at(s, hi, window_len)
-                if goal is not None and best >= goal:
-                    return goal, witness
-        return best, witness
+        """max_window_count by counting the window at every element in rng,
+        all in one searchsorted: the first element whose count reaches the
+        goal, else the first densest one."""
+        first, stop = self._list_span(lo, hi)
+        if first == stop:
+            return 0, (lo, lo + window_len - 1)
+        # past int64, exact Python integers (numpy would pick float64 below 2**64)
+        pos = np.array(self.values[first:stop],
+                       dtype=np.int64 if hi + window_len < 2**63 else object)
+        counts = np.searchsorted(pos, pos + (window_len - 1), side="right")
+        counts -= np.arange(pos.size)
+        if goal is not None:
+            np.minimum(counts, goal, out=counts)  # the first count to reach the goal wins
+        i = int(counts.argmax())
+        return int(counts[i]), _window_at(int(pos[i]), hi, window_len)
 
     def sparsity_report(
         self, window_len: int, m_k: int
@@ -389,8 +395,3 @@ class SparseSetSpec:
                   else max(self.horizon, window_len))
             count, witness = self._scan_max(window_len, 1, hi, threshold)
         return count < threshold, count, threshold, witness
-
-    def density_estimate(self, window_len: int, rng: tuple[int, int]) -> Fraction:
-        count, _ = self.max_window_count(window_len, rng)
-        return Fraction(count, window_len)
-

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidParameterError
+from .errors import InvalidParameterError
 
 STAR = 255
 MAX_WINDOW_CELLS = 2**31
@@ -188,17 +188,11 @@ def block_of(coord: int, m: int) -> int:
     return (coord + (m - 1) // 2) // m
 
 
-def blocks_meeting(lo: int, hi: int, m: int) -> tuple[int, int]:
-    """Inclusive block-index range whose blocks intersect [lo, hi]."""
-    if lo > hi:
-        raise InvalidParameterError(f"empty interval [{lo},{hi}]")
-    return (block_of(lo, m), block_of(hi, m))
-
-
 def hull_of_blocks(lo: int, hi: int, m: int) -> tuple[int, int]:
     """Smallest union of length-m blocks covering [lo, hi], as an interval."""
-    i_lo, i_hi = blocks_meeting(lo, hi, m)
-    return (block_interval(i_lo, m)[0], block_interval(i_hi, m)[1])
+    if lo > hi:
+        raise InvalidParameterError(f"empty interval [{lo},{hi}]")
+    return (block_interval(block_of(lo, m), m)[0], block_interval(block_of(hi, m), m)[1])
 
 
 def on_block_grid(start: int, length: int, m: int) -> bool:
@@ -245,15 +239,3 @@ def rows_equal(rows: np.ndarray, word: np.ndarray) -> np.ndarray:
         return rows[:, 0] == word[0]
     whole = np.dtype((np.void, rows.shape[1]))
     return rows.view(whole)[:, 0] == word.view(whole)[0]
-
-
-def decompose_blocks(w: PartialWindow, m: int) -> list[tuple[int, PartialWindow]]:
-    """Split a block-aligned window into its (index, sub-window) pieces."""
-    _check_block_length(m)
-    if not on_block_grid(w.start, len(w), m):
-        raise AlignmentError(f"window {w.interval()} is not a union of length-{m} blocks")
-    i0 = block_of(w.start, m)
-    return [
-        (i0 + t, w.sub(w.start + t * m, w.start + t * m + m - 1))
-        for t in range(len(w) // m)
-    ]

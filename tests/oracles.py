@@ -8,8 +8,8 @@ import numpy as np
 from blockshift import (STAR, Card, ConstructionInvariantError, DensityViolation, InfeasibleDepth,
                         InvalidParameterError, PartialWindow, aligned_block_census,
                         block_interval, block_of)
-from blockshift.schedule import (DEFAULT_EXACT_R_CAP, DEFAULT_SCAN_CAP, DEFAULT_VALUE_CAP,
-                                 DEFAULT_WINDOW_HINT, LevelCheck, next_card)
+from blockshift import schedule as _schedule
+from blockshift.schedule import DEFAULT_WINDOW_HINT, LevelCheck, next_card
 from blockshift.words import hull_of_blocks, on_block_grid
 
 
@@ -59,6 +59,12 @@ def admissible_words_by_recursion(prev, r, every_word):
             used[c] -= 1
 
     return list(rec(0, 0, a - 1))
+
+
+def exact_next_count_by_sum(r, a):
+    """schedule.exact_next_count without every_word, as a sum over the
+    pillar count z >= r/3 with each power of a - 1 formed on its own."""
+    return sum(math.comb(r, z) * (a - 1) ** (r - z) for z in range(r // 3, r + 1))
 
 
 def max_window_by_scan(spec, window_len, rng, stop_at=None):
@@ -271,10 +277,11 @@ def _union(a, b):
     return b if a is None else (min(a[0], b[0]), max(a[1], b[1]))
 
 
-def _search_level_in_range(sparse, k, m_k, size_floor, hint, prev_range, scan_cap, value_cap):
+def _search_level_in_range(sparse, k, m_k, size_floor, hint, prev_range):
     """The level search with the sparsity gate taken only over the hull of
     the candidate's blocks meeting ``hint``, joined with [1, c] and
-    ``prev_range``."""
+    ``prev_range``; the caps are read from the schedule module at call time."""
+    scan_cap, value_cap = _schedule.DEFAULT_SCAN_CAP, _schedule.DEFAULT_VALUE_CAP
     step = 3 * m_k
     float_bound = 12.0 * math.log(2.0) * (4.0 / 3.0) ** (k + 1)
     j = size_floor + 1
@@ -312,9 +319,7 @@ def _search_level_in_range(sparse, k, m_k, size_floor, hint, prev_range, scan_ca
     raise DensityViolation(k, *last)
 
 
-def plan_by_fixed_point(sparse, depth, a, faithful, *, exact_r_cap=DEFAULT_EXACT_R_CAP,
-                        scan_cap=DEFAULT_SCAN_CAP, value_cap=DEFAULT_VALUE_CAP,
-                        hint=DEFAULT_WINDOW_HINT):
+def plan_by_fixed_point(sparse, depth, a, faithful, *, hint=DEFAULT_WINDOW_HINT):
     """schedule._plan_levels with the sparsity gate over a finite verified
     range: the hull of the depth-level blocks meeting
     ``hint``, joined with [1, m_depth].  That range depends on m_depth, so
@@ -332,8 +337,8 @@ def plan_by_fixed_point(sparse, depth, a, faithful, *, exact_r_cap=DEFAULT_EXACT
                     f"have {card_k.describe()}"
                 )
             m_next = _search_level_in_range(sparse, k, m_k, card_k.exact if faithful else 0,
-                                            hint, prev_range, scan_cap, value_cap)
-            plan.append((m_next, next_card(m_next // m_k, card_k, faithful, exact_r_cap)))
+                                            hint, prev_range)
+            plan.append((m_next, next_card(m_next // m_k, card_k, faithful)))
         m_list = [m for m, _ in plan]
         verified = _union(hull_of_blocks(hint[0], hint[1], m_list[-1]), (1, m_list[-1]))
         ok = all(sparse.max_window_count(m_list[k + 1], verified,

@@ -310,8 +310,8 @@ def test_density_lists_no_elements(monkeypatch, capsys, sparse, L, rng, code, li
 # The documented exit status of each library error class, written out here
 # so that the test does not read it back from errors.py.
 EXIT_CODES = {
-    "BlockshiftError": 2, "InvalidParameterError": 2, "AlignmentError": 2,
-    "IncompleteDataError": 2, "WindowRangeError": 2, "EmptyCoreError": 2,
+    "BlockshiftError": 2, "InvalidParameterError": 2, "IncompleteDataError": 2,
+    "WindowRangeError": 2, "EmptyCoreError": 2,
     "WindowFormatError": 1, "VersionError": 1, "ChecksumError": 1,
     "InconsistencyError": 1, "DensityViolation": 3, "InfeasibleDepth": 3,
     "ConstructionInvariantError": 4,

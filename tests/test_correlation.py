@@ -62,7 +62,7 @@ def test_correlation_bounded_by_weight(x2, squares, mob, binary):
 
 
 def test_zero_weights(x2, squares, binary):
-    rho = WeightTable.constant_zero({"0": 0, "1": 1})
+    rho = WeightTable("zero", {"0": 0, "1": 1}, lambda n: 0)
     rep = correlation_average(x2, rho, squares, 100, binary)
     assert all(f == 0 for _, f in rep.rows)
 
@@ -73,17 +73,6 @@ def test_out_of_window(binary, sched2, mu_target, squares, mob):
     with pytest.raises(WindowRangeError) as exc:
         correlation_average(x, rho, squares, 3, binary)
     assert "p(3) = 9" in str(exc.value)
-
-
-def test_weight_csv_roundtrip(tmp_path, x2, squares, binary, mob):
-    path = tmp_path / "rho.csv"
-    path.write_text("".join(f"{n},{mob.mu(n)}\n" for n in range(1, 101)))
-    rho = WeightTable.from_csv(path, {"0": 0, "1": 1})
-    got = correlation_average(x2, rho, squares, 100, binary)
-    want = correlation_average(
-        x2, WeightTable.mobius(mob, {"0": 0, "1": 1}), squares, 100, binary
-    )
-    assert got.rows == want.rows
 
 
 def test_demo_depth1(binary):

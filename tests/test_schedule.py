@@ -2,10 +2,11 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blockshift import (
     STAR,
@@ -23,7 +24,8 @@ from blockshift.cli import main
 from blockshift import schedule
 from blockshift.schedule import (POOL_SIZE, LevelParams, Schedule, exact_next_count,
                                  surjection_count)
-from tests.oracles import admissible_words_by_recursion, plan_by_fixed_point, rows_outside
+from tests.oracles import (admissible_words_by_recursion, exact_next_count_by_sum,
+                           plan_by_fixed_point, rows_outside)
 
 
 def brute_force_level1_binary():
@@ -123,8 +125,8 @@ def test_words_match_recursive_oracle(case):
 
 
 def test_enumeration_cap(sched2, binary, squares):
-    with pytest.raises(InfeasibleDepth):
-        build_schedule(binary, squares, 1, enum_cap=100).words(1)
+    with mock.patch.object(schedule, "DEFAULT_ENUM_CAP", 100), pytest.raises(InfeasibleDepth):
+        build_schedule(binary, squares, 1).words(1)
     with pytest.raises(InfeasibleDepth):
         sched2.words(2)
     assert [w.tobytes() for w in sched2.words(0)] == [b"\x00", b"\x01"]
@@ -193,6 +195,16 @@ def test_surjection_and_closed_form():
     assert exact_next_count(15, 3, True) == 8489366
     assert exact_next_count(15, 3, False) == 8551019
     assert exact_next_count(15, 2, False) == 30827
+
+
+@given(st.integers(1, 60).map(lambda t: 3 * t), st.integers(1, 40))
+@example(3, 1)
+@example(30, 1)
+@example(3, 2)
+@example(30, 2)
+def test_exact_count_matches_sum(r, a):
+    """The fast-profile count by Horner's rule against the term-by-term sum."""
+    assert exact_next_count(r, a, False) == exact_next_count_by_sum(r, a)
 
 
 def test_canonical_pillar_structure(sched2, binary):
@@ -282,8 +294,6 @@ def rule_specs(draw):
     return SparseSetSpec.parse(kind)
 
 
-# exact_r_cap stays small: only the faithful size floor reads |A_k|, and the
-# long exact counts of the deep fast levels would dominate the run time
 @settings(max_examples=60, deadline=None)
 @given(rule_specs(), st.sampled_from([2, 3, 4]), st.booleans(), st.integers(1, 3))
 def test_one_pass_plan_against_fixed_point(sparse, a, faithful, depth):
@@ -292,9 +302,8 @@ def test_one_pass_plan_against_fixed_point(sparse, a, faithful, depth):
     every level, and differs from the loop's only where the loop's fails
     over N somewhere (the jumps of the search skip only candidates that
     fail over N as well)."""
-    caps = dict(exact_r_cap=64)
-    got, err = _plan_or_error(schedule._plan_levels, sparse, depth, a, faithful, **caps)
-    want, want_err = _plan_or_error(plan_by_fixed_point, sparse, depth, a, faithful, **caps)
+    got, err = _plan_or_error(schedule._plan_levels, sparse, depth, a, faithful)
+    want, want_err = _plan_or_error(plan_by_fixed_point, sparse, depth, a, faithful)
     if got is not None:
         assert _passes_over_n(sparse, got)
     if want is not None and got != want:

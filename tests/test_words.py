@@ -3,12 +3,10 @@ from hypothesis import given, strategies as st
 
 from blockshift import (
     Alphabet,
-    AlignmentError,
     InvalidParameterError,
     PartialWindow,
     block_interval,
     block_of,
-    decompose_blocks,
 )
 from blockshift.words import on_block_grid
 from tests.oracles import occurrences
@@ -56,37 +54,6 @@ def test_block_nesting(m, mult):
         assert fine[0][0] == lo and fine[-1][1] == hi
         for (a, b), (c, d) in zip(fine, fine[1:]):
             assert c == b + 1
-
-
-def test_decompose_accepts_aligned_window(binary):
-    w = PartialWindow.from_text("010101010101010", binary, offset=-7)
-    parts = decompose_blocks(w, 5)
-    assert [i for i, _ in parts] == [-1, 0, 1]
-    assert [p.interval() for _, p in parts] == [(-7, -3), (-2, 2), (3, 7)]
-    rebuilt = "".join(p.to_text(binary) for _, p in parts)
-    assert rebuilt == w.to_text(binary)
-    single = decompose_blocks(w, 15)
-    assert [i for i, _ in single] == [0]
-
-
-def test_decompose_rejects_misaligned_window(binary):
-    w = PartialWindow.from_text("01010101010101", binary, offset=-7)  # [-7, 6]
-    with pytest.raises(AlignmentError):
-        decompose_blocks(w, 15)
-    w2 = PartialWindow.from_text("010101010101010", binary, offset=-6)
-    with pytest.raises(AlignmentError):
-        decompose_blocks(w2, 15)
-
-
-@given(st.integers(min_value=1, max_value=13))
-def test_decompose_roundtrip_random(lengths):
-    ab = Alphabet("01")
-    m = 2 * lengths + 1
-    w = PartialWindow.stars(-(m - 1) // 2, 3 * m)
-    parts = decompose_blocks(w, m)
-    assert len(parts) == 3
-    total = sum(len(p) for _, p in parts)
-    assert total == len(w)
 
 
 @given(odd_lengths, indices, st.integers(min_value=1, max_value=200))
