@@ -5,7 +5,6 @@ Mobius correlation harness."""
 from .analysis import (
     ComplexityReport,
     MinimalityReport,
-    WindowAdmissibilityReport,
     aligned_block_census,
     complexity_profile,
     corrected_constant,
@@ -47,10 +46,10 @@ from .realization import (
     verify_realization,
 )
 from .schedule import (
-    AdmissibilityResult,
     Card,
     LevelParams,
     Schedule,
+    WindowAdmissibilityReport,
     build_schedule,
     is_admissible_block,
 )

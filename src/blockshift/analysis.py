@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError
-from .schedule import LevelCheck, Schedule, _check_level
+from .schedule import Schedule, WindowAdmissibilityReport, _check_level
 from .words import PartialWindow, on_block_grid
 
 
@@ -111,7 +111,7 @@ def complexity_profile(x: PartialWindow, n_max: int,
 
 def aligned_block_census(x: PartialWindow, m: int) -> Counter:
     """Multiset of the aligned length-m blocks of a block-aligned window."""
-    if not on_block_grid(x.start, len(x), m):
+    if not on_block_grid(x.offset, len(x), m):
         raise InvalidParameterError(f"window {x.interval()} not aligned to {m}-blocks")
     rows = x.cells.reshape(len(x) // m, m)
     return Counter(row.tobytes() for row in rows)
@@ -167,30 +167,6 @@ def decay_report(schedule: Schedule) -> dict:
 # --- window admissibility ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowAdmissibilityReport:
-    checks: tuple[LevelCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def fully_defined(self) -> bool:
-        return all(c.defined_blocks == c.blocks for c in self.checks)
-
-    def summary(self) -> str:
-        parts = []
-        for c in self.checks:
-            parts.append(
-                f"level {c.level}: {c.defined_blocks}/{c.blocks} defined, "
-                f"share>={c.min_pillar_share}/{c.required_share}, "
-                f"membership={c.membership}, every-word={c.every_word}"
-                + (f" [{c.detail}]" if c.detail else "")
-            )
-        return "; ".join(parts)
-
-
 def window_admissibility_report(x: PartialWindow, schedule: Schedule,
                                 depth: int) -> WindowAdmissibilityReport:
     """Per-level admissibility of every fully defined block of the window.
@@ -216,9 +192,6 @@ class MinimalityReport:
     @property
     def ok(self) -> bool:
         return all(status != "fail" for _, status, _ in self.checks)
-
-    def rows(self):
-        return list(self.checks)
 
 
 def minimality_witnesses(report: WindowAdmissibilityReport,

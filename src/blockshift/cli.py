@@ -32,7 +32,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _parse_target(text: str, alphabet: Alphabet) -> TargetSequence:
     if text == "mu-indicator":
-        return TargetSequence.mu_indicator(alphabet)
+        return TargetSequence.mu_indicator()
     if text == "mu-sign":
         return TargetSequence.mu_sign(alphabet)
     if text.startswith("file:"):
@@ -76,7 +76,7 @@ def _cmd_realize(args) -> int:
                 sparse=sparse.describe(), u=args.u,
                 fill=sched.fill_convention(args.cycle_start),
                 seed=args.seed)
-    print(f"wrote {args.out}: offset={x.start} length={len(x)}")
+    print(f"wrote {args.out}: offset={x.offset} length={len(x)}")
     return 0
 
 
@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
         if adm.fully_defined:
             mini = analysis.minimality_witnesses(adm, sched)
             rows.append(("minimality", "PASS" if mini.ok else "FAIL",
-                         "; ".join(f"{n}:{s}" for n, s, _ in mini.rows())))
+                         "; ".join(f"{n}:{s}" for n, s, _ in mini.checks)))
         else:
             rows.append(("minimality", "SKIP", "window not fully defined"))
 

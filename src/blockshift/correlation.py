@@ -97,7 +97,7 @@ def correlation_average(x: PartialWindow, rho: WeightTable, p: SparseSetSpec,
     exact = None if u is None else True
     for n in range(1, count + 1):
         s = p.term(n)
-        if not x.start <= s <= x.end:
+        if not x.offset <= s <= x.end:
             raise WindowRangeError(
                 f"p({n}) = {s} falls outside the window {x.interval()}"
             )
@@ -132,7 +132,7 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     """
     if profile == "faithful":
         alphabet = Alphabet("01")
-        u = TargetSequence.mu_indicator(alphabet)
+        u = TargetSequence.mu_indicator()
     else:
         alphabet = Alphabet("0+-")
         u = TargetSequence.mu_sign(alphabet)
@@ -157,7 +157,7 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     if sched.faithful and admissibility.fully_defined:
         minimality = [
             f"{name}:{status}" for name, status, _ in
-            minimality_witnesses(admissibility, sched).rows()
+            minimality_witnesses(admissibility, sched).checks
         ]
 
     q_count = table.squarefree_count(count)
@@ -170,7 +170,7 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
         "m": [sched.m(k) for k in range(sched.depth + 1)],
         "cards": [sched.level(k).card.describe() for k in range(sched.depth + 1)],
         "verified_range": list(sched.verified_range),
-        "window": [x.start, x.end],
+        "window": [x.offset, x.end],
         "realization": realization.describe(),
         "admissibility": admissibility.summary(),
         "admissibility_ok": admissibility.ok,

@@ -32,44 +32,43 @@ from .errors import (
 from .mobius import mobius_sieve
 from .schedule import Schedule
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, block_batches, block_interval,
-                    block_of, check_cell_count, count_rows, fold_rows, hull_of_blocks,
-                    on_block_grid)
+from .words import (MAX_WINDOW_CELLS, STAR, Alphabet, PartialWindow, block_batches,
+                    block_interval, block_of, check_cell_count, count_rows, fold_rows,
+                    hull_of_blocks, on_block_grid)
 
 
 @dataclass(frozen=True)
 class TargetSequence:
-    """u(1), u(2), ... as symbol indices, from an explicit list or a rule."""
+    """u(1), u(2), ... as symbol indices, given by a rule."""
 
     description: str
-    values: tuple[int, ...] | None = None
-    fn: Callable[[int], int] | None = None
+    fn: Callable[[int], int]
 
     def symbol_index(self, n: int) -> int:
         if n < 1:
             raise InvalidParameterError(f"target index {n} must be >= 1")
-        if self.values is not None:
-            if n > len(self.values):
-                raise IncompleteDataError(
-                    f"target sequence {self.description!r} has {len(self.values)} "
-                    f"terms, u({n}) requested"
-                )
-            return self.values[n - 1]
         return self.fn(n)
 
     @classmethod
-    def from_indices(cls, values, description="explicit") -> "TargetSequence":
-        return cls(description, values=tuple(int(v) for v in values))
-
-    @classmethod
     def from_text(cls, text: str, alphabet: Alphabet, description="explicit") -> "TargetSequence":
-        return cls(description, values=tuple(alphabet.index(ch) for ch in text))
+        """u(n) = the n-th symbol of the text; past its end u(n) is missing."""
+        values = tuple(alphabet.index(ch) for ch in text)
+
+        def fn(n: int) -> int:
+            if n > len(values):
+                raise IncompleteDataError(
+                    f"target sequence {description!r} has {len(values)} "
+                    f"terms, u({n}) requested"
+                )
+            return values[n - 1]
+
+        return cls(description, fn)
 
     @classmethod
-    def mu_indicator(cls, alphabet: Alphabet) -> "TargetSequence":
+    def mu_indicator(cls) -> "TargetSequence":
         """u(n) = second symbol when mu(n) = 1, zero symbol otherwise."""
         mu = _grown_mu()
-        return cls("mu-indicator", fn=lambda n: 1 if mu(n) == 1 else 0)
+        return cls("mu-indicator", lambda n: 1 if mu(n) == 1 else 0)
 
     @classmethod
     def mu_sign(cls, alphabet: Alphabet) -> "TargetSequence":
@@ -79,16 +78,18 @@ class TargetSequence:
             raise InvalidParameterError("mu-sign needs at least 3 symbols")
         mu = _grown_mu()
         table = {0: 0, 1: 1, -1: 2}
-        return cls("mu-sign", fn=lambda n: table[mu(n)])
+        return cls("mu-sign", lambda n: table[mu(n)])
 
 
 def _grown_mu():
+    """mu(n) from a sieve regrown to 2n (at most MAX_WINDOW_CELLS, or n
+    itself past that, which mobius_sieve refuses) whenever n outruns it."""
     state = {"table": None}
 
     def mu(n: int) -> int:
         t = state["table"]
         if t is None or n > t.limit:
-            state["table"] = t = mobius_sieve(max(1 << 12, 2 * n))
+            state["table"] = t = mobius_sieve(max(1 << 12, n, min(2 * n, MAX_WINDOW_CELLS)))
         return t.mu(n)
 
     return mu
@@ -131,8 +132,8 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth {schedule.depth}")
     cells = x.cells.copy()
-    _fill_in_place(cells, x.start, level, schedule, cycle_start)
-    return x.with_cells(cells)
+    _fill_in_place(cells, x.offset, level, schedule, cycle_start)
+    return PartialWindow(x.offset, cells)
 
 
 def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule,
@@ -167,9 +168,10 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
             raise ConstructionInvariantError("window holds cell values outside the alphabet")
         defined_total += int(np.count_nonzero(shifted))
 
-    pinned = np.fromiter((s for _, s in schedule.sparse.elements_in((start, start + size - 1))),
-                         dtype=np.int64)
-    meeting = np.unique((pinned - start) // m_new)  # window-local block indices
+    elements = schedule.sparse.elements_in((start, start + size - 1))
+    # window-local offsets fit int64 even where the coordinates do not
+    pinned = np.fromiter((s - start for _, s in elements), dtype=np.int64)
+    meeting = np.unique(pinned // m_new)  # window-local block indices
     first_block = block_of(start, m_new)
     fill_src = schedule.fill_matrix(level - 1)
     n_src = fill_src.shape[0]

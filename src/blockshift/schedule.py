@@ -100,16 +100,6 @@ class LevelParams:
     pillar_check: LevelCheck | None = None  # w_k as one level-k block; None at k = 0
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    status: str  # "ok" | "fail"
-    reason: str
-    pillar_count: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == "ok"
-
-
 class Schedule:
     """Immutable-after-build container for the level parameters."""
 
@@ -330,7 +320,6 @@ class LevelCheck:
     pillar_total: int
     membership: str      # ok | fail | waived
     every_word: str      # ok | fail | waived
-    covered_words: int | None
     detail: str = ""
 
     @property
@@ -350,6 +339,30 @@ def _failure(c: LevelCheck) -> str:
     if c.every_word == "fail":
         return f"level-{c.level - 1} words never used"
     return ""
+
+
+@dataclass(frozen=True)
+class WindowAdmissibilityReport:
+    checks: tuple[LevelCheck, ...]  # levels 1, 2, ... in order
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    @property
+    def fully_defined(self) -> bool:
+        return all(c.defined_blocks == c.blocks for c in self.checks)
+
+    def summary(self) -> str:
+        parts = []
+        for c in self.checks:
+            parts.append(
+                f"level {c.level}: {c.defined_blocks}/{c.blocks} defined, "
+                f"share>={c.min_pillar_share}/{c.required_share}, "
+                f"membership={c.membership}, every-word={c.every_word}"
+                + (f" [{c.detail}]" if c.detail else "")
+            )
+        return "; ".join(parts)
 
 
 def _word_ids(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +403,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     m_prev = schedule.m(level - 1)
     r = m // m_prev
     q = r // 3
-    if not on_block_grid(x.start, len(x), m):
+    if not on_block_grid(x.offset, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
     n_blocks = len(x) // m
     top = int(x.cells.max())
@@ -400,7 +413,6 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     listed = faithful and level > 1
     if listed:
         keys = schedule.words(level - 1).view(np.dtype((np.void, m_prev)))[:, 0]
-        hit = np.zeros(keys.size, dtype=bool)  # words of A_{level-1} seen so far
 
     n_def = pillar_total = 0
     min_share = None
@@ -417,7 +429,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             partial = undefined & (fold_rows(np.minimum, blocks) != STAR)
             if partial.any():
                 i = b0 + int(partial.argmax())
-                return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
+                return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
                                   f"block {i} partially defined")
             if undefined.all():
                 continue
@@ -436,13 +448,11 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
         elif listed:
             ids, found = _word_ids(blocks.reshape(-1, m_prev), keys)
             member = member and bool(found.all())
-            hit[ids[found]] = True
             # every block must use every word, not just the union
             every = every and _uses_every_word(ids.reshape(-1, r), found.reshape(-1, r),
                                                keys.size)
 
     membership = every_word = "ok" if faithful else "waived"
-    covered = None
     if n_def and level == 1:
         if stray:
             membership = "fail"
@@ -451,11 +461,10 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             every_word = "ok" if covered == a else "fail"
     elif n_def and listed:
         membership = "ok" if member else "fail"
-        covered = int(hit.sum())
         every_word = "ok" if every else "fail"
 
     return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
-                      membership, every_word, covered)
+                      membership, every_word)
 
 
 def _one_block(word: np.ndarray) -> PartialWindow:
@@ -482,15 +491,15 @@ def _word_cells(word) -> np.ndarray:
     return cells
 
 
-def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityResult:
-    """Check one word, given as bytes or a uint8 array, against the
-    level's admissibility rule.
+def is_admissible_block(word, level: int, schedule: Schedule) -> WindowAdmissibilityReport:
+    """The admissibility report of one word, given as bytes or a uint8
+    array, as the one-block window of its level.
 
-    The word is checked as a one-block window at every level from 1 to
-    ``level``: every cell a symbol, at least one-third of the sub-blocks
-    of each block equal to the pillar one level down, and (faithful
-    profile) every sub-block an admissible word of the level below, each
-    of those words present in each block.
+    The word is checked at every level from 1 to ``level``: every cell a
+    symbol, at least one-third of the sub-blocks of each block equal to
+    the pillar one level down, and (faithful profile) every sub-block an
+    admissible word of the level below, each of those words present in
+    each block.
     """
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
@@ -499,12 +508,8 @@ def is_admissible_block(word, level: int, schedule: Schedule) -> AdmissibilityRe
     if len(word) != m:
         raise InvalidParameterError(f"word length {len(word)} != m_{level} = {m}")
     x = _one_block(word)
-    checks = [_check_level(x, schedule, k) for k in range(1, level + 1)]
-    pillar_count = checks[-1].pillar_total
-    for c in checks:
-        if not c.ok:
-            return AdmissibilityResult("fail", f"level {c.level}: {_failure(c)}", pillar_count)
-    return AdmissibilityResult("ok", "", pillar_count)
+    return WindowAdmissibilityReport(tuple(_check_level(x, schedule, k)
+                                           for k in range(1, level + 1)))
 
 
 # --- construction -----------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -108,7 +109,7 @@ class SparseSetSpec:
             v = self.values
             if not v:
                 raise InvalidParameterError("explicit kind needs a nonempty list")
-            if v[0] < 1 or any(a >= b for a, b in zip(v, v[1:])):
+            if v[0] < 1 or not all(map(operator.lt, v, v[1:])):
                 raise InvalidParameterError("explicit list must be strictly increasing and positive")
             if self.horizon is not None and self.horizon < v[-1]:
                 raise InvalidParameterError("horizon below the last listed element")
@@ -137,7 +138,7 @@ class SparseSetSpec:
 
     @classmethod
     def explicit(cls, values, horizon: int | None = None) -> "SparseSetSpec":
-        return cls(kind="explicit", values=tuple(int(v) for v in values), horizon=horizon)
+        return cls(kind="explicit", values=tuple(map(int, values)), horizon=horizon)
 
     @classmethod
     def from_file(cls, path) -> "SparseSetSpec":
@@ -148,6 +149,11 @@ class SparseSetSpec:
         """
         values, horizon = [], None
         for lineno, raw in enumerate(Path(path).read_text(errors="replace").splitlines(), 1):
+            try:  # the common line, a bare value (int ignores surrounding whitespace)
+                values.append(int(raw))
+                continue
+            except ValueError:
+                pass
             line = raw.strip()
             if line.startswith("#"):
                 body = line[1:].strip()

@@ -40,7 +40,7 @@ class WindowFile:
     seed: int
 
     def render(self) -> str:
-        payload = self.window.to_text(self.alphabet)
+        payload = self.alphabet.text_of_cells(self.window.cells)
         lines = [
             FORMAT_TAG,
             f"alphabet: {self.alphabet.symbols}",
@@ -51,7 +51,7 @@ class WindowFile:
             f"u: {self.u}",
             f"fill: {self.fill}",
             f"seed: {self.seed}",
-            f"offset: {self.window.start}",
+            f"offset: {self.window.offset}",
             f"length: {len(self.window)}",
             "cells:",
         ]
@@ -59,16 +59,13 @@ class WindowFile:
         lines.append(f"checksum: {checksum64(payload)}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.render().encode("ascii"))
-
 
 def save_window(path, window: PartialWindow, *, alphabet: Alphabet, profile: str,
                 depth: int, m_list, sparse: str, u: str, fill: str,
                 seed: int = 0) -> WindowFile:
     wf = WindowFile(window, alphabet, profile, int(depth),
                     tuple(int(m) for m in m_list), sparse, u, fill, int(seed))
-    wf.save(path)
+    Path(path).write_bytes(wf.render().encode("ascii"))
     return wf
 
 
@@ -156,7 +153,7 @@ def load_window(path) -> WindowFile:
     bad = [m for m in m_list if m < 1 or m % 2 == 0]
     if bad:
         raise InconsistencyError(f"header 'm-list': {bad[0]} is not an odd positive integer")
-    if not on_block_grid(window.start, length, m_list[-1]):
+    if not on_block_grid(window.offset, length, m_list[-1]):
         raise InconsistencyError(
             f"window {window.interval()} is not a union of level-{depth} blocks"
         )

@@ -49,10 +49,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def zero(self) -> str:
-        return self.symbols[0]
-
     def index(self, ch: str) -> int:
         i = self.symbols.find(ch)
         if i < 0:
@@ -109,22 +105,8 @@ class PartialWindow:
     def __setattr__(self, name, value):
         raise AttributeError("PartialWindow is immutable")
 
-    @classmethod
-    def stars(cls, offset: int, length: int) -> "PartialWindow":
-        if length < 1:
-            raise InvalidParameterError("window length must be positive")
-        return cls(offset, np.full(length, STAR, dtype=np.uint8))
-
-    @classmethod
-    def from_text(cls, text: str, alphabet: Alphabet, offset: int = 0) -> "PartialWindow":
-        return cls(offset, alphabet.cells_of_text(text))
-
     def __len__(self) -> int:
         return int(self.cells.size)
-
-    @property
-    def start(self) -> int:
-        return self.offset
 
     @property
     def end(self) -> int:
@@ -132,16 +114,16 @@ class PartialWindow:
         return self.offset + len(self) - 1
 
     def interval(self) -> tuple[int, int]:
-        return (self.start, self.end)
+        return (self.offset, self.end)
 
     def __getitem__(self, coord: int) -> int:
-        if not (self.start <= coord <= self.end):
+        if not (self.offset <= coord <= self.end):
             raise InvalidParameterError(f"coordinate {coord} outside window {self.interval()}")
         return int(self.cells[coord - self.offset])
 
     def sub(self, lo: int, hi: int) -> "PartialWindow":
         """Restriction to the inclusive coordinate interval [lo, hi]."""
-        if lo > hi or lo < self.start or hi > self.end:
+        if lo > hi or lo < self.offset or hi > self.end:
             raise InvalidParameterError(f"[{lo},{hi}] not inside window {self.interval()}")
         return PartialWindow(lo, self.cells[lo - self.offset : hi - self.offset + 1])
 
@@ -150,12 +132,6 @@ class PartialWindow:
 
     def star_count(self) -> int:
         return int((self.cells == STAR).sum())
-
-    def to_text(self, alphabet: Alphabet) -> str:
-        return alphabet.text_of_cells(self.cells)
-
-    def with_cells(self, cells) -> "PartialWindow":
-        return PartialWindow(self.offset, cells)
 
     def __eq__(self, other) -> bool:
         return (

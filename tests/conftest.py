@@ -46,7 +46,7 @@ def sched2(binary, squares):
 
 @pytest.fixture(scope="session")
 def mu_target(binary):
-    return TargetSequence.mu_indicator(binary)
+    return TargetSequence.mu_indicator()
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,16 @@
 checked against; nothing under src/ imports them."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from blockshift import (STAR, Card, ConstructionInvariantError, DensityViolation, InfeasibleDepth,
-                        InvalidParameterError, PartialWindow, aligned_block_census,
-                        block_interval, block_of)
+                        InvalidParameterError, PartialWindow, SparseSetSpec,
+                        aligned_block_census, block_interval, block_of)
 from blockshift import schedule as _schedule
 from blockshift.schedule import DEFAULT_WINDOW_HINT, LevelCheck, next_card
+from blockshift.sparse import _int_field
 from blockshift.words import hull_of_blocks, on_block_grid
 
 
@@ -24,6 +26,22 @@ def occurrences(pattern, text):
         out.append(text.offset + pos)
         pos = hay.find(needle, pos + 1)
     return out
+
+
+def sparse_file_by_strip(path):
+    """SparseSetSpec.from_file with every line stripped first and then read
+    as a comment, a blank or a value."""
+    values, horizon = [], None
+    for lineno, raw in enumerate(Path(path).read_text(errors="replace").splitlines(), 1):
+        line = raw.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.lower().startswith("horizon:"):
+                horizon = _int_field(f"{path}:{lineno}", body.split(":", 1)[1])
+            continue
+        if line:
+            values.append(_int_field(f"{path}:{lineno}", line))
+    return SparseSetSpec.explicit(values, horizon=horizon)
 
 
 def rows_outside(word, allowed):
@@ -98,7 +116,7 @@ def minimality_by_occurrences(x, schedule, depth):
     if not x.is_fully_defined():
         raise InvalidParameterError("window contains '*' cells")
     m_top = schedule.m(depth)
-    if (x.start + (m_top - 1) // 2) % m_top != 0 or len(x) % m_top != 0:
+    if (x.offset + (m_top - 1) // 2) % m_top != 0 or len(x) % m_top != 0:
         raise InvalidParameterError(f"window not aligned to level-{depth} blocks")
     checks = []
     for k in range(depth):
@@ -157,7 +175,7 @@ def check_level_dense(x, schedule, level):
     m_prev = schedule.m(level - 1)
     r = m // m_prev
     q = r // 3
-    if not on_block_grid(x.start, len(x), m):
+    if not on_block_grid(x.offset, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
     faithful = schedule.faithful
     n_blocks = len(x) // m
@@ -167,7 +185,7 @@ def check_level_dense(x, schedule, level):
     star_all = starred.all(axis=1)
     if bool((star_any & ~star_all).any()):
         i = int(np.nonzero(star_any & ~star_all)[0][0])
-        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail", None,
+        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
                           f"block {i} partially defined")
     defined = ~star_any
     n_def = int(defined.sum())
@@ -179,7 +197,6 @@ def check_level_dense(x, schedule, level):
     pillar_total = int(counts[defined].sum()) if n_def else 0
 
     membership = every_word = "ok" if faithful else "waived"
-    covered = None
     if n_def and level == 1:
         if int(x.cells.max()) >= a and (
                 np.count_nonzero(x.cells >= a) > (n_blocks - n_def) * m):
@@ -192,12 +209,11 @@ def check_level_dense(x, schedule, level):
         wordset = {row.tobytes() for row in schedule.words(level - 1)}
         keys = [row.tobytes() for row in sub[np.repeat(defined, r)]]
         membership = "ok" if wordset.issuperset(keys) else "fail"
-        covered = len(wordset.intersection(keys))
         if not all(wordset <= set(keys[i:i + r]) for i in range(0, len(keys), r)):
             every_word = "fail"
 
     return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
-                      membership, every_word, covered)
+                      membership, every_word)
 
 
 def fill_level_by_blocks(x, level, schedule, cycle_start=0):
@@ -209,7 +225,7 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
     m_old = schedule.m(level - 1)
     r = m_new // m_old
     q = r // 3
-    if not on_block_grid(x.start, len(x), m_new):
+    if not on_block_grid(x.offset, len(x), m_new):
         raise ConstructionInvariantError(
             f"window {x.interval()} is not a union of level-{level} blocks"
         )
@@ -265,12 +281,12 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
         bad = next(
             (int(c) + off for c in coords
              if block_of(int(c) + off, m_new) not in meeting_set),
-            x.start,
+            x.offset,
         )
         raise ConstructionInvariantError(
             f"defined cell at {bad} lies in a level-{level} block disjoint from S"
         )
-    return x.with_cells(out)
+    return PartialWindow(x.offset, out)
 
 
 def _union(a, b):

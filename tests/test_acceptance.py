@@ -84,7 +84,7 @@ def test_criterion_2_realization_exactness(sched2, mu_target, squares, binary):
         "from blockshift import *\n"
         "ab = Alphabet('01'); sq = SparseSetSpec.squares()\n"
         "sched = build_schedule(ab, sq, 2)\n"
-        "u = TargetSequence.mu_indicator(ab)\n"
+        "u = TargetSequence.mu_indicator()\n"
         "x = realize(u, sched, 2)\n"
         "rep = verify_realization(x, u, sq)\n"
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
@@ -142,7 +142,7 @@ def test_criterion_4_entropy_chain(sched2):
 
 def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
     mini = minimality_witnesses(window_admissibility_report(x2, sched2, 2), sched2)
-    statuses = {name: status for name, status, _ in mini.rows()}
+    statuses = {name: status for name, status, _ in mini.checks}
     witnesses_ok = (
         statuses["pillar-containment k=0"] == "ok"
         and statuses["pillar-containment k=1"] == "ok"
@@ -162,7 +162,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
         )
     )
 
-    base_payload = x2.to_text(sched2.alphabet)
+    base_payload = sched2.alphabet.text_of_cells(x2.cells)
     base_sum = checksum64(base_payload)
     rng = random.Random(0xB10C5)
     caught = 0
@@ -173,7 +173,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
         from blockshift import PartialWindow
 
         mutated = PartialWindow(x2.offset, cells)
-        by_checksum = checksum64(mutated.to_text(sched2.alphabet)) != base_sum
+        by_checksum = checksum64(sched2.alphabet.text_of_cells(mutated.cells)) != base_sum
         by_realization = not verify_realization(mutated, mu_target, squares).passed
         if by_checksum or by_realization:
             caught += 1
@@ -239,7 +239,7 @@ def test_criterion_8_sieve_calibration(mob):
 def test_criterion_9_determinism_persistence(tmp_path, binary, squares):
     def pipeline(tag):
         sched = build_schedule(binary, squares, 2)
-        u = TargetSequence.mu_indicator(binary)
+        u = TargetSequence.mu_indicator()
         x = realize(u, sched, 2)
         path = tmp_path / f"{tag}.bsw"
         wf = save_window(path, x, alphabet=binary, profile=sched.profile, depth=2,

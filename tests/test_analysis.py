@@ -27,16 +27,16 @@ def naive_distinct(text, n):
 
 
 def test_complexity_examples(binary):
-    rep = complexity_profile(PartialWindow.from_text("0101", binary), 2)
+    rep = complexity_profile(PartialWindow(0, binary.cells_of_text("0101")), 2)
     assert rep.counts == {1: 2, 2: 2}
-    w1 = PartialWindow.from_text("000000000000001", binary)
+    w1 = PartialWindow(0, binary.cells_of_text("000000000000001"))
     rep2 = complexity_profile(w1, 2)
     assert rep2.counts[2] == 2  # subwords "00" and "01" only
 
 
 def test_complexity_rejects_stars(binary):
     with pytest.raises(InvalidParameterError):
-        complexity_profile(PartialWindow.from_text("0*1", binary), 1)
+        complexity_profile(PartialWindow(0, binary.cells_of_text("0*1")), 1)
 
 
 SYMBOLS = "0123456789abcdefghij"
@@ -67,7 +67,7 @@ def texts_with_nmax(draw):
 @given(texts_with_nmax())
 def test_complexity_matches_naive(case):
     symbols, text, n_max = case
-    rep = complexity_profile(PartialWindow.from_text(text, Alphabet(symbols)), n_max)
+    rep = complexity_profile(PartialWindow(0, Alphabet(symbols).cells_of_text(text)), n_max)
     assert list(rep.counts) == list(range(1, n_max + 1))
     assert rep.counts == {n: naive_distinct(text, n) for n in range(1, n_max + 1)}
 
@@ -76,7 +76,7 @@ def test_complexity_matches_naive(case):
 @given(st.text(alphabet="01", min_size=4, max_size=80))
 def test_complexity_growth_bound(text):
     ab = Alphabet("01")
-    rep = complexity_profile(PartialWindow.from_text(text, ab), min(6, len(text) - 1))
+    rep = complexity_profile(PartialWindow(0, ab.cells_of_text(text)), min(6, len(text) - 1))
     for n in range(1, max(rep.counts)):
         assert rep.counts[n + 1] <= 2 * rep.counts[n]
         assert rep.counts[n] <= min(2**n, len(text) - n + 1)
@@ -103,7 +103,7 @@ def test_complexity_fallback_path(binary):
     # a binary key word holds 39 digits, so n_max = 70 takes two key words
     # and the lexsort path
     text = "01" * 40
-    rep = complexity_profile(PartialWindow.from_text(text, binary), 70)
+    rep = complexity_profile(PartialWindow(0, binary.cells_of_text(text)), 70)
     for n in (63, 64, 70):  # lengths read from the second key word
         assert rep.counts[n] == naive_distinct(text, n)
 
@@ -158,7 +158,7 @@ def test_decay_report(sched2):
 def test_minimality_on_depth2(x2, sched2):
     rep = minimality_witnesses(window_admissibility_report(x2, sched2, 2), sched2)
     assert rep.ok
-    names = {name: (status, detail) for name, status, detail in rep.rows()}
+    names = {name: (status, detail) for name, status, detail in rep.checks}
     assert names["pillar-containment k=0"][0] == "ok"
     assert names["pillar-containment k=1"][0] == "ok"
     assert names["gap-bound k=1"][0] == "ok"
@@ -166,10 +166,10 @@ def test_minimality_on_depth2(x2, sched2):
 
 
 def test_minimality_fails_on_constant_window(binary, sched2):
-    allones = PartialWindow.from_text("1" * 15, binary, offset=-7)
+    allones = PartialWindow(-7, binary.cells_of_text("1" * 15))
     rep = minimality_witnesses(window_admissibility_report(allones, sched2, 1), sched2)
     assert not rep.ok
-    statuses = dict((n, s) for n, s, _ in rep.rows())
+    statuses = dict((n, s) for n, s, _ in rep.checks)
     assert statuses["pillar-containment k=0"] == "fail"
 
 

@@ -270,6 +270,10 @@ def _empty_payload(lines):
      "verified-range: -19:1033"),
     (BURST_FILE, BURST_REALIZE + ["--sparse", "file:{file}"], 0,
      "wrote {dir}/x.bsw: offset=1970 length=78"),
+    ("", ["realize", "--alphabet", "01", "--sparse", "nlogn", "--depth", "1",
+          "--u", "mu-indicator", "--window", "1000000000000:1000000000100",
+          "--out", "{dir}/x.bsw"], 2,
+     "error: Mobius sieve up to 40924895425 exceeds the 2147483648-entry limit"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -382,3 +386,21 @@ def test_realize_with_text_target(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", str(out_path))
     assert code == 0
+
+
+def test_realize_window_past_int64(tmp_path, capsys):
+    """A window whose coordinates pass 2**63 fills on window-local offsets,
+    and its file verifies."""
+    for depth in ("1", "2"):
+        path = tmp_path / f"d{depth}.bsw"
+        code, _, err = run(capsys, "realize", "--alphabet", "01", "--sparse",
+                           "list:9223372036854775809", "--depth", depth, "--u", "text:1",
+                           "--window", "9223372036854775800:9223372036854775900",
+                           "--out", str(path))
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        rows = {l[:14].strip(): l[14:20].strip() for l in out.splitlines()}
+        assert rows == {"checksum": "PASS", "m-list": "PASS", "realization": "PASS",
+                        "admissibility": "PASS",
+                        "minimality": "SKIP" if depth == "1" else "PASS"}

@@ -7,9 +7,11 @@ from blockshift import (
     WeightTable,
     WindowRangeError,
     correlation_average,
+    mobius_sieve,
     sarnak_demo,
 )
 from blockshift.realization import realize
+from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
 
 
@@ -34,6 +36,11 @@ def test_mertens_and_squarefree(mob):
     assert mob.squarefree_count(100) == sum(
         1 for n in range(1, 101) if mu_by_trial_division(n) != 0
     )
+
+
+def test_sieve_limit_refused_before_allocating():
+    with pytest.raises(InvalidParameterError, match=r"Mobius sieve up to 2147483649 exceeds"):
+        mobius_sieve(MAX_WINDOW_CELLS + 1)
 
 
 def test_squarefree_ratio_bracket(mob):

@@ -42,7 +42,7 @@ def built(sched2, x2):
     out = {}
     for name, (symbols, profile, depth, window) in CONFIGS.items():
         ab = Alphabet(symbols)
-        u = TargetSequence.mu_indicator(ab) if ab.size == 2 else TargetSequence.mu_sign(ab)
+        u = TargetSequence.mu_indicator() if ab.size == 2 else TargetSequence.mu_sign(ab)
         if name == "faithful-01-d2":
             out[name] = (sched2, u, x2)
             continue
@@ -119,7 +119,7 @@ def check_case(built, name, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     defined = np.flatnonzero(cells.reshape(nb, m).max(axis=1) != STAR)
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=defined)
-    w = PartialWindow(x.start + b0 * m, cells)
+    w = PartialWindow(x.offset + b0 * m, cells)
     with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(st.integers(0, 99))):
         got = outcome(lambda: schedule._check_level(w, sched, level))
     want = outcome(lambda: check_level_dense(w, sched, level))
@@ -136,9 +136,9 @@ def fill_case(built, name, data):
         start = fill_level(start, k, sched, cycle_start=2)
     cells = start.cells.copy()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    meeting = np.unique([(s - x.start) // m for _, s in sched.sparse.elements_in(x.interval())])
+    meeting = np.unique([(s - x.offset) // m for _, s in sched.sparse.elements_in(x.interval())])
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=meeting)
-    w = start.with_cells(cells)
+    w = PartialWindow(start.offset, cells)
     cycle = data.draw(st.integers(-3, 40), label="cycle start")
     with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(st.integers(0, 99))):
         got = outcome(lambda: fill_level(w, level, sched, cycle_start=cycle))
@@ -146,7 +146,7 @@ def fill_case(built, name, data):
     event(f"level {level}: " + (re.sub(r"-?\d+", "#", want[1]) if isinstance(want, tuple)
                                 else "filled"))
     if isinstance(want, PartialWindow):
-        assert isinstance(got, PartialWindow) and got.start == want.start
+        assert isinstance(got, PartialWindow) and got.offset == want.offset
         assert got.cells.tobytes() == want.cells.tobytes()
     else:
         assert got == want
@@ -180,13 +180,16 @@ def test_faithful_word_lookup_matches(built):
     sched, _, x = built["faithful-01-d2"]
     cells = x.cells.copy()
     mutate(cells, sched, 2, np.random.default_rng(5), [("word", 2), ("pillar", 1)])
-    mutated = PartialWindow(x.start, cells)
-    pair = PartialWindow(x.start - len(x), np.concatenate([cells, x.cells]))
+    mutated = PartialWindow(x.offset, cells)
+    pair = PartialWindow(x.offset - len(x), np.concatenate([cells, x.cells]))
     for window in (x, mutated, pair):
         with batch_of(sched.m(2), 1, 0):
             got = schedule._check_level(window, sched, 2)
         assert got == check_level_dense(window, sched, 2)
-    assert schedule._check_level(pair, sched, 2).covered_words == 30826
+    # the two blocks together hold every word of A_1, yet the first alone does not
+    assert len({row.tobytes() for row in pair.cells.reshape(-1, sched.m(1))}
+               & {row.tobytes() for row in sched.words(1)}) == 30826
+    assert schedule._check_level(pair, sched, 2).every_word == "fail"
 
 
 def test_realized_windows_pass_unchanged(built):
@@ -203,14 +206,14 @@ def test_failures_in_an_early_batch_persist(built):
     blocks = cells.reshape(-1, sched.m(1))
     first = int(np.flatnonzero(blocks.max(axis=1) != STAR)[0])
     blocks[first, 3] = sched.alphabet.size  # outside the alphabet, in a starred window
-    w = PartialWindow(x.start, cells)
+    w = PartialWindow(x.offset, cells)
     with batch_of(sched.m(1), 1, 0):
         got = schedule._check_level(w, sched, 1)
     assert got.membership == "fail" and got == check_level_dense(w, sched, 1)
 
     sched, _, x = built["faithful-01-d2"]
     flat = np.zeros(len(x), dtype=np.uint8)  # not a word of A_1, and uses no 1
-    w = PartialWindow(x.start, np.concatenate([flat, x.cells]))
+    w = PartialWindow(x.offset, np.concatenate([flat, x.cells]))
     with batch_of(sched.m(2), 1, 0):
         got = schedule._check_level(w, sched, 2)
     assert (got.membership, got.every_word) == ("fail", "fail")

@@ -50,7 +50,7 @@ def both(schedule, depth, x):
     """(rows of minimality_witnesses, rows of the reference), as (name, status)."""
     new = minimality_witnesses(window_admissibility_report(x, schedule, depth), schedule)
     ref = minimality_by_occurrences(x, schedule, depth)
-    return ([(n, s) for n, s, _ in new.rows()], [(n, s) for n, s, _ in ref])
+    return ([(n, s) for n, s, _ in new.checks], [(n, s) for n, s, _ in ref])
 
 
 def assert_never_looser(new, ref):
@@ -159,7 +159,7 @@ def test_never_looser_on_random_windows(random_schedules, data):
 
 
 def test_rejects_partially_defined_window(sched2, binary):
-    x = PartialWindow.from_text("0" * 14 + "*", binary, offset=-7)
+    x = PartialWindow(-7, binary.cells_of_text("0" * 14 + "*"))
     with pytest.raises(InvalidParameterError):
         minimality_witnesses(window_admissibility_report(x, sched2, 1), sched2)
 
@@ -171,6 +171,6 @@ def test_coverage_reads_the_check_of_the_next_pillar(sched2, x2):
     level1 = sched.levels[1]
     sched.levels[1] = replace(level1, pillar_check=replace(level1.pillar_check,
                                                            every_word="fail"))
-    rows = {name: status for name, status, _ in minimality_witnesses(report, sched).rows()}
+    rows = {name: status for name, status, _ in minimality_witnesses(report, sched).checks}
     assert rows["pillar-coverage k=0"] == "fail"
     assert rows["pillar-coverage k=1"] == "ok"

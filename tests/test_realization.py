@@ -41,9 +41,9 @@ def test_init_partial_checks_size_before_allocating(monkeypatch, mu_target, squa
 def test_init_partial_examples(binary, squares):
     u = TargetSequence.from_text("10", binary)
     x = init_partial(u, squares, (-7, 7), binary)
-    assert x.to_text(binary) == "********1**0***"
+    assert binary.text_of_cells(x.cells) == "********1**0***"
     x2 = init_partial(u, squares, (-3, 0), binary)
-    assert x2.to_text(binary) == "****"
+    assert binary.text_of_cells(x2.cells) == "****"
 
 
 def test_init_partial_mu(binary, squares, mu_target):
@@ -57,14 +57,15 @@ def test_init_partial_mu(binary, squares, mu_target):
 
 def test_init_partial_incomplete(binary, squares):
     u = TargetSequence.from_text("1", binary)  # defined only at n=1
-    with pytest.raises(IncompleteDataError):
+    with pytest.raises(IncompleteDataError,
+                       match=r"^target sequence 'explicit' has 1 terms, u\(2\) requested$"):
         init_partial(u, squares, (1, 9), binary)
 
 
 def test_fill_level_hand_example(binary, squares, sched2, mu_target):
     x0 = init_partial(mu_target, squares, (-7, 7), binary)
     x1 = fill_level(x0, 1, sched2)
-    assert x1.to_text(binary) == "000000101100101"
+    assert binary.text_of_cells(x1.cells) == "000000101100101"
 
 
 def test_fill_leaves_unmet_blocks_starred(binary):
@@ -98,7 +99,7 @@ def test_fill_rejects_defined_cell_off_support(binary, sched2):
 
 
 def test_fill_rejects_misaligned_window(binary, sched2):
-    x = PartialWindow.stars(-6, 15)
+    x = PartialWindow(-6, binary.cells_of_text("*" * 15))
     with pytest.raises(ConstructionInvariantError):
         fill_level(x, 1, sched2)
 
@@ -117,7 +118,7 @@ def test_fill_rejects_mixed_subblock(binary, sched2, mu_target, squares):
 def test_realize_depth1(binary, sched2, mu_target):
     x = realize(mu_target, sched2, 1)
     assert x.interval() == (-7, 7)
-    assert x.to_text(binary) == "000000101100101"
+    assert binary.text_of_cells(x.cells) == "000000101100101"
 
 
 def test_realize_depth2_properties(x2, sched2, mu_target, squares):
@@ -131,20 +132,20 @@ def test_realize_depth2_properties(x2, sched2, mu_target, squares):
 
 def test_depth_monotonicity(x2, sched2, mu_target, binary):
     x1 = realize(mu_target, sched2, 1)
-    assert x2.sub(-7, 7).to_text(binary) == x1.to_text(binary)
+    assert binary.text_of_cells(x2.sub(-7, 7).cells) == binary.text_of_cells(x1.cells)
 
 
 def test_realize_empty_core(binary):
     s = SparseSetSpec.explicit([10**9])
     sched = build_schedule(binary, s, 1)
-    u = TargetSequence.from_indices([1])
+    u = TargetSequence.from_text("1", binary)
     with pytest.raises(EmptyCoreError):
         realize(u, sched, 1)
 
 
 def test_realize_window_variant(binary, sched2, mu_target, squares):
     x = realize(mu_target, sched2, 1, window=(1, 100))
-    assert x.start == -7 and x.end >= 100
+    assert x.offset == -7 and x.end >= 100
     rep = verify_realization(x, mu_target, squares)
     assert rep.passed and rep.constraints == 10  # squares up to 105
 
@@ -225,7 +226,7 @@ def test_verify_catches_flip(binary, squares, sched2, mu_target):
 
 
 def test_verify_vacuous(binary, squares, mu_target):
-    x = PartialWindow.stars(-20, 10)  # left of min S
+    x = PartialWindow(-20, binary.cells_of_text("*" * 10))  # left of min S
     rep = verify_realization(x, mu_target, squares)
     assert rep.passed and rep.constraints == 0
 
@@ -267,7 +268,7 @@ def test_property_realize_explicit_sets(values, cycle):
     starred = (rows == STAR).all(axis=1)
     from blockshift import block_interval, block_of
 
-    i0 = block_of(x.start, m1)
+    i0 = block_of(x.offset, m1)
     for t in range(rows.shape[0]):
         lo, hi = block_interval(i0 + t, m1)
         assert bool(starred[t]) == (not s.elements_in((lo, hi)))

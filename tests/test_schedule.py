@@ -134,7 +134,7 @@ def test_enumeration_cap(sched2, binary, squares):
 
 def test_every_enumerated_word_is_admissible(sched2):
     for w in sched2.words(1)[:: 500]:
-        assert is_admissible_block(w, 1, sched2).status == "ok"
+        assert is_admissible_block(w, 1, sched2).ok
 
 
 def test_full_equivalence_enumeration_vs_checker(sched2):
@@ -143,7 +143,7 @@ def test_full_equivalence_enumeration_vs_checker(sched2):
     accepted = set()
     for bits in range(1 << 15):
         cells = bytes((bits >> (14 - t)) & 1 for t in range(15))
-        if is_admissible_block(cells, 1, sched2).status == "ok":
+        if is_admissible_block(cells, 1, sched2).ok:
             accepted.add(cells)
     assert accepted == enumerated
 
@@ -162,13 +162,16 @@ def test_level_size_bounds(sched2):
 
 def test_admissibility_examples(sched2, binary):
     ok = is_admissible_block(binary.cells_of_text("000000000000001"), 1, sched2)
-    assert ok.status == "ok" and ok.pillar_count == 14
+    assert ok.ok and ok.checks[-1].pillar_total == 14
     bad = is_admissible_block(binary.cells_of_text("1" * 15), 1, sched2)
-    assert bad.status == "fail"
+    assert not bad.ok
     fill = is_admissible_block(binary.cells_of_text("000000101100101"), 1, sched2)
-    assert fill.status == "ok" and fill.pillar_count == 10
+    assert fill.ok and fill.checks[-1].pillar_total == 10
     missing_one = is_admissible_block(binary.cells_of_text("0" * 15), 1, sched2)
-    assert missing_one.status == "fail" and "never used" in missing_one.reason
+    failed = [c for c in missing_one.checks if not c.ok]
+    # only the every-word rule fails: the level-0 word 1 is never used
+    assert len(failed) == 1 and failed[0].every_word == "fail"
+    assert failed[0].membership == "ok" and failed[0].min_pillar_share >= failed[0].required_share
     with pytest.raises(InvalidParameterError):
         is_admissible_block(binary.cells_of_text("01"), 1, sched2)
 
@@ -220,7 +223,7 @@ def test_canonical_pillar_structure(sched2, binary):
     assert cells[: 15 * copies] == words[0] * copies
     rest = [cells[15 * (copies + t): 15 * (copies + t + 1)] for t in range(a - 1)]
     assert rest == words[1:]
-    assert is_admissible_block(w2, 2, sched2).status == "ok"
+    assert is_admissible_block(w2, 2, sched2).ok
 
 
 def test_density_violation_for_evens(binary):
@@ -252,8 +255,7 @@ def test_fast_profile_depth3(binary, squares):
     assert squares.sparsity_report(sched.m(3), 2115)[0]
     # pillar share holds at every level under fast semantics
     for k in (1, 2):
-        res = is_admissible_block(sched.pillar(k), k, sched)
-        assert res.status == "ok"
+        assert is_admissible_block(sched.pillar(k), k, sched).ok
 
 
 def test_recurrence_inequality(sched2):
@@ -362,8 +364,7 @@ def rule_schedules(sched2, binary, squares):
 def test_checker_matches_paper_rule(rule_schedules, name, level, data):
     sched = rule_schedules[name]
     cells = data.draw(words_around_rule(sched, level))
-    want = "ok" if paper_rule(cells, level, sched) else "fail"
-    assert is_admissible_block(cells, level, sched).status == want
+    assert is_admissible_block(cells, level, sched).ok == paper_rule(cells, level, sched)
 
 
 @pytest.mark.parametrize("word,match", [
@@ -387,7 +388,7 @@ def test_bad_word_is_invalid_parameter(sched2, word, match):
 def test_word_forms_agree(sched2):
     word = sched2.words(1)[123]
     want = is_admissible_block(word, 1, sched2)
-    assert want.status == "ok"
+    assert want.ok
     for form in (word.tobytes(), bytearray(word.tobytes()), word.tolist(),
                  word.astype(np.int64)):
         assert is_admissible_block(form, 1, sched2) == want
@@ -435,7 +436,7 @@ def test_fast_pillar_rows_are_pool_rows(fast3):
 def test_out_of_alphabet_cell_fails(rule_schedules):
     word = bytes([0] * 14 + [2])
     for name in ("faithful", "fast"):
-        assert is_admissible_block(word, 1, rule_schedules[name]).status == "fail"
+        assert not is_admissible_block(word, 1, rule_schedules[name]).ok
 
 
 def test_frozen_output_bytes(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from blockshift import IncompleteDataError, InvalidParameterError, SparseSetSpec
 from blockshift.sparse import MAX_EXPONENT, _nlogn, kth_root_floor
-from tests.oracles import max_window_by_scan
+from tests.oracles import max_window_by_scan, sparse_file_by_strip
 
 
 def oracle_max_window(elems, window_len, lo, hi):
@@ -84,6 +84,46 @@ def test_explicit_file_roundtrip(tmp_path):
     path.write_text("# a comment\n5\n17\n# horizon: 40\n25\n")
     s = SparseSetSpec.from_file(path)
     assert s.values == (5, 17, 25) and s.horizon == 40
+
+
+_PAD = st.text(alphabet=" \t\u00a0\u3000", max_size=2)
+
+
+@st.composite
+def sparse_file_lines(draw):
+    """Increasing values, each padded with whitespace, mixed with blank,
+    comment and horizon lines and now and then a stray line."""
+    values = sorted(draw(st.sets(st.integers(-2, 10**12), max_size=8)))
+    lines = [draw(_PAD) + str(v) + draw(_PAD) for v in values]
+    others = st.one_of(
+        _PAD,
+        st.builds("{}#{}".format, _PAD, st.text(alphabet="ab #:0", max_size=6)),
+        st.builds("{}#{}{}:{}{}".format, _PAD, _PAD, st.sampled_from(["horizon", "HORIZON"]),
+                  _PAD, st.integers(0, 2 * 10**12)),
+        st.text(alphabet="0123456789_+-#:xh \t\u0663", max_size=6),
+    )
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(others))
+    return "\n".join(lines)
+
+
+def _outcome(parse, path):
+    try:
+        s = parse(path)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return s.values, s.horizon
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=sparse_file_lines())
+@example(text="# squares\n1\n\n  4\n# horizon: 30\n\t9 \n#horizon:40\n16\n")
+@example(text="1\n 2 # two\n")
+@example(text="# Horizon : 5\n3\n1_000\n")
+def test_from_file_matches_strip_first_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "sparse-file.txt"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(SparseSetSpec.from_file, path) == _outcome(sparse_file_by_strip, path)
 
 
 def test_max_window_count_examples(squares):

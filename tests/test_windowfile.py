@@ -28,7 +28,7 @@ def test_roundtrip_depth1(tmp_path, sched2, mu_target, binary):
     path = _save(tmp_path, x, sched2)
     wf = load_window(path)
     assert wf.window == x
-    assert wf.window.to_text(binary) == "000000101100101"
+    assert binary.text_of_cells(wf.window.cells) == "000000101100101"
     assert wf.m_list == (1, 15)
     assert wf.sparse == "squares"
     # byte-exact: re-render reproduces the file
@@ -55,7 +55,7 @@ def test_stars_roundtrip(tmp_path, binary, sched2, mu_target, squares):
     path = _save(tmp_path, x, sched2)
     wf = load_window(path)
     assert wf.window == x
-    assert "*" in wf.window.to_text(binary)
+    assert "*" in binary.text_of_cells(wf.window.cells)
 
 
 def test_version_error(tmp_path, sched2, mu_target):
@@ -136,8 +136,8 @@ def test_bad_header_value(tmp_path, sched2, mu_target, key, value, message):
 
 def test_window_off_the_block_grid(tmp_path, binary):
     path = tmp_path / "w.bsw"
-    save_window(path, PartialWindow.stars(-7, 16), alphabet=binary, profile="faithful",
-                depth=1, m_list=(1, 15), sparse="squares", u="mu-indicator",
+    save_window(path, PartialWindow(-7, binary.cells_of_text("*" * 16)), alphabet=binary,
+                profile="faithful", depth=1, m_list=(1, 15), sparse="squares", u="mu-indicator",
                 fill="pillar-first-ltr,cycle-lex-restart@0")
     with pytest.raises(InconsistencyError,
                        match=r"window \(-7, 8\) is not a union of level-1 blocks"):

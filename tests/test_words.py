@@ -65,11 +65,11 @@ def test_on_block_grid_matches_block_index(m, start, length):
 
 
 def test_occurrences_examples(binary):
-    t = PartialWindow.from_text("0101", binary, offset=0)
+    t = PartialWindow(0, binary.cells_of_text("0101"))
     assert occurrences(binary.cells_of_text("01"), t) == [0, 2]
-    t2 = PartialWindow.from_text("*0", binary, offset=0)
+    t2 = PartialWindow(0, binary.cells_of_text("*0"))
     assert occurrences(binary.cells_of_text("0"), t2) == [1]
-    t3 = PartialWindow.from_text("0*0", binary, offset=5)
+    t3 = PartialWindow(5, binary.cells_of_text("0*0"))
     assert occurrences(binary.cells_of_text("00"), t3) == []
 
 
@@ -78,7 +78,7 @@ def test_occurrences_examples(binary):
        st.integers(min_value=-30, max_value=30))
 def test_occurrences_matches_naive(text, pattern, offset):
     ab = Alphabet("01")
-    win = PartialWindow.from_text(text, ab, offset=offset)
+    win = PartialWindow(offset, ab.cells_of_text(text))
     expected = [
         offset + i
         for i in range(len(text) - len(pattern) + 1)
@@ -95,15 +95,15 @@ def test_alphabet_validation():
     with pytest.raises(InvalidParameterError):
         Alphabet("0*")
     ab = Alphabet("0+-")
-    assert ab.zero == "0" and ab.size == 3
+    assert ab.symbols[0] == "0" and ab.size == 3
 
 
 def test_window_basics(binary):
-    w = PartialWindow.from_text("0*1", binary, offset=-1)
+    w = PartialWindow(-1, binary.cells_of_text("0*1"))
     assert w[-1] == 0 and w[1] == 1
     assert not w.is_fully_defined() and w.star_count() == 1
-    assert w.to_text(binary) == "0*1"
+    assert binary.text_of_cells(w.cells) == "0*1"
     with pytest.raises(InvalidParameterError):
         w[2]
     sub = w.sub(0, 1)
-    assert sub.to_text(binary) == "*1" and sub.start == 0
+    assert binary.text_of_cells(sub.cells) == "*1" and sub.offset == 0
