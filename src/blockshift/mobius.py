@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -35,14 +36,18 @@ class MobiusTable:
         return int(np.count_nonzero(self.values[1:n + 1]))
 
 
-def mobius_sieve(limit: int) -> MobiusTable:
-    """Sieve mu(1..limit): one sign flip per prime divisor, zero on square factors."""
-    if limit < 1:
-        raise InvalidParameterError("sieve limit must be >= 1")
+def _check_limit(limit: int) -> None:
     if limit > MAX_WINDOW_CELLS:
         raise InvalidParameterError(
             f"Mobius sieve up to {limit} exceeds the {MAX_WINDOW_CELLS}-entry limit"
         )
+
+
+def mobius_sieve(limit: int) -> MobiusTable:
+    """Sieve mu(1..limit): one sign flip per prime divisor, zero on square factors."""
+    if limit < 1:
+        raise InvalidParameterError("sieve limit must be >= 1")
+    _check_limit(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     composite = np.zeros(limit + 1, dtype=bool)
@@ -55,3 +60,30 @@ def mobius_sieve(limit: int) -> MobiusTable:
             composite[sq::p] = True
             mu[sq::sq] = 0
     return MobiusTable(limit, mu)
+
+
+def mobius_segment(lo: int, hi: int) -> np.ndarray:
+    """mu(lo..hi) as int8, index n - lo, with no table below lo.
+
+    A segmented sieve: each prime p up to sqrt(hi) flips the sign of its
+    multiples, divides them once by p and zeroes the multiples of p*p.  A
+    squarefree n left with a cofactor above 1 has exactly one more prime
+    factor (two would exceed hi), so its sign flips once more.
+    """
+    if not 1 <= lo <= hi:
+        raise InvalidParameterError(f"empty or non-positive Mobius range [{lo},{hi}]")
+    _check_limit(hi)
+    root = isqrt(hi)
+    prime = np.ones(root + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    mu = np.ones(hi - lo + 1, dtype=np.int8)
+    rest = np.arange(lo, hi + 1, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        mu[-lo % p::p] *= -1
+        rest[-lo % p::p] //= p
+        mu[-lo % (p * p)::p * p] = 0
+    mu[rest > 1] *= -1
+    return mu

@@ -180,8 +180,9 @@ def on_block_grid(start: int, length: int, m: int) -> bool:
 # in block-aligned batches of about this many cells, so no temporary of a
 # pass grows with the window.
 _BATCH_CELLS = 1 << 22
-# Rows at most this wide are reduced column by column: numpy's reduction
-# along a short row costs several times more per cell.
+# Rows at most this wide are reduced column by column, and counted with
+# einsum into uint8 (exact, as such a row holds at most this many trues):
+# numpy's reduction along a short row costs several times more per cell.
 _NARROW_ROW = 32
 
 
@@ -206,12 +207,29 @@ def count_rows(mask: np.ndarray) -> np.ndarray:
     uint8 when the rows are narrow)."""
     if mask.shape[1] > _NARROW_ROW:
         return np.count_nonzero(mask, axis=1)
-    return fold_rows(np.add, mask.view(np.uint8))
+    return np.einsum("ij->i", mask.view(np.uint8))
 
 
 def rows_equal(rows: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """Whether each row of a C-contiguous uint8 array equals the word."""
-    if rows.shape[1] == 1:
+    """Whether each row of a C-contiguous uint8 array equals the word.
+
+    Rows of 8 or more bytes are compared as 8-byte words: the words at
+    byte offsets 0, 8, ... of each row, and one more at offset w - 8 for
+    the tail bytes (it may overlap the last full word).  Each is read
+    through an unaligned strided uint64 view of the row buffer, so no row
+    is copied.  Narrower rows are compared as whole void scalars.
+    """
+    n, w = rows.shape
+    if w == 1:
         return rows[:, 0] == word[0]
-    whole = np.dtype((np.void, rows.shape[1]))
-    return rows.view(whole)[:, 0] == word.view(whole)[0]
+    if w < 8 or n == 0:
+        whole = np.dtype((np.void, w))
+        return rows.view(whole)[:, 0] == word.view(whole)[0]
+
+    def at(a, offset, count):
+        """count 8-byte words of each row of a, from the byte offset on."""
+        return np.ndarray((a.shape[0], count), np.uint64, a, offset, (w, 8))
+
+    one = word.reshape(1, w)
+    return ((at(rows, 0, w // 8) == at(one, 0, w // 8)).all(axis=1)
+            & (at(rows, w - 8, 1) == at(one, w - 8, 1))[:, 0])

@@ -274,6 +274,11 @@ def _empty_payload(lines):
           "--u", "mu-indicator", "--window", "1000000000000:1000000000100",
           "--out", "{dir}/x.bsw"], 2,
      "error: Mobius sieve up to 40924895425 exceeds the 2147483648-entry limit"),
+    # n = 1.5e9: mu from one segment of indices, not a sieve of 1..2n
+    ("", ["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "1",
+          "--u", "mu-indicator", "--window", "2250000000000000000:2250000000000000100",
+          "--out", "{dir}/x.bsw"], 0,
+     "wrote {dir}/x.bsw: offset=2249999999999999993 length=120"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

@@ -8,8 +8,10 @@ from blockshift import (
     WindowRangeError,
     correlation_average,
     mobius_sieve,
+    realization,
     sarnak_demo,
 )
+from blockshift.mobius import mobius_segment
 from blockshift.realization import realize
 from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
@@ -41,6 +43,28 @@ def test_mertens_and_squarefree(mob):
 def test_sieve_limit_refused_before_allocating():
     with pytest.raises(InvalidParameterError, match=r"Mobius sieve up to 2147483649 exceeds"):
         mobius_sieve(MAX_WINDOW_CELLS + 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 5000), (2, 3), (4, 4), (9, 9), (12345, 67890),
+                                   (999_000, 10**6)])
+def test_mobius_segment_matches_the_sieve(mob, lo, hi):
+    assert mobius_segment(lo, hi).tolist() == mob.values[lo:hi + 1].tolist()
+
+
+def test_mobius_segment_up_to_the_cell_limit():
+    lo = MAX_WINDOW_CELLS - 20
+    assert mobius_segment(lo, MAX_WINDOW_CELLS).tolist() == [
+        mu_by_trial_division(n) for n in range(lo, MAX_WINDOW_CELLS + 1)]
+    with pytest.raises(InvalidParameterError, match=r"Mobius sieve up to 2147483649 exceeds"):
+        mobius_segment(MAX_WINDOW_CELLS + 1, MAX_WINDOW_CELLS + 1)
+
+
+def test_grown_mu_past_the_budget_matches_the_sieve(mob, monkeypatch):
+    monkeypatch.setattr(realization, "_MU_SIEVE_BUDGET", 1000)
+    mu = realization._grown_mu()
+    # up through the budget and several segments, far out, then back below it
+    ns = [*range(1, 4000), *range(10**6 - 1500, 10**6 + 1), 999_950, 1000, 1001, 4000, 1]
+    assert [mu(n) for n in ns] == [mob.mu(n) for n in ns]
 
 
 def test_squarefree_ratio_bracket(mob):

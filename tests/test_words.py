@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,7 @@ from blockshift import (
     block_interval,
     block_of,
 )
-from blockshift.words import on_block_grid
+from blockshift.words import count_rows, on_block_grid, rows_equal
 from tests.oracles import occurrences
 
 odd_lengths = st.integers(min_value=0, max_value=40).map(lambda t: 2 * t + 1)
@@ -107,3 +108,37 @@ def test_window_basics(binary):
         w[2]
     sub = w.sub(0, 1)
     assert binary.text_of_cells(sub.cells) == "*1" and sub.offset == 0
+
+
+def _read_only_at(a, shift):
+    """A read-only copy of a whose data pointer is ``shift`` bytes past an aligned one."""
+    buf = np.empty(a.size + 8, dtype=np.uint8)
+    assert buf.ctypes.data % 8 == 0
+    out = buf[shift:shift + a.size].reshape(a.shape)
+    out[...] = a
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("w", [*range(1, 41), 2115])
+def test_row_kernels_match_a_per_row_reference(w):
+    """rows_equal against a per-row tobytes() compare and count_rows against
+    np.count_nonzero, on rows that differ from the word in exactly one
+    byte at every position, at odd and aligned data pointers, read-only."""
+    rng = np.random.default_rng(w)
+    word = rng.integers(0, 256, w, dtype=np.uint8)
+    rows = np.repeat(word[None, :], 2 * w + 8, axis=0)
+    rows[np.arange(w), np.arange(w)] ^= 1
+    rows[w:2 * w, :] = rng.integers(0, 3, (w, w), dtype=np.uint8)
+    rows[2 * w:] = rng.integers(0, 256, (8, w), dtype=np.uint8)
+    rows[-1] = word
+    mask = rng.random(rows.shape) < 0.5
+    mask[0], mask[1] = True, False
+    for shift in (0, 1, 3):
+        r, wd = _read_only_at(rows, shift), _read_only_at(word, (shift + 5) % 8)
+        want = np.array([row.tobytes() == wd.tobytes() for row in r])
+        assert want[:w].sum() == 0 and want[-1]
+        assert rows_equal(r, wd).tolist() == want.tolist()
+        m = _read_only_at(mask.view(np.uint8), shift).view(bool)
+        assert count_rows(m).tolist() == np.count_nonzero(m, axis=1).tolist()
+    assert rows_equal(np.zeros((0, w), np.uint8), word).shape == (0,)
