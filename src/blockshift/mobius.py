@@ -36,6 +36,11 @@ class MobiusTable:
         return int(np.count_nonzero(self.values[1:n + 1]))
 
 
+# Indices per segment in mobius_sieve.  One segment's int64 cofactors (32 MB)
+# are its largest temporary; the table itself takes one byte per index.
+_SEGMENT = 1 << 22
+
+
 def _check_limit(limit: int) -> None:
     if limit > MAX_WINDOW_CELLS:
         raise InvalidParameterError(
@@ -44,21 +49,14 @@ def _check_limit(limit: int) -> None:
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
-    """Sieve mu(1..limit): one sign flip per prime divisor, zero on square factors."""
+    """mu(1..limit), one segment of _SEGMENT indices at a time."""
     if limit < 1:
         raise InvalidParameterError("sieve limit must be >= 1")
     _check_limit(limit)
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if composite[p]:
-            continue
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            composite[sq::p] = True
-            mu[sq::sq] = 0
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    for lo in range(1, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT - 1, limit)
+        mu[lo:hi + 1] = mobius_segment(lo, hi)
     return MobiusTable(limit, mu)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     IncompleteDataError,
     InvalidParameterError,
 )
-from .mobius import mobius_segment, mobius_sieve
+from .mobius import mobius_segment
 from .schedule import Schedule
 from .sparse import SparseSetSpec
 from .words import (MAX_WINDOW_CELLS, STAR, Alphabet, PartialWindow, block_batches,
@@ -81,28 +81,22 @@ class TargetSequence:
         return cls("mu-sign", lambda n: table[mu(n)])
 
 
-# Indices up to this many get mu from one sieve of 1..2n; past it, from
-# segments of this many indices, so no table grows with n.
+# mu comes from segments of indices that start at the index asked for.  Each
+# segment is twice the last, from 2**12 up to this many, so the work follows
+# the number of indices asked for and no table grows with n.
 _MU_SIEVE_BUDGET = 1 << 22
 
 
 def _grown_mu():
-    """mu(n) from a sieve of 1..2n (regrown whenever n outruns it) up to
-    _MU_SIEVE_BUDGET, and past it from the segment of _MU_SIEVE_BUDGET
-    indices that starts at n (ending at MAX_WINDOW_CELLS; n past that is
-    refused)."""
+    """mu(n) from the last segment, or from a new one starting at n when n
+    falls outside it (ending at MAX_WINDOW_CELLS; n past that is refused)."""
     state = {"lo": 1, "values": np.zeros(0, dtype=np.int8)}
 
     def mu(n: int) -> int:
         lo, values = state["lo"], state["values"]
         if not lo <= n < lo + values.size:
-            if n <= _MU_SIEVE_BUDGET:
-                lo = 1
-                values = mobius_sieve(max(1 << 12, min(2 * n, _MU_SIEVE_BUDGET))).values[1:]
-            else:
-                lo = n
-                values = mobius_segment(n, max(n, min(n + _MU_SIEVE_BUDGET - 1,
-                                                      MAX_WINDOW_CELLS)))
+            size = min(max(2 * values.size, 1 << 12), _MU_SIEVE_BUDGET)
+            lo, values = n, mobius_segment(n, max(n, min(n + size - 1, MAX_WINDOW_CELLS)))
             state["lo"], state["values"] = lo, values
         return int(values[n - lo])
 

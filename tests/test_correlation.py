@@ -11,6 +11,7 @@ from blockshift import (
     realization,
     sarnak_demo,
 )
+from blockshift import mobius
 from blockshift.mobius import mobius_segment
 from blockshift.realization import realize
 from blockshift.words import MAX_WINDOW_CELLS
@@ -49,6 +50,14 @@ def test_sieve_limit_refused_before_allocating():
                                    (999_000, 10**6)])
 def test_mobius_segment_matches_the_sieve(mob, lo, hi):
     assert mobius_segment(lo, hi).tolist() == mob.values[lo:hi + 1].tolist()
+    assert mobius_segment(lo, hi).tolist() == [mu_by_trial_division(n)
+                                               for n in range(lo, hi + 1)]
+
+
+def test_sieve_in_several_segments_matches_trial_division(monkeypatch):
+    monkeypatch.setattr(mobius, "_SEGMENT", 1000)
+    assert mobius_sieve(10**4 + 7).values[1:].tolist() == [
+        mu_by_trial_division(n) for n in range(1, 10**4 + 8)]
 
 
 def test_mobius_segment_up_to_the_cell_limit():
