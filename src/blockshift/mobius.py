@@ -36,23 +36,21 @@ class MobiusTable:
         return int(np.count_nonzero(self.values[1:n + 1]))
 
 
-# Indices per segment in mobius_sieve.  One segment's int64 cofactors (32 MB)
-# are its largest temporary; the table itself takes one byte per index.
+# Indices per segment in mobius_sieve, and the most entries of the prime table
+# in mobius_segment, so no segment reaches _SEGMENT**2 = 2**44.  One segment's
+# int64 cofactors (32 MB) are its largest temporary; the sieve's table takes
+# one byte per index.
 _SEGMENT = 1 << 22
-
-
-def _check_limit(limit: int) -> None:
-    if limit > MAX_WINDOW_CELLS:
-        raise InvalidParameterError(
-            f"Mobius sieve up to {limit} exceeds the {MAX_WINDOW_CELLS}-entry limit"
-        )
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
     """mu(1..limit), one segment of _SEGMENT indices at a time."""
     if limit < 1:
         raise InvalidParameterError("sieve limit must be >= 1")
-    _check_limit(limit)
+    if limit > MAX_WINDOW_CELLS:
+        raise InvalidParameterError(
+            f"Mobius sieve up to {limit} exceeds the {MAX_WINDOW_CELLS}-entry limit"
+        )
     mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT - 1, limit)
@@ -66,12 +64,16 @@ def mobius_segment(lo: int, hi: int) -> np.ndarray:
     A segmented sieve: each prime p up to sqrt(hi) flips the sign of its
     multiples, divides them once by p and zeroes the multiples of p*p.  A
     squarefree n left with a cofactor above 1 has exactly one more prime
-    factor (two would exceed hi), so its sign flips once more.
+    factor (two would exceed hi), so its sign flips once more.  The primes
+    come from a table of sqrt(hi) + 1 entries, refused past _SEGMENT.
     """
     if not 1 <= lo <= hi:
         raise InvalidParameterError(f"empty or non-positive Mobius range [{lo},{hi}]")
-    _check_limit(hi)
     root = isqrt(hi)
+    if root >= _SEGMENT:
+        raise InvalidParameterError(
+            f"Mobius segment up to {hi} reaches the index bound {_SEGMENT**2}, "
+            f"from which on its prime table would exceed {_SEGMENT} entries")
     prime = np.ones(root + 1, dtype=bool)
     prime[:2] = False
     for p in range(2, isqrt(root) + 1):

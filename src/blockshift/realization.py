@@ -29,10 +29,10 @@ from .errors import (
     IncompleteDataError,
     InvalidParameterError,
 )
-from .mobius import mobius_segment
+from . import mobius
 from .schedule import Schedule
 from .sparse import SparseSetSpec
-from .words import (MAX_WINDOW_CELLS, STAR, Alphabet, PartialWindow, block_batches,
+from .words import (STAR, Alphabet, PartialWindow, block_batches,
                     block_interval, block_of, check_cell_count, count_rows, fold_rows,
                     hull_of_blocks, on_block_grid)
 
@@ -81,22 +81,18 @@ class TargetSequence:
         return cls("mu-sign", lambda n: table[mu(n)])
 
 
-# mu comes from segments of indices that start at the index asked for.  Each
-# segment is twice the last, from 2**12 up to this many, so the work follows
-# the number of indices asked for and no table grows with n.
-_MU_SIEVE_BUDGET = 1 << 22
-
-
 def _grown_mu():
     """mu(n) from the last segment, or from a new one starting at n when n
-    falls outside it (ending at MAX_WINDOW_CELLS; n past that is refused)."""
+    falls outside it.  Each segment is twice the last, from 2**12 up to
+    mobius._SEGMENT indices (read at call time), so the work follows the
+    number of indices asked for and no table grows with n."""
     state = {"lo": 1, "values": np.zeros(0, dtype=np.int8)}
 
     def mu(n: int) -> int:
         lo, values = state["lo"], state["values"]
         if not lo <= n < lo + values.size:
-            size = min(max(2 * values.size, 1 << 12), _MU_SIEVE_BUDGET)
-            lo, values = n, mobius_segment(n, max(n, min(n + size - 1, MAX_WINDOW_CELLS)))
+            size = min(max(2 * values.size, 1 << 12), mobius._SEGMENT)
+            lo, values = n, mobius.mobius_segment(n, n + size - 1)
             state["lo"], state["values"] = lo, values
         return int(values[n - lo])
 

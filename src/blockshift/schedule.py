@@ -210,31 +210,28 @@ def _digest_word(word: np.ndarray, alphabet: Alphabet) -> str:
 # --- counting --------------------------------------------------------
 
 
-def surjection_count(t: int, b: int) -> int:
-    """Sequences of length t over b labels that use every label."""
-    if b == 0:
-        return 1 if t == 0 else 0
-    return sum((-1) ** j * math.comb(b, j) * (b - j) ** t for j in range(b + 1))
-
-
 def exact_next_count(r: int, a: int, every_word: bool) -> int:
-    """|A_{k+1}| from r slots over a words with >= r/3 pillar copies.
+    """|A_{k+1}| from r slots over a words with >= r/3 pillar copies and,
+    with every_word, every word used.
 
-    Without every_word it is the sum of C(r, e) (a-1)^e over the e <= r - r/3
-    non-pillar slots, taken by Horner's rule in a-1, so no power of a-1 is
-    formed on its own.
+    total(b) counts the words whose e <= r - r/3 non-pillar slots each hold
+    one of b words: the sum of C(r, e) b^e, taken by Horner's rule, so no
+    power of b is formed on its own.  The count is total(a - 1); with
+    every_word, inclusion-exclusion over the j non-pillar words left out.
     """
     if r % 3 != 0:
         raise InvalidParameterError("slot count must be divisible by 3")
-    q = r // 3
-    if every_word:
-        return sum(
-            math.comb(r, z) * surjection_count(r - z, a - 1) for z in range(q, r + 1)
-        )
-    acc = 0
-    for e in range(r - q, -1, -1):
-        acc = acc * (a - 1) + math.comb(r, e)
-    return acc
+    row = [math.comb(r, e) for e in range(r - r // 3, -1, -1)]
+
+    def total(b: int) -> int:
+        acc = 0
+        for c in row:
+            acc = acc * b + c
+        return acc
+
+    if not every_word:
+        return total(a - 1)
+    return sum((-1) ** j * math.comb(a - 1, j) * total(a - 1 - j) for j in range(a))
 
 
 def _log_comb(r: int, q: int) -> float:

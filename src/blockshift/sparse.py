@@ -28,7 +28,7 @@ from .errors import IncompleteDataError, InvalidParameterError
 # float log and the product each err by at most about one ulp, 2**-52
 _NLOGN_GUARD = 1e-9
 _NLOGN_REL_GUARD = 2.0**-50
-# largest monomial degree and power numerator P: term(n) computes n**P exactly
+# largest numerator P of gamma = P/Q: term(n) computes n**P exactly
 MAX_EXPONENT = 1000
 
 
@@ -39,9 +39,13 @@ def kth_root_floor(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
-    # integer Newton steps from above: 2**ceil(bits/k) exceeds the root,
-    # and the steps decrease strictly until they reach floor(x**(1/k))
-    r = 1 << -(-x.bit_length() // k)
+    # integer Newton steps from above decrease strictly until they reach
+    # floor(x**(1/k)); each shrinks the excess by only about 1/k, so start
+    # just above the float root, or at 2**ceil(bits/k) past the float range
+    try:
+        r = int(math.exp(math.log(x) / k) * (1 + 2.0**-30)) + 1
+    except OverflowError:
+        r = 1 << -(-x.bit_length() // k)
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k
         if s >= r:
@@ -80,14 +84,15 @@ _KINDS = ("explicit", "monomial", "power", "nlogn", "evens")
 class SparseSetSpec:
     """A strictly increasing set S = {s_1 < s_2 < ...} of positive integers.
 
-    kind selects the rule; explicit carries the full list.  An explicit
-    list is the complete set unless ``horizon`` marks it as a prefix
-    enumerated only through that bound, in which case queries beyond the
-    horizon raise IncompleteDataError.
+    kind selects the rule; explicit carries the full list.  The monomial
+    and power kinds are one rule, s_n = floor(n**gamma), and differ only
+    in their spelling (monomial:D stores gamma = D).  An explicit list is
+    the complete set unless ``horizon`` marks it as a prefix enumerated
+    only through that bound, in which case queries beyond the horizon
+    raise IncompleteDataError.
     """
 
     kind: str
-    degree: int | None = None
     gamma: Fraction | None = None
     values: tuple[int, ...] | None = None
     horizon: int | None = None
@@ -95,16 +100,18 @@ class SparseSetSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown sparse-set kind {self.kind!r}")
-        if self.kind == "monomial" and (self.degree is None or self.degree < 1):
+        g = self.gamma
+        if self.kind == "monomial" and (g is None or g < 1 or g.denominator != 1):
             raise InvalidParameterError("monomial kind needs degree >= 1")
-        if self.kind == "power":
-            if self.gamma is None or self.gamma <= 1:
-                raise InvalidParameterError("power kind needs rational gamma > 1")
-        exponent = self.degree if self.kind == "monomial" else (
-            self.gamma.numerator if self.kind == "power" else 0)
-        if exponent > MAX_EXPONENT:
-            raise InvalidParameterError(
-                f"{self.kind} exponent {exponent} exceeds the bound {MAX_EXPONENT}")
+        if self.kind == "power" and (g is None or g <= 1):
+            raise InvalidParameterError("power kind needs rational gamma > 1")
+        if g is not None:
+            if g.numerator > MAX_EXPONENT:
+                raise InvalidParameterError(
+                    f"{self.kind} exponent {g.numerator} exceeds the bound {MAX_EXPONENT}")
+            # term() runs per element; Fraction's numerator is a property
+            object.__setattr__(self, "_p", g.numerator)
+            object.__setattr__(self, "_q", g.denominator)
         if self.kind == "explicit":
             v = self.values
             if not v:
@@ -118,7 +125,7 @@ class SparseSetSpec:
 
     @classmethod
     def monomial(cls, degree: int) -> "SparseSetSpec":
-        return cls(kind="monomial", degree=degree)
+        return cls(kind="monomial", gamma=Fraction(degree))
 
     @classmethod
     def squares(cls) -> "SparseSetSpec":
@@ -192,7 +199,7 @@ class SparseSetSpec:
 
     def describe(self) -> str:
         if self.kind == "monomial":
-            return "squares" if self.degree == 2 else f"monomial:{self.degree}"
+            return "squares" if self.gamma == 2 else f"monomial:{self.gamma}"
         if self.kind == "power":
             return f"power:{self.gamma}"
         if self.kind == "explicit":
@@ -215,10 +222,8 @@ class SparseSetSpec:
                     f"explicit list has {len(self.values)} elements, index {n} requested"
                 )
             return self.values[n - 1]
-        if self.kind == "monomial":
-            return n**self.degree
-        if self.kind == "power":
-            return kth_root_floor(n**self.gamma.numerator, self.gamma.denominator)
+        if self.gamma is not None:
+            return n**self._p if self._q == 1 else kth_root_floor(n**self._p, self._q)
         if self.kind == "nlogn":
             return _nlogn(n)
         return 2 * n  # evens
@@ -284,8 +289,8 @@ class SparseSetSpec:
 
     @property
     def zero_density(self) -> bool:
-        """Whether the rule has Banach density zero (monomial:D >= 2, power, nlogn)."""
-        return self.kind in ("power", "nlogn") or (self.kind == "monomial" and self.degree > 1)
+        """Whether the rule has Banach density zero (gamma > 1, nlogn)."""
+        return self.kind == "nlogn" or (self.gamma is not None and self.gamma > 1)
 
     def max_window_count(
         self,
@@ -354,9 +359,8 @@ class SparseSetSpec:
         return lower, witness
 
     def _gaps_never_shrink(self) -> bool:
-        """s_{n+1} - s_n is nondecreasing: evens, monomials, integer powers."""
-        return self.kind in ("evens", "monomial") or (
-            self.kind == "power" and self.gamma.denominator == 1)
+        """s_{n+1} - s_n is nondecreasing: evens and integer gamma."""
+        return self.kind == "evens" or (self.gamma is not None and self._q == 1)
 
     def _scan_max(self, window_len: int, lo: int, hi: int,
                   goal: int | None) -> tuple[int, tuple[int, int]]:

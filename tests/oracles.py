@@ -85,6 +85,18 @@ def exact_next_count_by_sum(r, a):
     return sum(math.comb(r, z) * (a - 1) ** (r - z) for z in range(r // 3, r + 1))
 
 
+def every_word_count_by_surjections(r, a):
+    """schedule.exact_next_count with every_word, as a sum over the pillar
+    count z >= r/3 of the ways to fill the other r - z slots with words
+    1..a-1, each used at least once (a surjection count)."""
+    def surjections(t, b):
+        if b == 0:
+            return 1 if t == 0 else 0
+        return sum((-1) ** j * math.comb(b, j) * (b - j) ** t for j in range(b + 1))
+
+    return sum(math.comb(r, z) * surjections(r - z, a - 1) for z in range(r // 3, r + 1))
+
+
 def max_window_by_scan(spec, window_len, rng, stop_at=None):
     """SparseSetSpec.max_window_count by a two-pointer scan over every
     element of S in rng; with stop_at it stops once the count reaches it."""

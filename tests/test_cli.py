@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from blockshift import SparseSetSpec, cli, errors
 from blockshift.cli import main
@@ -272,13 +274,23 @@ def _empty_payload(lines):
      "wrote {dir}/x.bsw: offset=1970 length=78"),
     ("", ["realize", "--alphabet", "01", "--sparse", "nlogn", "--depth", "1",
           "--u", "mu-indicator", "--window", "1000000000000:1000000000100",
-          "--out", "{dir}/x.bsw"], 2,
-     "error: Mobius sieve up to 40924895425 exceeds the 2147483648-entry limit"),
+          "--out", "{dir}/x.bsw"], 0,
+     "wrote {dir}/x.bsw: offset=999999999962 length=153"),
     # n = 1.5e9: mu from one segment of indices, not a sieve of 1..2n
     ("", ["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "1",
           "--u", "mu-indicator", "--window", "2250000000000000000:2250000000000000100",
           "--out", "{dir}/x.bsw"], 0,
      "wrote {dir}/x.bsw: offset=2249999999999999993 length=120"),
+    # n = 2**44: the primes up to sqrt(n) would pass the table bound of mobius_segment
+    ("", ["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "1",
+          "--u", "mu-indicator", "--window", f"{2**88}:{2**88 + 100}",
+          "--out", "{dir}/x.bsw"], 2,
+     "error: Mobius segment up to 17592186048511 reaches the index bound 17592186044416, "
+     "from which on its prime table would exceed 4194304 entries"),
+    # each term is a 999th root of n**1000, taken by Newton steps from the float root
+    ("", ["schedule", "--sparse", "power:1000/999", "--depth", "1"], 3,
+     "error: no candidate for m_1 passes the sparsity gate within the value cap "
+     "1099511627776 (23 tried); the next is 1221048436179"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -382,6 +394,60 @@ def test_realize_past_the_verified_range(tmp_path, capsys):
     assert [l[:20] for l in out.splitlines()] == [
         f"{name:<14}PASS  " for name in
         ("checksum", "m-list", "realization", "admissibility", "minimality")]
+
+
+def test_realize_mu_at_ten_to_the_ten(tmp_path, capsys):
+    """mu(10**10) needs one segment of indices with primes up to 10**5, far
+    below the 2**44 index bound (the 2**44 side is a row of
+    test_bad_input_exit_code)."""
+    path = tmp_path / "mu.bsw"
+    code, out, err = run(capsys, "realize", "--alphabet", "01", "--sparse", "squares",
+                         "--depth", "1", "--u", "mu-indicator", "--window",
+                         "100000000000000000000:100000000000000000100", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"wrote {path}: offset=99999999999999999998 length=105\n"
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert [l[:20] for l in out.splitlines()] == [
+        f"{name:<14}{status}  " for name, status in
+        (("checksum", "PASS"), ("m-list", "PASS"), ("realization", "PASS"),
+         ("admissibility", "PASS"), ("minimality", "SKIP"))]
+
+
+# Pieces of a fuzzed target: alphabet symbols, '*', whitespace of each kind
+# (str.split drops it from a file: target, not from a text: one), non-ASCII
+# symbols and, in a file, an undecodable 0xff byte and a UTF-8 BOM.
+_TEXT_PIECES = ["0", "1", "*", " ", "\t", "\r", "\r\n", "\n", "\u00e9", "\u3000", "\ufeff"]
+_FILE_PIECES = [p.encode() for p in _TEXT_PIECES] + [b"\xff", b"\xef\xbb\xbf"]
+_TARGET_ERROR = re.compile(r"error: (symbol .+ not in alphabet '01'"
+                           r"|target sequence .+ has \d+ terms, u\(\d+\) requested)\n",
+                           re.DOTALL)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=8).map(lambda p: "text:" + "".join(p)),
+    st.lists(st.sampled_from(_FILE_PIECES), max_size=8).map(b"".join)))
+@example("text:0110")
+@example(b"0 1\r\n1\t0\n")
+@example("text:")
+@example(b"\xef\xbb\xbf01")
+def test_fuzzed_target_realizes_or_exits_2(tmp_path, capsys, target):
+    """A text: or file: target either realizes a window that verifies, or
+    exits 2 naming the stray symbol or the missing term."""
+    if isinstance(target, bytes):
+        source = tmp_path / "u.txt"
+        source.write_bytes(target)
+        target = f"file:{source}"
+    path = tmp_path / "x.bsw"
+    code, _, err = run(capsys, "realize", "--alphabet", "01", "--sparse", "squares",
+                       "--depth", "1", "--u", target, "--out", str(path))
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert _TARGET_ERROR.fullmatch(err), err
+    else:
+        assert run(capsys, "verify", str(path))[0] == 0
 
 
 def test_realize_with_text_target(tmp_path, capsys):

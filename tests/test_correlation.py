@@ -60,16 +60,20 @@ def test_sieve_in_several_segments_matches_trial_division(monkeypatch):
         mu_by_trial_division(n) for n in range(1, 10**4 + 8)]
 
 
-def test_mobius_segment_up_to_the_cell_limit():
-    lo = MAX_WINDOW_CELLS - 20
-    assert mobius_segment(lo, MAX_WINDOW_CELLS).tolist() == [
-        mu_by_trial_division(n) for n in range(lo, MAX_WINDOW_CELLS + 1)]
-    with pytest.raises(InvalidParameterError, match=r"Mobius sieve up to 2147483649 exceeds"):
-        mobius_segment(MAX_WINDOW_CELLS + 1, MAX_WINDOW_CELLS + 1)
+def test_mobius_segment_up_to_the_index_bound():
+    # the primes up to sqrt(hi) fill a table of at most _SEGMENT = 2**22 entries
+    bound = 2**44
+    assert mobius_segment(bound - 21, bound - 1).tolist() == [
+        mu_by_trial_division(n) for n in range(bound - 21, bound)]
+    with pytest.raises(InvalidParameterError, match=r"Mobius segment up to 17592186044416 "
+                       r"reaches the index bound 17592186044416, from which on its prime "
+                       r"table would exceed 4194304 entries"):
+        mobius_segment(bound, bound)
 
 
 def test_grown_mu_past_the_budget_matches_the_sieve(mob, monkeypatch):
-    monkeypatch.setattr(realization, "_MU_SIEVE_BUDGET", 1000)
+    # segments of 1024 indices, so primes up to 1000 stay below the table bound
+    monkeypatch.setattr(mobius, "_SEGMENT", 1024)
     mu = realization._grown_mu()
     # up through the budget and several segments, far out, then back below it
     ns = [*range(1, 4000), *range(10**6 - 1500, 10**6 + 1), 999_950, 1000, 1001, 4000, 1]

@@ -22,10 +22,9 @@ from blockshift import (
 )
 from blockshift.cli import main
 from blockshift import schedule
-from blockshift.schedule import (POOL_SIZE, LevelParams, Schedule, exact_next_count,
-                                 surjection_count)
-from tests.oracles import (admissible_words_by_recursion, exact_next_count_by_sum,
-                           plan_by_fixed_point, rows_outside)
+from blockshift.schedule import POOL_SIZE, LevelParams, Schedule, exact_next_count
+from tests.oracles import (admissible_words_by_recursion, every_word_count_by_surjections,
+                           exact_next_count_by_sum, plan_by_fixed_point, rows_outside)
 
 
 def brute_force_level1_binary():
@@ -191,9 +190,6 @@ def test_level_counts(sched2):
 
 
 def test_surjection_and_closed_form():
-    assert surjection_count(0, 0) == 1
-    assert surjection_count(3, 1) == 1
-    assert surjection_count(3, 2) == 6  # 2^3 - 2
     assert exact_next_count(15, 2, True) == 30826
     assert exact_next_count(15, 3, True) == 8489366
     assert exact_next_count(15, 3, False) == 8551019
@@ -208,6 +204,14 @@ def test_surjection_and_closed_form():
 def test_exact_count_matches_sum(r, a):
     """The fast-profile count by Horner's rule against the term-by-term sum."""
     assert exact_next_count(r, a, False) == exact_next_count_by_sum(r, a)
+
+
+def test_every_word_count_matches_surjections():
+    """The faithful-profile count by inclusion-exclusion over Horner sums
+    against the sum over pillar counts of surjection counts."""
+    for r in range(3, 151, 3):
+        for a in range(1, 41):
+            assert exact_next_count(r, a, True) == every_word_count_by_surjections(r, a), (r, a)
 
 
 def test_canonical_pillar_structure(sched2, binary):

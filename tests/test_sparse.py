@@ -48,15 +48,18 @@ def test_power_kind_exact_floors():
     assert [p.term(n) for n in range(1, 200)] == direct
 
 
-@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=120))
+@given(st.integers(min_value=0, max_value=10**3000),
+       st.integers(min_value=1, max_value=MAX_EXPONENT))
 def test_kth_root_floor(x, k):
     # x reaches far past the float range, where x ** (1 / k) overflows
     r = kth_root_floor(x, k)
     assert r**k <= x < (r + 1) ** k
 
 
-@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=120))
-def test_kth_root_floor_near_powers(r, k):
+@given(st.integers(min_value=1, max_value=MAX_EXPONENT).flatmap(
+    lambda k: st.tuples(st.integers(min_value=0, max_value=10 ** (3000 // k)), st.just(k))))
+def test_kth_root_floor_near_powers(rk):
+    r, k = rk
     for x in (r**k - 1, r**k, r**k + 1):
         if x >= 0:
             q = kth_root_floor(x, k)
@@ -319,6 +322,25 @@ def test_parse_and_describe():
     assert SparseSetSpec.parse("list:2,9").values == (2, 9)
     with pytest.raises(InvalidParameterError):
         SparseSetSpec.parse("primes")
+    for text in ("squares", "monomial:3", "power:2", "power:3/2"):
+        assert SparseSetSpec.parse(text).describe() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3000), st.integers(-50, 10**6), st.integers(0, 5000),
+       st.integers(1, 20), st.integers(1, 5))
+def test_monomial_and_power_are_one_rule(d, window_len, lo, slack, m_k, j):
+    """monomial:D and power:D name the same set and answer every query alike."""
+    mono, power = SparseSetSpec.parse(f"monomial:{d}"), SparseSetSpec.parse(f"power:{d}")
+    rng = (lo, lo + window_len - 1 + slack)
+    for n in (1, 2, j, window_len, lo if lo >= 1 else 1):
+        assert mono.term(n) == power.term(n) == n**d
+    assert mono.count_in(rng) == power.count_in(rng)
+    assert mono.elements_in(rng) == power.elements_in(rng)
+    assert mono.max_window_count(window_len, rng) == power.max_window_count(window_len, rng)
+    assert mono.sparsity_report(3 * m_k * j, m_k) == power.sparsity_report(3 * m_k * j, m_k)
+    assert mono.zero_density and power.zero_density
+    assert mono._gaps_never_shrink() and power._gaps_never_shrink()
 
 
 @settings(max_examples=400, deadline=None)
@@ -338,7 +360,7 @@ def test_parse_gives_spec_or_invalid_parameter(prefix, tail):
 
 def test_exponent_bound():
     assert SparseSetSpec.parse("power:101/100").gamma == Fraction(101, 100)
-    assert SparseSetSpec.parse(f"monomial:{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert SparseSetSpec.parse(f"monomial:{MAX_EXPONENT}").gamma == MAX_EXPONENT
     for text in (f"monomial:{MAX_EXPONENT + 1}", f"power:{MAX_EXPONENT + 1}/2",
                  "power:9999999/2"):
         with pytest.raises(InvalidParameterError, match="exceeds the bound"):
