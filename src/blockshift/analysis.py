@@ -1,11 +1,13 @@
 """Analyzers: distinct-subword profiles, the entropy bound chain,
 minimality witnesses, and the positive-density converse bound.
 
-Everything here is exact.  Subword counting sorts one fixed-width
-integer key per start position once and reads the count for every
-length from the sorted order (no hashing); reported counts are window
-lower bounds on the language size, since a finite window can undercount
-straddling words.
+Everything here is exact.  Subword counting packs the next n_max cells
+of every start position, a few bits a cell, into uint64 key words and
+sorts them once; the longest common prefixes of adjacent sorted keys,
+read off the XORs of their words, give the count for every length at
+once (no hashing).  Aligned blocks are counted by one lexsort of each
+row's 8-byte words.  Reported counts are window lower bounds on the
+language size, since a finite window can undercount straddling words.
 
 Minimality witnesses make no pass of their own over the window: they
 certify aligned pillar copies, read off the admissibility report, and
@@ -44,14 +46,21 @@ def complexity_profile(x: PartialWindow, n_max: int,
     One lexicographic sort serves every length.  The cells are padded
     with n_max - 1 copies of an end mark, the digit ``base`` (one above
     every cell value), and each start position's next n_max digits are
-    packed in base ``base + 1`` into fixed-width int64 key words.  In the
-    sorted order every set of equal n-prefixes is one run, so the runs
-    of n-prefixes count the distinct length-n words plus the n - 1
-    prefixes that hold the end mark.
+    packed, ``base.bit_length()`` bits a digit, into uint64 key words.
+    After the sort, the number of distinct n-prefixes is one more than
+    the number of adjacent keys whose first n digits differ, and the
+    highest set bit of their XOR tells the first digit that differs.  So
+    one in-place sort of the XORs and one ``searchsorted`` against the
+    digit boundaries give that number for every n of a key word (the
+    histogram of longest common prefixes).  The XORs overwrite the
+    keys, so the peak holds the keys and little more.  The distinct
+    n-prefixes are the distinct length-n words plus the n - 1 prefixes
+    that hold the end mark.
 
     Counts over all positions are window lower bounds on the language
     size (straddling words can be undercounted); for each requested
-    block length the grid-aligned distinct count is reported separately.
+    block length the grid-aligned distinct count is reported separately,
+    from one lexsort of the 8-byte words of the block rows.
     """
     if not x.is_fully_defined():
         raise InvalidParameterError("window contains '*' cells")
@@ -59,19 +68,13 @@ def complexity_profile(x: PartialWindow, n_max: int,
         raise InvalidParameterError(f"n_max {n_max} outside [1,{len(x)}]")
     size = len(x)
     base = int(x.cells.max()) + 1
-    digit = base + 1
+    bits = base.bit_length()
+    per_word = 63 // bits
     # cells are at most 254 (255 is the star), so the end mark fits uint8
     padded = np.concatenate([x.cells, np.full(n_max - 1, base, dtype=np.uint8)])
-    width = 1
-    while width < n_max and digit ** (width + 1) < 2**62:
-        width += 1
-    keys = []
-    for lo in range(0, n_max, width):
-        key = padded[lo:lo + size].astype(np.int64)
-        for t in range(lo + 1, min(lo + width, n_max)):
-            key *= digit
-            key += padded[t:t + size]
-        keys.append(key)
+    starts = range(0, n_max, per_word)
+    keys = [_packed(padded[lo:], min(per_word, n_max - lo), bits, size) for lo in starts]
+    del padded
     if len(keys) == 1:
         keys[0].sort()
     else:
@@ -81,40 +84,103 @@ def complexity_profile(x: PartialWindow, n_max: int,
         del key, order
 
     counts: dict[int, int] = {}
-    # differs[i]: the sorted keys i and i + 1 differ in a word already counted
-    differs = np.zeros(size - 1, dtype=bool)
-    for lo in range(0, n_max, width):
-        key = keys.pop(0)  # popped, so each word is freed once counted
-        earlier = differs
-        differs = earlier | (key[1:] != key[:-1])
-        # one entry per distinct prefix through this word, in sorted order;
-        # first marks the entries whose earlier words differ from the
-        # previous entry's, which stays true as prefixes shorten
-        keep = np.concatenate(([True], differs))
-        prefix = key[keep]
-        first = np.concatenate(([True], earlier))[keep]
-        del key
-        for n in range(min(lo + width, n_max), lo, -1):
-            counts[n] = prefix.size - (n - 1)
-            if n > lo + 1:
-                prefix //= digit
-                keep = first.copy()
-                keep[1:] |= prefix[1:] != prefix[:-1]
-                prefix = prefix[keep]
-                first = first[keep]
-    counts = dict(sorted(counts.items()))
+    told = None  # told[i]: the sorted keys i and i + 1 differ in an earlier word
+    for lo in starts:
+        width = min(per_word, n_max - lo)
+        xor = _xor_with_next(keys.pop(0))  # popped, so each word is freed once counted
+        if told is not None:
+            xor[told] = _ALL_ONES  # above every digit boundary
+        told = xor != 0 if lo + width < n_max else None
+        xor.sort()
+        # the first j digits of the word differ iff the XOR reaches the
+        # lowest bit of digit j
+        bounds = np.array([1 << bits * (width - j) for j in range(1, width + 1)],
+                          dtype=np.uint64)
+        apart = xor.size - np.searchsorted(xor, bounds)
+        for n, pairs in enumerate(apart.tolist(), start=lo + 1):
+            counts[n] = 1 + pairs - (n - 1)
+        del xor
     aligned = {
-        int(m): len(aligned_block_census(x, int(m))) for m in aligned_lengths
+        int(m): _distinct_rows(_aligned_rows(x, int(m))) for m in aligned_lengths
     }
     return ComplexityReport(len(x), counts, aligned)
 
 
-def aligned_block_census(x: PartialWindow, m: int) -> Counter:
-    """Multiset of the aligned length-m blocks of a block-aligned window."""
+_ALL_ONES = np.uint64(2**64 - 1)
+# In-place passes over a key go forward in chunks of this many entries:
+# each chunk reads entries ahead of it before they change, so no pass
+# needs a second key-sized array.
+_CHUNK = 1 << 16
+
+
+def _packed(digits: np.ndarray, width: int, bits: int, size: int) -> np.ndarray:
+    """key[i] = digits[i], ..., digits[i + width - 1], ``bits`` bits each,
+    the first digit highest, for i < size.
+
+    Built by doubling: a key of h digits becomes one of 2h by joining
+    each key to the one h places on, and one of h + 1 by joining each
+    key to the digit h places on, so ``width`` digits take about
+    2·log2(width) passes, not width - 1."""
+    key = digits[:size + width - 1].astype(np.uint64)
+    have = 1
+    for bit in bin(width)[3:]:
+        _join(key, key, have, bits * have)
+        have *= 2
+        if bit == "1":
+            _join(key, digits, have, bits)
+            have += 1
+    return key[:size]
+
+
+def _join(key: np.ndarray, tail: np.ndarray, ahead: int, shift: int) -> None:
+    """key[i] = key[i] << shift | tail[i + ahead] for i < key.size - ahead."""
+    end = key.size - ahead
+    for a in range(0, end, _CHUNK):
+        b = min(a + _CHUNK, end)
+        key[a:b] = (key[a:b] << shift) | tail[a + ahead:b + ahead]
+
+
+def _xor_with_next(key: np.ndarray) -> np.ndarray:
+    """key[i] ^= key[i + 1] for every i but the last, in place, as key[:-1]."""
+    last = key.size - 1
+    for a in range(0, last, _CHUNK):
+        b = min(a + _CHUNK, last)
+        key[a:b] ^= key[a + 1:b + 1]
+    return key[:-1]
+
+
+def _aligned_rows(x: PartialWindow, m: int) -> np.ndarray:
     if not on_block_grid(x.offset, len(x), m):
         raise InvalidParameterError(f"window {x.interval()} not aligned to {m}-blocks")
-    rows = x.cells.reshape(len(x) // m, m)
-    return Counter(row.tobytes() for row in rows)
+    return x.cells.reshape(len(x) // m, m)
+
+
+def _distinct_rows(rows: np.ndarray) -> int:
+    """The number of distinct rows of a C-contiguous uint8 array of one
+    or more rows.
+
+    Rows are read as 8-byte words, as in ``words.rows_equal``: the words
+    at byte offsets 0, 8, ... and one at m - 8 for the tail, through
+    unaligned strided uint64 views, so no row is copied; rows under 8
+    bytes are zero-padded to one word.  A lexsort of the words puts equal
+    rows next to each other."""
+    n, m = rows.shape
+    if m < 8:
+        rows = np.pad(rows, ((0, 0), (0, 8 - m)))
+        m = 8
+    offsets = list(range(0, m - 7, 8)) + ([m - 8] if m % 8 else [])
+    words = [np.ndarray((n,), np.uint64, rows, o, (m,)) for o in offsets]
+    order = np.lexsort(words)
+    differs = np.zeros(n - 1, dtype=bool)
+    for word in words:
+        word = word[order]
+        differs |= word[1:] != word[:-1]
+    return 1 + int(np.count_nonzero(differs))
+
+
+def aligned_block_census(x: PartialWindow, m: int) -> Counter:
+    """Multiset of the aligned length-m blocks of a block-aligned window."""
+    return Counter(row.tobytes() for row in _aligned_rows(x, m))
 
 
 # --- entropy chain ------------------------------------------------------

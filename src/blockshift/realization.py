@@ -85,14 +85,19 @@ def _grown_mu():
     """mu(n) from the last segment, or from a new one starting at n when n
     falls outside it.  Each segment is twice the last, from 2**12 up to
     mobius._SEGMENT indices (read at call time), so the work follows the
-    number of indices asked for and no table grows with n."""
+    number of indices asked for and no table grows with n.  A segment
+    that starts below the index bound mobius._SEGMENT**2 ends before it,
+    so every n below the bound gets its mu."""
     state = {"lo": 1, "values": np.zeros(0, dtype=np.int8)}
 
     def mu(n: int) -> int:
         lo, values = state["lo"], state["values"]
         if not lo <= n < lo + values.size:
             size = min(max(2 * values.size, 1 << 12), mobius._SEGMENT)
-            lo, values = n, mobius.mobius_segment(n, n + size - 1)
+            hi = n + size - 1
+            if n < mobius._SEGMENT**2:
+                hi = min(hi, mobius._SEGMENT**2 - 1)
+            lo, values = n, mobius.mobius_segment(n, hi)
             state["lo"], state["values"] = lo, values
         return int(values[n - lo])
 

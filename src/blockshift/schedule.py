@@ -86,8 +86,12 @@ class Card:
             return f"log[{self.log_lower:.4f},{self.log_upper:.4f}]"
         if self.exact < 10**MAX_SHOWN_DIGITS:
             return f"exact:{self.exact}"
-        digits = int(math.log10(self.exact)) + 1
-        digits += (self.exact >= 10**digits) - (self.exact < 10 ** (digits - 1))
+        # the float log10 of a count of D digits is off by about D·2**-52,
+        # so only a value within 1e-6 of an integer needs an exact check
+        log = math.log10(self.exact)
+        digits = int(log) + 1
+        if min(log % 1, -log % 1) < 1e-6:
+            digits += (self.exact >= 10**digits) - (self.exact < 10 ** (digits - 1))
         return f"exact:{digits}-digit,ln={self.log_upper:.4f}"
 
 

@@ -48,7 +48,7 @@ def texts_with_nmax(draw):
 
     Half the texts repeat a short pattern with a few point changes, so
     long words recur and the sort keeps equal prefixes past the first
-    key word (widths 39, 30, 20 and 14 digits for these alphabets).
+    key word (widths 31, 31, 21 and 12 digits for these alphabets).
     """
     symbols = SYMBOLS[:draw(st.sampled_from([2, 3, 7, 20]))]
     if draw(st.booleans()):
@@ -70,6 +70,53 @@ def test_complexity_matches_naive(case):
     rep = complexity_profile(PartialWindow(0, Alphabet(symbols).cells_of_text(text)), n_max)
     assert list(rep.counts) == list(range(1, n_max + 1))
     assert rep.counts == {n: naive_distinct(text, n) for n in range(1, n_max + 1)}
+
+
+@st.composite
+def raw_cells_with_nmax(draw):
+    """Raw cells in 0..254 and an n_max up to 60.
+
+    The largest cell sets the digit width, from 1 bit (all zeros, 63
+    digits a key word) to 8 bits (7 digits a key word), so n_max up to 60
+    reaches up to nine key words.  Half the windows repeat a short
+    pattern with a few point changes, so adjacent sorted keys agree past
+    their first words and pairs told apart early are marked in later ones.
+    """
+    symbols = draw(st.lists(st.integers(0, 254), min_size=1, max_size=6, unique=True))
+    length = draw(st.integers(min_value=1, max_value=160))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.sampled_from(symbols), min_size=length, max_size=length))
+    else:
+        pattern = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=9))
+        cells = (pattern * length)[:length]
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            cells[draw(st.integers(0, length - 1))] = draw(st.sampled_from(symbols))
+    return bytes(cells), draw(st.integers(min_value=1, max_value=min(60, length)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_cells_with_nmax())
+def test_complexity_matches_naive_on_raw_cells(case):
+    cells, n_max = case
+    rep = complexity_profile(PartialWindow(0, list(cells)), n_max)
+    assert rep.counts == {n: naive_distinct(cells, n) for n in range(1, n_max + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 7, 8, 9, 15, 16, 17, 23]), st.integers(1, 40),
+       st.integers(-3, 3), st.data())
+def test_aligned_count_matches_census(m, blocks, shift, data):
+    # copies of one row, each with at most one byte changed, so equal rows
+    # recur and unequal ones can differ in any one byte
+    row = data.draw(st.lists(st.integers(0, 254), min_size=m, max_size=m))
+    cells = []
+    for _ in range(blocks):
+        copy = list(row)
+        copy[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([row[0], 0, 254]))
+        cells += copy
+    x = PartialWindow(shift * m - (m - 1) // 2, cells)
+    rep = complexity_profile(x, 1, aligned_lengths=(m,))
+    assert rep.aligned == {m: len(aligned_block_census(x, m))}
 
 
 @settings(max_examples=40)
@@ -100,11 +147,11 @@ def test_complexity_frozen_output_bytes(tmp_path, capsys, x2, sched2):
 
 
 def test_complexity_fallback_path(binary):
-    # a binary key word holds 39 digits, so n_max = 70 takes two key words
+    # a binary key word holds 31 digits, so n_max = 70 takes three key words
     # and the lexsort path
     text = "01" * 40
     rep = complexity_profile(PartialWindow(0, binary.cells_of_text(text)), 70)
-    for n in (63, 64, 70):  # lengths read from the second key word
+    for n in (63, 64, 70):  # lengths read from the third key word
         assert rep.counts[n] == naive_distinct(text, n)
 
 

@@ -291,6 +291,11 @@ def _empty_payload(lines):
     ("", ["schedule", "--sparse", "power:1000/999", "--depth", "1"], 3,
      "error: no candidate for m_1 passes the sparsity gate within the value cap "
      "1099511627776 (23 tried); the next is 1221048436179"),
+    # n = 2**44 - 10: the segment ends at the index bound, below the n = 2**44 row above
+    ("", ["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "1",
+          "--u", "mu-indicator", "--window", f"{(2**44 - 10)**2}:{(2**44 - 10)**2 + 100}",
+          "--out", "{dir}/x.bsw"], 0,
+     "wrote {dir}/x.bsw: offset=309485009820993225003892823 length=120"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -493,3 +494,21 @@ def test_card_describe_past_the_str_digit_limit():
     assert Card.exact_count(10**4300).describe() == "exact:4301-digit,ln=9901.1159"
     assert Card.exact_count(10**5000 + 1).describe() == "exact:5001-digit,ln=11512.9255"
     assert Card.exact_count(2**30000).describe().startswith("exact:9031-digit,")
+
+
+@pytest.mark.parametrize("k", [1, 17, 4299, 4300, 4301, 9999, 10000, 65536, 100000])
+def test_card_describe_digits_at_powers_of_ten(k):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k):
+            digits = len(str(n))
+            text = Card.exact_count(n).describe()
+            if n < 10**schedule.MAX_SHOWN_DIGITS:
+                assert text == f"exact:{n}"
+            else:
+                assert text.startswith(f"exact:{digits}-digit,")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
