@@ -239,7 +239,9 @@ def window_admissibility_report(x: PartialWindow, schedule: Schedule,
 
     Faithful profile checks block structure, symbols, pillar share,
     sub-block membership, and every-word coverage; fast profile checks
-    structure, symbols and pillar share only.
+    structure, symbols and pillar share only.  Sub-blocks are found in
+    A_{level-1} by binary search on packed uint64 row codes
+    (schedule._check_level).
     """
     if not 1 <= depth <= schedule.depth:
         raise InvalidParameterError(f"depth {depth} outside built depth")

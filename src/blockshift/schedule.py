@@ -12,6 +12,11 @@ those two constraints, keeping sparsity and the one-third pillar share,
 so deeper or wider demos stay desk-sized at the price of the minimality
 guarantee.  Every schedule is stamped with its profile, and
 ``Schedule.faithful`` is the one bit the rest of the package reads.
+
+An enumerated A_k has one form, the sorted read-only matrix
+``Schedule.words(k)``.  The faithful admissibility check finds a
+sub-block in it by binary search on uint64 codes of whole rows, a few
+bits a cell, packed from that matrix on each call.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .errors import (
 )
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_batches, check_cell_count, count_rows,
-                    fold_rows, hull_of_blocks, on_block_grid, rows_equal)
+                    fold_rows, hull_of_blocks, on_block_grid, row_chunks, row_codes,
+                    rows_equal)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -366,17 +372,63 @@ class WindowAdmissibilityReport:
         return "; ".join(parts)
 
 
-def _word_ids(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's index among the sorted row keys of a word matrix, and
-    whether the row is there at all."""
-    probe = rows.view(keys.dtype)[:, 0]
-    ids = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-    return ids, keys[ids] == probe
+def _word_codes(words: np.ndarray, bits: int) -> list[tuple[slice, np.ndarray]]:
+    """A sorted word matrix over cells below 2^bits as sorted uint64 code
+    tables, one per column range.
+
+    The first range holds as many cells as fit in 64 bits; each later one
+    is packed behind the rank of the row's prefix before it, among the
+    distinct prefixes.  Packing keeps the lexicographic row order, so each
+    table holds the distinct codes of its prefixes in order, and the last
+    one, of whole rows, is indexed like the rows.  A row of at most
+    64/bits cells is one range.
+    """
+    n, width = words.shape
+    rank_bits = (n - 1).bit_length()
+    tables = []
+    j0, rank = 0, None
+    while j0 < width:
+        j1 = min(width, j0 + (64 - (rank_bits if j0 else 0)) // bits)
+        codes = row_codes(words[:, j0:j1], bits, rank)
+        if j1 < width:
+            fresh = np.ones(n, dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+            rank = np.cumsum(fresh) - 1
+            codes = codes[fresh]
+        tables.append((slice(j0, j1), codes))
+        j0 = j1
+    return tables
+
+
+def _word_ids(rows: np.ndarray, tables: list[tuple[slice, np.ndarray]],
+              bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index among the words of _word_codes tables, and
+    whether the row is there at all, for rows with no cell of 2^bits or
+    more (such a row may alias a word).
+
+    Rows are looked up a chunk at a time (words.row_chunks), so only the
+    two results grow with the rows.  A row's rank in one table leads its
+    code in the next; a rank read after a miss is any index of the table,
+    and the row stays not found.
+    """
+    n_words = tables[-1][1].size
+    ids = np.empty(rows.shape[0], dtype=np.min_scalar_type(n_words))
+    found = np.empty(rows.shape[0], dtype=bool)
+    for part in row_chunks(rows.shape[0]):
+        rank = hit = None
+        for cols, codes in tables:
+            probe = row_codes(rows[part, cols], bits, rank)
+            rank = np.minimum(np.searchsorted(codes, probe), codes.size - 1)
+            match = codes[rank] == probe
+            hit = match if hit is None else hit & match
+        ids[part], found[part] = rank, hit
+    return ids, found
 
 
 def _uses_every_word(ids: np.ndarray, found: np.ndarray, n_words: int) -> bool:
     """Whether each row of word ids names every one of the n_words words."""
-    ids = np.sort(np.where(found, ids, n_words), axis=1)
+    ids = np.where(found, ids, n_words)
+    ids.sort(axis=1)
     fresh = (ids[:, 1:] != ids[:, :-1]) & (ids[:, 1:] < n_words)
     distinct = (ids[:, 0] < n_words) + np.count_nonzero(fresh, axis=1)
     return bool((distinct == n_words).all())
@@ -391,7 +443,11 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     profile also checks that every sub-block lies in A_{level-1} and that
     every block uses every word of A_{level-1}; the fast profile waives
     both.  Sub-blocks are looked up in the sorted word matrix of
-    A_{level-1} (Schedule.words) by binary search on whole rows.
+    A_{level-1} (Schedule.words) by binary search on packed row codes,
+    bits = (a - 1).bit_length() a cell (_word_codes, packed afresh on
+    each call).  A cell of 2^bits or more would alias another row, so
+    when a defined block holds a cell outside the alphabet, the rows
+    holding one are marked not found.
 
     The window is read in block-aligned batches of sub-block rows
     (words.block_batches), so no temporary grows with the window.  Block
@@ -413,17 +469,21 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     faithful = schedule.faithful
     listed = faithful and level > 1
     if listed:
-        keys = schedule.words(level - 1).view(np.dtype((np.void, m_prev)))[:, 0]
+        bits = (a - 1).bit_length()
+        words_prev = schedule.words(level - 1)
+        n_words = len(words_prev)
+        tables = _word_codes(words_prev, bits)
 
     n_def = pillar_total = 0
     min_share = None
-    stray = top >= a and not starred  # a defined level-1 cell outside the alphabet
+    stray = False  # a defined cell outside the alphabet
     present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
     member = every = True
     for b0, b1 in block_batches(n_blocks, m):
         chunk = x.cells[b0 * m:b1 * m]
         blocks = chunk.reshape(-1, m)
         counts = count_rows(rows_equal(chunk.reshape(-1, m_prev), pillar).reshape(-1, r))
+        alien = top >= a
         if starred:
             block_top = fold_rows(np.maximum, blocks)
             undefined = block_top == STAR
@@ -437,21 +497,24 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             if undefined.any():
                 defined = ~undefined
                 blocks, counts, block_top = blocks[defined], counts[defined], block_top[defined]
-            if level == 1:
-                stray = stray or bool((block_top >= a).any())
+            alien = bool((block_top >= a).any())
+        stray = stray or alien
         n_def += counts.size
         pillar_total += int(counts.sum())
         low = int(counts.min())
         min_share = low if min_share is None else min(min_share, low)
         if faithful and level == 1:
             for c in range(a):
-                present[c] &= bool(fold_rows(np.logical_or, blocks == c).all())
+                present[c] &= bool(count_rows(blocks == c).all())
         elif listed:
-            ids, found = _word_ids(blocks.reshape(-1, m_prev), keys)
+            subs = blocks.reshape(-1, m_prev)
+            ids, found = _word_ids(subs, tables, bits)
+            if alien:
+                found &= fold_rows(np.maximum, subs) < a
             member = member and bool(found.all())
             # every block must use every word, not just the union
             every = every and _uses_every_word(ids.reshape(-1, r), found.reshape(-1, r),
-                                               keys.size)
+                                               n_words)
 
     membership = every_word = "ok" if faithful else "waived"
     if n_def and level == 1:

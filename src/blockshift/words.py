@@ -15,6 +15,7 @@ from .errors import InvalidParameterError
 
 STAR = 255
 MAX_WINDOW_CELLS = 2**31
+_NOT_SYMBOL = 254
 
 _FORBIDDEN_SYMBOLS = set("*# \t\r\n")
 
@@ -35,8 +36,10 @@ class Alphabet:
                 raise InvalidParameterError(f"bad alphabet symbol {ch!r}")
         if len(self.symbols) >= STAR:
             raise InvalidParameterError("alphabet too large for the cell encoding")
-        encode = np.full(128, -1, dtype=np.int16)
-        decode = np.full(256, -1, dtype=np.int16)
+        # byte -> cell and cell -> byte; _NOT_SYMBOL marks the rest (it is
+        # neither a cell index, as the alphabet is below STAR, nor ASCII)
+        encode = np.full(256, _NOT_SYMBOL, dtype=np.uint8)
+        decode = np.full(256, _NOT_SYMBOL, dtype=np.uint8)
         for i, ch in enumerate(self.symbols):
             encode[ord(ch)] = i
             decode[i] = ord(ch)
@@ -61,21 +64,31 @@ class Alphabet:
             raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         except UnicodeEncodeError as exc:
             raise InvalidParameterError(f"non-ASCII character in text: {exc}") from None
-        cells = self._encode[raw]
-        if cells.size and bool((cells < 0).any()):
-            pos = int((cells < 0).argmax())
+        cells = _translate(self._encode, raw)
+        bad = cells == _NOT_SYMBOL
+        if bad.any():
+            pos = int(bad.argmax())
             raise InvalidParameterError(
                 f"symbol {text[pos]!r} not in alphabet {self.symbols!r}"
             )
-        return cells.astype(np.uint8)
+        return cells
 
     def text_of_cells(self, cells: np.ndarray) -> str:
         arr = np.ascontiguousarray(cells, dtype=np.uint8)
-        chars = self._decode[arr]
-        if chars.size and bool((chars < 0).any()):
-            pos = int((chars < 0).argmax())
+        chars = _translate(self._decode, arr)
+        if chars.size and int(chars.max()) == _NOT_SYMBOL:  # every symbol byte is ASCII
+            pos = int((chars == _NOT_SYMBOL).argmax())
             raise InvalidParameterError(f"cell value {int(arr[pos])} outside alphabet")
-        return chars.astype(np.uint8).tobytes().decode("ascii")
+        return chars.tobytes().decode("ascii")
+
+
+def _translate(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """table[codes] for a 256-entry uint8 table and uint8 codes, a chunk
+    at a time (row_chunks), as np.take first copies its indices to intp."""
+    out = np.empty(codes.size, dtype=np.uint8)
+    for part in row_chunks(codes.size):
+        np.take(table, codes[part], out=out[part], mode="clip")  # every uint8 code is in range
+    return out
 
 
 def check_cell_count(n: int) -> None:
@@ -208,6 +221,31 @@ def count_rows(mask: np.ndarray) -> np.ndarray:
     if mask.shape[1] > _NARROW_ROW:
         return np.count_nonzero(mask, axis=1)
     return np.einsum("ij->i", mask.view(np.uint8))
+
+
+def row_chunks(n_rows: int) -> list[slice]:
+    """Row ranges of _BATCH_CELLS / 64 rows (2^16 rows: 512 KB of uint64),
+    so that a temporary of a word or two per row stays in cache."""
+    step = max(1, _BATCH_CELLS >> 6)
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
+
+
+def row_codes(rows: np.ndarray, bits: int, lead: np.ndarray | None = None) -> np.ndarray:
+    """Each row of a uint8 array packed into one uint64, ``bits`` bits a
+    cell, first cell highest, behind the row's ``lead`` value if given.
+
+    A cell of 2^bits or more spills into the digit before it; the caller
+    decides whether such rows can occur.
+    """
+    out = np.empty(rows.shape[0], dtype=np.uint64)
+    shift = np.uint64(bits)
+    for part in row_chunks(rows.shape[0]):
+        code = out[part]
+        code[:] = 0 if lead is None else lead[part]
+        for j in range(rows.shape[1]):
+            code <<= shift
+            code |= rows[part, j]
+    return out
 
 
 def rows_equal(rows: np.ndarray, word: np.ndarray) -> np.ndarray:

@@ -178,6 +178,17 @@ def minimality_by_occurrences(x, schedule, depth):
     return checks
 
 
+def word_ids_by_void_search(rows, words):
+    """schedule._word_ids by binary search on whole rows: each row's
+    index among the rows of the sorted word matrix, compared as void
+    scalars, and whether the row is there at all."""
+    whole = np.dtype((np.void, words.shape[1]))
+    keys = np.ascontiguousarray(words).view(whole)[:, 0]
+    probe = np.ascontiguousarray(rows).view(whole)[:, 0]
+    ids = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return ids, keys[ids] == probe
+
+
 def check_level_dense(x, schedule, level):
     """schedule._check_level by whole-window masks: one bool array per
     test over every cell, per-row reductions over every sub-block, and

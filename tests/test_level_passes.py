@@ -6,6 +6,9 @@ must give the same LevelCheck, the same cells, and the same exception
 class and message (so the same first offending block and sub-block) as
 ``check_level_dense`` and ``fill_level_by_blocks``.  The batch budget is
 patched down to a few blocks so that batch edges fall inside the windows.
+The packed-code word lookup is also checked against a binary search on
+whole rows (``word_ids_by_void_search``), on word matrices as wide as
+several codes, and on cells that would alias a word.
 """
 
 import re
@@ -20,7 +23,7 @@ from hypothesis import event, given, settings, strategies as st
 from blockshift import (STAR, Alphabet, BlockshiftError, PartialWindow, SparseSetSpec,
                         TargetSequence, build_schedule, fill_level, init_partial, realize,
                         schedule, words)
-from tests.oracles import check_level_dense, fill_level_by_blocks
+from tests.oracles import check_level_dense, fill_level_by_blocks, word_ids_by_void_search
 
 # name -> (alphabet, profile, depth, realize window or None for the central block)
 CONFIGS = {
@@ -243,3 +246,159 @@ def test_no_temporary_grows_with_the_window(ternary):
             assert peak(lambda: schedule._check_level(x, sched, level)) < n // 4
         start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
         assert peak(lambda: fill_level(start, 1, sched)) < n * 5 // 4
+
+
+# --- the packed-code word lookup ----------------------------------------
+
+
+class WordMatrixSchedule:
+    """What the level check reads of a faithful two-level Schedule, with a
+    given sorted word matrix as A_1 (row 0 its pillar) and r sub-blocks
+    to a level-2 block."""
+
+    faithful = True
+
+    def __init__(self, symbols, words, r):
+        self.alphabet = Alphabet(symbols)
+        self._words = words
+        self._m = (1, words.shape[1], words.shape[1] * r)
+
+    def m(self, k):
+        return self._m[k]
+
+    def words(self, k):
+        assert k == 1
+        return self._words
+
+    def pillar(self, k):
+        return self.words(k)[0]
+
+
+def sorted_words(rng, a, width, n):
+    """n distinct rows over a symbols in lexicographic order, many of them
+    sharing long prefixes (so that later codes decide)."""
+    base = rng.integers(0, a, size=(max(1, n // 8), width), dtype=np.uint8)
+    rows = base[rng.integers(0, len(base), size=4 * n)]
+    cut = rng.integers(width // 2, width, size=len(rows))
+    tail = rng.integers(0, a, size=rows.shape, dtype=np.uint8)
+    rows = np.where(np.arange(width) >= cut[:, None], tail, rows)
+    words = np.unique(rows, axis=0)[:n]
+    words.setflags(write=False)
+    return words
+
+
+def probe_rows(rng, words, a, count):
+    """Members, members with one cell changed, random rows, and rows with
+    a cell in [a, 2^bits)."""
+    n, width = words.shape
+    bits = (a - 1).bit_length()
+    picks = words[rng.integers(n, size=4 * count)].copy()
+    near, rand, high = picks[count:2 * count], picks[2 * count:3 * count], picks[3 * count:]
+    at = (np.arange(count), rng.integers(width, size=count))
+    near[at] = rng.integers(a, size=count)
+    rand[:] = rng.integers(a, size=rand.shape)
+    if a < 1 << bits:
+        high[at] = rng.integers(a, 1 << bits, size=count)
+    return picks
+
+
+def alias_of(word, bits, j):
+    """A row that packs like the word: cell j - 1 moved into the bits
+    above cell j (``...1,0`` becomes ``...0,2`` in binary)."""
+    row = word.copy()
+    row[j] |= row[j - 1] << bits
+    row[j - 1] = 0
+    return row
+
+
+WIDE = [("01", 15, 300), ("0+-", 15, 300), ("01", 64, 200), ("01", 65, 200),
+        ("01234", 40, 300), ("01234", 40, 4), ("0123456", 30, 500)]
+
+
+@pytest.mark.parametrize("symbols,width,n", WIDE)
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_word_ids_match_void_search(symbols, width, n, chunk):
+    a = len(symbols)
+    bits = (a - 1).bit_length()
+    rng = np.random.default_rng(width * n + a)
+    words_ = sorted_words(rng, a, width, n)
+    rows = probe_rows(rng, words_, a, 500)
+    tables = schedule._word_codes(words_, bits)
+    assert (len(tables) > 1) == (width * bits > 64)
+    with batch_of(1, None if chunk is None else chunk * 64, 0):
+        ids, found = schedule._word_ids(rows, tables, bits)
+    want_ids, want_found = word_ids_by_void_search(rows, words_)
+    assert 0 < found.sum() < found.size
+    assert (found == want_found).all() and (ids[found] == want_ids[found]).all()
+    ids, found = schedule._word_ids(words_, tables, bits)
+    assert found.all() and (ids == np.arange(len(words_))).all()
+
+
+def aliases(words, bits):
+    """alias_of each of the first 50 words at every cell of its first code
+    where one fits in a cell."""
+    span = min(words.shape[1], 64 // bits)
+    return np.array([alias_of(w, bits, j) for w in words[:50] for j in range(1, span)
+                     if w[j - 1] and (int(w[j - 1]) << bits | int(w[j])) < STAR])
+
+
+@pytest.mark.parametrize("symbols,width,n", WIDE)
+def test_check_level_matches_dense_on_word_matrices(symbols, width, n):
+    """Blocks of pillars, members, near misses, aliases, cells outside the
+    alphabet and undefined blocks, one to three blocks a batch."""
+    a = len(symbols)
+    bits = (a - 1).bit_length()
+    r, nb = 12, 9
+    rng = np.random.default_rng(n + width)
+    words_ = sorted_words(rng, a, width, n)
+    sched = WordMatrixSchedule(symbols, words_, r)
+    m = sched.m(2)
+    fake = aliases(words_, bits)
+    # each alias packs like a word, so only the check for cells >= a rejects it
+    assert schedule._word_ids(fake, schedule._word_codes(words_, bits), bits)[1].all()
+    seen = set()
+    for trial in range(12):
+        blocks = words_[rng.integers(n, size=(nb, r))].copy()
+        blocks[:, :r // 3] = words_[0]
+        subs = blocks.reshape(-1, width)
+        edit = trial % 4
+        if edit == 1:  # near misses and cells in [a, 2^bits)
+            hit = rng.random(len(subs)) < 0.1
+            k = int(hit.sum())
+            subs[hit] = rng.permutation(probe_rows(rng, words_, a, k))[:k]
+        elif edit == 2:
+            subs[rng.integers(len(subs))] = fake[rng.integers(len(fake))]
+        elif edit == 3:  # a cell far outside the alphabet
+            subs[rng.integers(len(subs)), rng.integers(width)] = rng.integers(1 << bits, STAR)
+        if trial % 3 == 0:  # undefined blocks, so the starred branch runs
+            blocks[rng.random(nb) < 0.4] = STAR
+        w = PartialWindow(-((m - 1) // 2), blocks.reshape(-1))
+        want = check_level_dense(w, sched, 2)
+        seen.add(want.membership)
+        for blocks_per_batch in (1, 3, None):
+            with batch_of(m, blocks_per_batch, trial):
+                assert schedule._check_level(w, sched, 2) == want
+    assert seen == {"ok", "fail"}
+
+
+def test_alias_in_a_faithful_window_reads_not_found(built):
+    """A level-1 sub-block of the faithful d2 window with ``1,0`` edited to
+    ``0,2`` packs like the word it came from, yet is not a word of A_1,
+    in the defined window and behind an undefined block."""
+    sched, _, x = built["faithful-01-d2"]
+    m, m_prev = sched.m(2), sched.m(1)
+    cells = x.cells.copy()
+    subs = cells.reshape(-1, m_prev)
+    hit = (subs[:, :-1] == 1) & (subs[:, 1:] == 0)
+    t, j = np.argwhere(hit)[len(np.argwhere(hit)) // 2]
+    subs[t] = alias_of(subs[t], 1, j + 1)
+    tables = schedule._word_codes(sched.words(1), 1)
+    assert schedule._word_ids(subs[t:t + 1], tables, 1)[1][0]
+    assert not word_ids_by_void_search(subs[t:t + 1], sched.words(1))[1][0]
+    stray = PartialWindow(x.offset, cells)
+    behind = PartialWindow(x.offset - m, np.concatenate([np.full(m, STAR, np.uint8), cells]))
+    for w in (stray, behind):
+        for blocks_per_batch in (1, None):
+            with batch_of(m, blocks_per_batch, 0):
+                got = schedule._check_level(w, sched, 2)
+            assert got.membership == "fail" and got == check_level_dense(w, sched, 2)
