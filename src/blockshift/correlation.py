@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .analysis import minimality_witnesses, window_admissibility_report
 from .errors import InvalidParameterError, WindowRangeError
 from .mobius import MobiusTable, mobius_sieve
 from .realization import TargetSequence, realize, verify_realization
@@ -150,8 +151,6 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     report = correlation_average(x, rho, squares, count, alphabet, u=u)
 
     realization = verify_realization(x, u, squares)
-    from .analysis import minimality_witnesses, window_admissibility_report
-
     admissibility = window_admissibility_report(x, sched, depth)
     minimality = None
     if sched.faithful and admissibility.fully_defined:

@@ -30,6 +30,7 @@ from .errors import (
     InvalidParameterError,
 )
 from . import mobius
+from .analysis import window_admissibility_report
 from .schedule import Schedule
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_batches,
@@ -288,9 +289,6 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     for level in range(1, depth + 1):
         _fill_in_place(cells, hull[0], level, schedule, cycle_start)
     x = PartialWindow(hull[0], cells)
-
-    from .analysis import window_admissibility_report
-
     if window is None and not x.is_fully_defined():
         raise ConstructionInvariantError("central block still holds stars after the fill")
     report = window_admissibility_report(x, schedule, depth)

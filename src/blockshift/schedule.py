@@ -16,11 +16,13 @@ guarantee.  Every schedule is stamped with its profile, and
 An enumerated A_k has one form, the sorted read-only matrix
 ``Schedule.words(k)``.  The faithful admissibility check finds a
 sub-block in it by binary search on uint64 codes of whole rows, a few
-bits a cell, packed from that matrix on each call.
+bits a cell, packed from that matrix on each call; every enumerable
+A_k is an A_1 of at most 30 bits a row.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -211,8 +213,6 @@ class Schedule:
 def _digest_word(word: np.ndarray, alphabet: Alphabet) -> str:
     if len(word) <= 32:
         return alphabet.text_of_cells(word)
-    import hashlib
-
     h = hashlib.sha256(word).hexdigest()[:16]
     return f"len={len(word)},sha256-64={h}"
 
@@ -372,66 +372,32 @@ class WindowAdmissibilityReport:
         return "; ".join(parts)
 
 
-def _word_codes(words: np.ndarray, bits: int) -> list[tuple[slice, np.ndarray]]:
-    """A sorted word matrix over cells below 2^bits as sorted uint64 code
-    tables, one per column range.
+def _word_flags(subs: np.ndarray, r: int, codes: np.ndarray, bits: int,
+                alien_at: int | None) -> tuple[bool, bool]:
+    """Whether every row of ``subs``, the sub-block rows of whole blocks
+    (r to a block), is a word of the sorted code table ``codes``
+    (row_codes of A_{k-1}, bits a cell), and whether every block uses
+    every word.
 
-    The first range holds as many cells as fit in 64 bits; each later one
-    is packed behind the rank of the row's prefix before it, among the
-    distinct prefixes.  Packing keeps the lexicographic row order, so each
-    table holds the distinct codes of its prefixes in order, and the last
-    one, of whole rows, is indexed like the rows.  A row of at most
-    64/bits cells is one range.
+    Rows are looked up a chunk at a time (words.row_chunks) by binary
+    search on their codes.  With ``alien_at``, a row holding a cell of
+    alien_at or more is not a word (such a cell may pack like a word).
+    Each hit sets seen[block * |A_{k-1}| + id] in one flat bool array, so
+    nothing else grows with the rows.
     """
-    n, width = words.shape
-    rank_bits = (n - 1).bit_length()
-    tables = []
-    j0, rank = 0, None
-    while j0 < width:
-        j1 = min(width, j0 + (64 - (rank_bits if j0 else 0)) // bits)
-        codes = row_codes(words[:, j0:j1], bits, rank)
-        if j1 < width:
-            fresh = np.ones(n, dtype=bool)
-            np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-            rank = np.cumsum(fresh) - 1
-            codes = codes[fresh]
-        tables.append((slice(j0, j1), codes))
-        j0 = j1
-    return tables
-
-
-def _word_ids(rows: np.ndarray, tables: list[tuple[slice, np.ndarray]],
-              bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's index among the words of _word_codes tables, and
-    whether the row is there at all, for rows with no cell of 2^bits or
-    more (such a row may alias a word).
-
-    Rows are looked up a chunk at a time (words.row_chunks), so only the
-    two results grow with the rows.  A row's rank in one table leads its
-    code in the next; a rank read after a miss is any index of the table,
-    and the row stays not found.
-    """
-    n_words = tables[-1][1].size
-    ids = np.empty(rows.shape[0], dtype=np.min_scalar_type(n_words))
-    found = np.empty(rows.shape[0], dtype=bool)
-    for part in row_chunks(rows.shape[0]):
-        rank = hit = None
-        for cols, codes in tables:
-            probe = row_codes(rows[part, cols], bits, rank)
-            rank = np.minimum(np.searchsorted(codes, probe), codes.size - 1)
-            match = codes[rank] == probe
-            hit = match if hit is None else hit & match
-        ids[part], found[part] = rank, hit
-    return ids, found
-
-
-def _uses_every_word(ids: np.ndarray, found: np.ndarray, n_words: int) -> bool:
-    """Whether each row of word ids names every one of the n_words words."""
-    ids = np.where(found, ids, n_words)
-    ids.sort(axis=1)
-    fresh = (ids[:, 1:] != ids[:, :-1]) & (ids[:, 1:] < n_words)
-    distinct = (ids[:, 0] < n_words) + np.count_nonzero(fresh, axis=1)
-    return bool((distinct == n_words).all())
+    n_words = codes.size
+    seen = np.zeros(subs.shape[0] // r * n_words, dtype=bool)
+    member = True
+    for part in row_chunks(subs.shape[0]):
+        probe = row_codes(subs[part], bits)
+        ids = np.minimum(np.searchsorted(codes, probe), n_words - 1)
+        hit = codes[ids] == probe
+        if alien_at is not None:
+            hit &= fold_rows(np.maximum, subs[part]) < alien_at
+        member = member and bool(hit.all())
+        ids += np.arange(part.start, part.start + ids.size) // r * n_words
+        seen[ids[hit]] = True
+    return member, bool(seen.all())
 
 
 def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck:
@@ -442,12 +408,14 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     one-third of each block's sub-blocks equal w_{level-1}.  The faithful
     profile also checks that every sub-block lies in A_{level-1} and that
     every block uses every word of A_{level-1}; the fast profile waives
-    both.  Sub-blocks are looked up in the sorted word matrix of
-    A_{level-1} (Schedule.words) by binary search on packed row codes,
-    bits = (a - 1).bit_length() a cell (_word_codes, packed afresh on
-    each call).  A cell of 2^bits or more would alias another row, so
-    when a defined block holds a cell outside the alphabet, the rows
-    holding one are marked not found.
+    both.  Sub-blocks are looked up (_word_flags) in the uint64 codes of
+    the sorted word matrix of A_{level-1} (Schedule.words), bits =
+    (a - 1).bit_length() a cell, packed afresh on each call.  Every
+    enumerable A_{level-1} is an A_1 of at most 30 bits a row, so a row
+    wider than 64 bits raises ConstructionInvariantError.  A cell of
+    2^bits or more would alias another row, so when a defined block
+    holds a cell outside the alphabet, the rows holding one are not
+    words.
 
     The window is read in block-aligned batches of sub-block rows
     (words.block_batches), so no temporary grows with the window.  Block
@@ -471,8 +439,11 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     if listed:
         bits = (a - 1).bit_length()
         words_prev = schedule.words(level - 1)
-        n_words = len(words_prev)
-        tables = _word_codes(words_prev, bits)
+        if m_prev * bits > 64:
+            raise ConstructionInvariantError(
+                f"words of A_{level - 1} are {m_prev * bits} bits a row, over the 64 of a code"
+            )
+        codes = row_codes(words_prev, bits)
 
     n_def = pillar_total = 0
     min_share = None
@@ -507,14 +478,10 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             for c in range(a):
                 present[c] &= bool(count_rows(blocks == c).all())
         elif listed:
-            subs = blocks.reshape(-1, m_prev)
-            ids, found = _word_ids(subs, tables, bits)
-            if alien:
-                found &= fold_rows(np.maximum, subs) < a
-            member = member and bool(found.all())
             # every block must use every word, not just the union
-            every = every and _uses_every_word(ids.reshape(-1, r), found.reshape(-1, r),
-                                               n_words)
+            is_word, uses_all = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
+                                            a if alien else None)
+            member, every = member and is_word, every and uses_all
 
     membership = every_word = "ok" if faithful else "waived"
     if n_def and level == 1:
@@ -681,10 +648,10 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
 
 
 def _build_pillar(sched: Schedule, k: int, m_k: int) -> np.ndarray:
-    """w_k as one gather of rows of the fill source one level down, whose
-    row 0 is w_{k-1}: faithful, r - |A_{k-1}| + 1 copies of w_{k-1} and
-    then the other words of A_{k-1} in order; fast, r/3 copies of w_{k-1}
-    and then the pool rows in turn."""
+    """w_k written by row slices from the fill source one level down,
+    whose row 0 is w_{k-1}: faithful, r - |A_{k-1}| + 1 copies of w_{k-1}
+    and then the other words of A_{k-1} in order; fast, r/3 copies of
+    w_{k-1} and then the pool rows in turn."""
     r = m_k // sched.m(k - 1)
     q = r // 3
     try:
@@ -699,10 +666,15 @@ def _build_pillar(sched: Schedule, k: int, m_k: int) -> np.ndarray:
             raise ConstructionInvariantError(
                 f"pillar construction needs r - |A_{k-1}| + 1 >= r/3 at level {k}"
             )
-        src, picks = words, np.r_[np.zeros(copies, dtype=np.intp), 1:a]
+    pillar = np.empty(m_k, dtype=np.uint8)
+    rows = pillar.reshape(r, -1)
+    if sched.faithful:
+        rows[:copies] = words[0]
+        rows[copies:] = words[1:]
     else:
-        src = sched.pool_matrix(k - 1)
-        picks = np.r_[np.zeros(q, dtype=np.intp), np.arange(r - q) % POOL_SIZE]
-    pillar = src[picks].reshape(-1)
+        pool = sched.pool_matrix(k - 1)
+        rows[:q] = pool[0]
+        for i in range(POOL_SIZE):  # a cycled copy of the pool would be a pillar-sized temporary
+            rows[q + i::POOL_SIZE] = pool[i]
     pillar.setflags(write=False)
     return pillar

@@ -230,18 +230,17 @@ def row_chunks(n_rows: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
-def row_codes(rows: np.ndarray, bits: int, lead: np.ndarray | None = None) -> np.ndarray:
+def row_codes(rows: np.ndarray, bits: int) -> np.ndarray:
     """Each row of a uint8 array packed into one uint64, ``bits`` bits a
-    cell, first cell highest, behind the row's ``lead`` value if given.
+    cell, first cell highest.
 
     A cell of 2^bits or more spills into the digit before it; the caller
     decides whether such rows can occur.
     """
-    out = np.empty(rows.shape[0], dtype=np.uint64)
+    out = np.zeros(rows.shape[0], dtype=np.uint64)
     shift = np.uint64(bits)
     for part in row_chunks(rows.shape[0]):
         code = out[part]
-        code[:] = 0 if lead is None else lead[part]
         for j in range(rows.shape[1]):
             code <<= shift
             code |= rows[part, j]

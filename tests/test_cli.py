@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from unittest import mock
 
 import mpmath
 import pytest
@@ -296,6 +297,11 @@ def _empty_payload(lines):
           "--u", "mu-indicator", "--window", f"{(2**44 - 10)**2}:{(2**44 - 10)**2 + 100}",
           "--out", "{dir}/x.bsw"], 0,
      "wrote {dir}/x.bsw: offset=309485009820993225003892823 length=120"),
+    # a target shorter than the window's 2 constraints fails one row; the rest still run
+    ({"u": "text:0"}, ["verify", "{file}"], 1,
+     "realization   FAIL  target sequence 'text:0' has 1 terms, u(2) requested"),
+    ({"u": "text:0"}, ["verify", "{file}"], 1,
+     "minimality    PASS  pillar-containment k=0:ok"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -360,6 +366,16 @@ def test_every_error_class_exit_code(monkeypatch, capsys, cls):
     monkeypatch.setattr(cli, "_cmd_density", raise_it)
     code, out, err = run(capsys, *DENSITY, "--sparse", "squares")
     assert (code, out, err) == (EXIT_CODES[cls.__name__], "", f"error: {exc}\n")
+
+
+def test_out_of_memory_exits_3(capsys):
+    """A failed allocation is reported like an infeasible depth, not as a
+    traceback with the exit status of a verification failure."""
+    oom = MemoryError("Unable to allocate 64.8 MiB for an array with shape (8489366,)")
+    with mock.patch.object(cli, "build_schedule", side_effect=oom):
+        code, out, err = run(capsys, "schedule", "--alphabet", "0+-", "--sparse", "squares",
+                             "--depth", "2")
+    assert (code, out, err) == (3, "", f"error: out of memory: {oom}\n")
 
 
 def test_demo_json_deterministic(capsys):

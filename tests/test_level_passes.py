@@ -7,8 +7,8 @@ class and message (so the same first offending block and sub-block) as
 ``check_level_dense`` and ``fill_level_by_blocks``.  The batch budget is
 patched down to a few blocks so that batch edges fall inside the windows.
 The packed-code word lookup is also checked against a binary search on
-whole rows (``word_ids_by_void_search``), on word matrices as wide as
-several codes, and on cells that would alias a word.
+whole rows (``word_ids_by_void_search``), and on cells that would alias
+a word; a word matrix too wide for one 64-bit code stops the check.
 """
 
 import re
@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from blockshift import (STAR, Alphabet, BlockshiftError, PartialWindow, SparseSetSpec,
-                        TargetSequence, build_schedule, fill_level, init_partial, realize,
-                        schedule, words)
+from blockshift import (STAR, Alphabet, BlockshiftError, ConstructionInvariantError,
+                        PartialWindow, SparseSetSpec, TargetSequence, build_schedule,
+                        fill_level, init_partial, realize, schedule, words)
 from tests.oracles import check_level_dense, fill_level_by_blocks, word_ids_by_void_search
 
 # name -> (alphabet, profile, depth, realize window or None for the central block)
@@ -315,30 +315,69 @@ WIDE = [("01", 15, 300), ("0+-", 15, 300), ("01", 64, 200), ("01", 65, 200),
         ("01234", 40, 300), ("01234", 40, 4), ("0123456", 30, 500)]
 
 
+def too_wide(symbols, width):
+    return width * (len(symbols) - 1).bit_length() > 64
+
+
+def assert_too_wide(sched, width):
+    """A matrix whose rows do not pack into 64 bits stops the level check
+    with ConstructionInvariantError (no enumerable A_k is that wide)."""
+    m = sched.m(2)
+    w = PartialWindow(-((m - 1) // 2), np.tile(sched.words(1)[0], m // width))
+    with pytest.raises(ConstructionInvariantError, match="over the 64 of a code"):
+        schedule._check_level(w, sched, 2)
+
+
+def flags_by_void_search(rows, words_, r):
+    """schedule._word_flags by word_ids_by_void_search: every row found,
+    and every block of r rows holding every word."""
+    ids, found = word_ids_by_void_search(rows, words_)
+    held = [np.unique(i[f]).size for i, f in zip(ids.reshape(-1, r), found.reshape(-1, r))]
+    return bool(found.all()), all(h == len(words_) for h in held)
+
+
 @pytest.mark.parametrize("symbols,width,n", WIDE)
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_word_ids_match_void_search(symbols, width, n, chunk):
+    """Blocks of 12 rows over four words of the matrix, each block holding
+    all four or missing one, with near misses, random rows and cells in
+    [a, 2^bits) mixed in; row chunks of 7 rows straddle the blocks."""
     a = len(symbols)
     bits = (a - 1).bit_length()
+    r, nb = 12, 5
     rng = np.random.default_rng(width * n + a)
     words_ = sorted_words(rng, a, width, n)
-    rows = probe_rows(rng, words_, a, 500)
-    tables = schedule._word_codes(words_, bits)
-    assert (len(tables) > 1) == (width * bits > 64)
+    if too_wide(symbols, width):
+        assert_too_wide(WordMatrixSchedule(symbols, words_, r), width)
+        return
+    seen = set()
     with batch_of(1, None if chunk is None else chunk * 64, 0):
-        ids, found = schedule._word_ids(rows, tables, bits)
-    want_ids, want_found = word_ids_by_void_search(rows, words_)
-    assert 0 < found.sum() < found.size
-    assert (found == want_found).all() and (ids[found] == want_ids[found]).all()
-    ids, found = schedule._word_ids(words_, tables, bits)
-    assert found.all() and (ids == np.arange(len(words_))).all()
+        for trial in range(24):
+            few = words_[np.sort(rng.choice(n, size=min(n, 4), replace=False))]
+            k = len(few)
+            blocks = few[rng.integers(k, size=(nb, r))]
+            blocks[:, :k] = few[rng.permuted(np.tile(np.arange(k), (nb, 1)), axis=1)]
+            if trial % 3:  # a block missing one word
+                blocks[rng.integers(nb)] = np.delete(few, rng.integers(k), axis=0)[
+                    rng.integers(k - 1, size=r)]
+            if trial % 2:  # a row that is probably not a word
+                blocks[rng.integers(nb), rng.integers(r)] = probe_rows(rng, few, a, 1)[
+                    rng.integers(1, 4)]
+            rows = blocks.reshape(-1, width)
+            want = flags_by_void_search(rows, few, r)
+            assert schedule._word_flags(rows, r, words.row_codes(few, bits), bits, a) == want
+            seen.add(want)
+        codes = words.row_codes(words_, bits)
+        rows = probe_rows(rng, words_, a, 3 * r)
+        for group in (rows, rows[:3 * r], words_[:len(words_) // r * r]):
+            assert (schedule._word_flags(group, r, codes, bits, a)
+                    == flags_by_void_search(group, words_, r))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def aliases(words, bits):
-    """alias_of each of the first 50 words at every cell of its first code
-    where one fits in a cell."""
-    span = min(words.shape[1], 64 // bits)
-    return np.array([alias_of(w, bits, j) for w in words[:50] for j in range(1, span)
+    """alias_of each of the first 50 words at every cell where one fits in a cell."""
+    return np.array([alias_of(w, bits, j) for w in words[:50] for j in range(1, len(w))
                      if w[j - 1] and (int(w[j - 1]) << bits | int(w[j])) < STAR])
 
 
@@ -352,10 +391,13 @@ def test_check_level_matches_dense_on_word_matrices(symbols, width, n):
     rng = np.random.default_rng(n + width)
     words_ = sorted_words(rng, a, width, n)
     sched = WordMatrixSchedule(symbols, words_, r)
+    if too_wide(symbols, width):
+        assert_too_wide(sched, width)
+        return
     m = sched.m(2)
     fake = aliases(words_, bits)
     # each alias packs like a word, so only the check for cells >= a rejects it
-    assert schedule._word_ids(fake, schedule._word_codes(words_, bits), bits)[1].all()
+    assert np.isin(words.row_codes(fake, bits), words.row_codes(words_, bits)).all()
     seen = set()
     for trial in range(12):
         blocks = words_[rng.integers(n, size=(nb, r))].copy()
@@ -392,8 +434,7 @@ def test_alias_in_a_faithful_window_reads_not_found(built):
     hit = (subs[:, :-1] == 1) & (subs[:, 1:] == 0)
     t, j = np.argwhere(hit)[len(np.argwhere(hit)) // 2]
     subs[t] = alias_of(subs[t], 1, j + 1)
-    tables = schedule._word_codes(sched.words(1), 1)
-    assert schedule._word_ids(subs[t:t + 1], tables, 1)[1][0]
+    assert np.isin(words.row_codes(subs[t:t + 1], 1), words.row_codes(sched.words(1), 1))[0]
     assert not word_ids_by_void_search(subs[t:t + 1], sched.words(1))[1][0]
     stray = PartialWindow(x.offset, cells)
     behind = PartialWindow(x.offset - m, np.concatenate([np.full(m, STAR, np.uint8), cells]))

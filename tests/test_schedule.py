@@ -197,6 +197,29 @@ def test_surjection_and_closed_form():
     assert exact_next_count(15, 2, False) == 30827
 
 
+def test_every_enumerable_faithful_word_set_packs_into_64_bits():
+    """The faithful level check packs each word of A_{k-1} into one uint64.
+
+    m_1 = 3j with j odd, j > a (the size gate) and 3j above the float
+    bound 12·ln 2·4/3, so j >= 5.  Only three A_1 sets stay under the
+    enumeration cap, all at most 30 bits a row, and level 2 needs
+    r_2 > 3|A_1| slots, so no A_2 is enumerable.
+    """
+    enumerable = {}
+    for a in range(2, 17):
+        for j in range(max(5, a + 1) | 1, 1000, 2):
+            count = exact_next_count(3 * j, a, True)
+            if count > schedule.DEFAULT_ENUM_CAP:
+                break
+            assert 3 * j * (a - 1).bit_length() <= 64, (a, j)
+            enumerable[a, 3 * j] = count
+    assert enumerable == {(2, 15): 30826, (2, 21): 2014991, (3, 15): 8489366}
+    for count in enumerable.values():
+        j = (count + 1) | 1  # the smallest odd j above |A_1|
+        card = schedule.next_card(3 * j, Card.exact_count(count), True)
+        assert card.log_lower > math.log(schedule.DEFAULT_ENUM_CAP)
+
+
 @given(st.integers(1, 60).map(lambda t: 3 * t), st.integers(1, 40))
 @example(3, 1)
 @example(30, 1)
