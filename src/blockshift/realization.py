@@ -8,11 +8,13 @@ the pillar word, and the rest cycle through the level's word list
 (faithful profile) or the seeded sample pool (fast profile), restarted
 per block.  Cells written at an earlier level are never overwritten.
 
-A level is filled in block-aligned batches of the blocks that meet the
-set, a sub-block row at a time: row max and min tell the defined rows
-from the starred ones, and a running count ranks the starred rows.  No
-temporary grows with the window.  ``realize`` allocates one cell buffer
-and fills every level in it; ``fill_level`` copies its input first.
+A level is filled in row batches of the blocks that meet the set
+(words.row_batches), a sub-block row at a time: row max and min tell
+the defined rows from the starred ones, and a running count ranks the
+starred rows.  A batch holds whole blocks, or consecutive rows of a
+block longer than the batch budget, so no temporary grows with the
+window or with a block.  ``realize`` allocates one cell buffer and
+fills every level in it; ``fill_level`` copies its input first.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from . import mobius
 from .analysis import window_admissibility_report
 from .schedule import Schedule
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, block_batches,
-                    block_interval, block_of, check_cell_count, count_rows, fold_rows,
-                    hull_of_blocks, on_block_grid)
+from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of,
+                    check_cell_count, count_rows, fold_rows, hull_of_blocks,
+                    on_block_grid, row_batches)
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,14 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
                    cycle_start: int) -> None:
     """fill_level on a writable cell buffer whose first cell is ``start``.
 
-    The window is read in block-aligned batches (words.block_batches).
-    The alphabet check and the defined-cell count run first over every
-    batch; the blocks that meet S are then filled batch by batch, each
-    batch a slice view when its blocks are consecutive and a gathered
-    copy otherwise.  Errors name the first offending block in window
-    order, as a block-by-block loop would.
+    The alphabet check and the defined-cell count run first, over fixed
+    chunks of cells through one reused buffer.  The blocks that meet S
+    are then filled in row batches of sub-blocks (words.row_batches):
+    whole blocks, a slice view when they are consecutive and a gathered
+    copy otherwise, or consecutive rows of a block longer than the
+    budget, whose defined and starred row counts carry from batch to
+    batch.  Errors name the first offending block in window order, and
+    the same sub-block, as a block-by-block loop would.
     """
     m_new = schedule.m(level)
     m_old = schedule.m(level - 1)
@@ -168,15 +172,18 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
         )
     a = schedule.alphabet.size
     n_blocks = size // m_new
-    batches = block_batches(n_blocks, m_new)
     defined_total = 0
-    for b0, b1 in batches:
+    buf = None
+    for c0, c1 in row_batches(1, size, 1):
+        if buf is None:
+            buf = np.empty(c1, dtype=np.uint8)  # the first chunk is the longest
         # STAR wraps to 0 and symbol c to c + 1, so a cell outside the
         # alphabet is one above a, and the defined cells are the nonzero ones
-        shifted = cells[b0 * m_new:b1 * m_new] + np.uint8(1)
+        shifted = np.add(cells[c0:c1], np.uint8(1), out=buf[:c1 - c0])
         if int(shifted.max()) > a:
             raise ConstructionInvariantError("window holds cell values outside the alphabet")
         defined_total += int(np.count_nonzero(shifted))
+    del buf, shifted
 
     elements = schedule.sparse.elements_in((start, start + size - 1))
     # window-local offsets fit int64 even where the coordinates do not
@@ -190,62 +197,73 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
     grid = cells.reshape(n_blocks, m_new)
 
     defined_in_meeting = 0
-    # a block costs its cells and, per sub-block, a few int64 row indices
-    for j0, j1 in block_batches(meeting.size, max(m_new, 8 * r)):
-        idx = meeting[j0:j1]
+    held_defined = held_star = 0  # rows of a block that earlier batches read
+    # a row costs its cells and a few int64 indices
+    for s0, s1 in row_batches(meeting.size, r, max(m_old, 8)):
+        j0 = s0 // r
+        idx = meeting[j0:-(-s1 // r)]
         run = idx[-1] - idx[0] + 1 == idx.size
         blocks = grid[idx[0]:idx[-1] + 1] if run else grid[idx]
-        rows = blocks.reshape(-1, m_old)
+        lead = s0 - j0 * r  # the batch's first row within its first block
+        rows = blocks.reshape(-1, m_old)[lead:lead + s1 - s0]
         if m_old == 1:
             row_top = row_low = rows[:, 0]
         else:
             row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
-        star = (row_low == STAR).reshape(-1, r)      # wholly undefined sub-blocks
-        touched = (row_top == STAR).reshape(-1, r)   # sub-blocks holding a STAR
-        defined_rows = r - count_rows(touched).astype(np.intp)
+        per = min(r, s1 - s0)
+        star = (row_low == STAR).reshape(-1, per)      # wholly undefined sub-blocks
+        touched = (row_top == STAR).reshape(-1, per)   # sub-blocks holding a STAR
+        n_star = count_rows(touched).astype(np.intp)
+        defined_rows = per - n_star
+        defined_in_meeting += int(defined_rows.sum()) * m_old
+        defined_rows[0] += held_defined
         mixed = touched & ~star
-        bad = (defined_rows >= q) | mixed.any(axis=1)
-        if schedule.faithful:
-            bad |= r - defined_rows - q < n_src
+        bad = mixed.any(axis=1)
+        if s1 % r == 0:  # the batch ends its last block
+            bad |= defined_rows >= q
+            if schedule.faithful:
+                bad |= r - defined_rows - q < n_src
         if bad.any():
             j = int(bad.argmax())
-            _raise_block_error(level, first_block + int(idx[j]), m_new, q, n_src,
-                               int(defined_rows[j]), mixed[j])
-        defined_in_meeting += int(defined_rows.sum()) * m_old
+            _raise_block_error(level, first_block + int(idx[j]), m_new, r, q, n_src,
+                               int(defined_rows[j]),
+                               lead + int(mixed[j].argmax()) if mixed[j].any() else None)
 
         # rank each undefined sub-block within its block: the first q take
         # the pillar, the rest cycle through the fill source
-        n_star = r - defined_rows
         free = np.flatnonzero(star)
-        rank = np.arange(free.size) - np.repeat(np.cumsum(n_star) - n_star, n_star)
+        rank = np.arange(held_star, held_star + free.size) - np.repeat(
+            np.cumsum(n_star) - n_star, n_star)
         rows[free[rank < q]] = pillar
         tail = rank >= q
-        at, pick = free[tail], (cycle_start + rank[tail] - q) % n_src
-        for k0, k1 in block_batches(at.size, m_old):  # gather one batch of cells at a time
-            rows[at[k0:k1]] = fill_src[pick[k0:k1]]
+        rows[free[tail]] = fill_src[(cycle_start + rank[tail] - q) % n_src]
         if not run:
             grid[idx] = blocks
+        if s1 % r:
+            held_defined, held_star = int(defined_rows[0]), held_star + int(n_star[0])
+        else:
+            held_defined = held_star = 0
 
     if defined_total != defined_in_meeting:
         outside = np.ones(n_blocks, dtype=bool)
         outside[meeting] = False
-        for b0, b1 in batches:
-            hits = np.flatnonzero((grid[b0:b1] != STAR) & outside[b0:b1, None])
-            if hits.size:
+        for c0, c1 in row_batches(n_blocks, m_new, 1):
+            hits = (cells[c0:c1] != STAR).reshape(-1, min(m_new, c1 - c0))
+            hits &= outside[c0 // m_new:c0 // m_new + hits.shape[0], None]
+            if hits.any():
                 raise ConstructionInvariantError(
-                    f"defined cell at {start + b0 * m_new + int(hits[0])} lies in a "
+                    f"defined cell at {start + c0 + int(hits.argmax())} lies in a "
                     f"level-{level} block disjoint from S"
                 )
 
 
-def _raise_block_error(level: int, i: int, m_new: int, q: int, n_src: int,
-                       defined_rows: int, mixed: np.ndarray):
+def _raise_block_error(level: int, i: int, m_new: int, r: int, q: int, n_src: int,
+                       defined_rows: int, mixed_at: int | None):
     """The first failed test of level-``level`` block i, in the order fill_level runs them."""
-    if mixed.any():
+    if mixed_at is not None:
         raise ConstructionInvariantError(
-            f"level-{level} block {i}: sub-block {int(mixed.argmax())} is partially defined"
+            f"level-{level} block {i}: sub-block {mixed_at} is partially defined"
         )
-    r = mixed.size
     if defined_rows >= q:
         raise DensityViolation(
             level - 1, block_interval(i, m_new), defined_rows, q,

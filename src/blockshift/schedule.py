@@ -35,9 +35,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, block_batches, check_cell_count, count_rows,
-                    fold_rows, hull_of_blocks, on_block_grid, row_chunks, row_codes,
-                    rows_equal)
+from .words import (STAR, Alphabet, PartialWindow, check_cell_count, count_rows,
+                    fold_rows, hull_of_blocks, on_block_grid, row_batches, row_chunks,
+                    row_codes, rows_equal)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -373,20 +373,19 @@ class WindowAdmissibilityReport:
 
 
 def _word_flags(subs: np.ndarray, r: int, codes: np.ndarray, bits: int,
-                alien_at: int | None) -> tuple[bool, bool]:
-    """Whether every row of ``subs``, the sub-block rows of whole blocks
-    (r to a block), is a word of the sorted code table ``codes``
-    (row_codes of A_{k-1}, bits a cell), and whether every block uses
-    every word.
+                alien_at: int | None, seen: np.ndarray) -> bool:
+    """Whether every row of ``subs`` is a word of the sorted code table
+    ``codes`` (row_codes of A_{k-1}, bits a cell).  The rows are the
+    sub-block rows of whole blocks (r to a block), or fewer than r rows
+    of one block.  Each hit sets seen[block * |A_{k-1}| + id], so a block
+    uses every word when its stretch of ``seen`` is all true.
 
     Rows are looked up a chunk at a time (words.row_chunks) by binary
     search on their codes.  With ``alien_at``, a row holding a cell of
     alien_at or more is not a word (such a cell may pack like a word).
-    Each hit sets seen[block * |A_{k-1}| + id] in one flat bool array, so
-    nothing else grows with the rows.
+    Nothing but ``seen`` grows with the rows.
     """
     n_words = codes.size
-    seen = np.zeros(subs.shape[0] // r * n_words, dtype=bool)
     member = True
     for part in row_chunks(subs.shape[0]):
         probe = row_codes(subs[part], bits)
@@ -397,7 +396,7 @@ def _word_flags(subs: np.ndarray, r: int, codes: np.ndarray, bits: int,
         member = member and bool(hit.all())
         ids += np.arange(part.start, part.start + ids.size) // r * n_words
         seen[ids[hit]] = True
-    return member, bool(seen.all())
+    return member
 
 
 def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck:
@@ -417,8 +416,10 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     holds a cell outside the alphabet, the rows holding one are not
     words.
 
-    The window is read in block-aligned batches of sub-block rows
-    (words.block_batches), so no temporary grows with the window.  Block
+    The window is read in row batches of sub-blocks (words.row_batches):
+    whole blocks, or consecutive rows of a block longer than the budget,
+    whose pillar count, symbols and seen words carry from batch to
+    batch.  So no temporary grows with the window or with a block.  Block
     star masks are built only when the window holds a STAR, from each
     block's max and min (STAR is the largest cell value), and each
     sub-block row is matched against the pillar as one unit.
@@ -450,38 +451,55 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     stray = False  # a defined cell outside the alphabet
     present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
     member = every = True
-    for b0, b1 in block_batches(n_blocks, m):
-        chunk = x.cells[b0 * m:b1 * m]
-        blocks = chunk.reshape(-1, m)
-        counts = count_rows(rows_equal(chunk.reshape(-1, m_prev), pillar).reshape(-1, r))
+    # of the rows that earlier batches read of a block split over batches
+    count, symbols, skipped = 0, np.zeros(a, dtype=bool), False
+    for s0, s1 in row_batches(n_blocks, r, m_prev):
+        per = min(r, s1 - s0)
+        blocks = x.cells[s0 * m_prev:s1 * m_prev].reshape(-1, per * m_prev)
         alien = top >= a
         if starred:
             block_top = fold_rows(np.maximum, blocks)
             undefined = block_top == STAR
             partial = undefined & (fold_rows(np.minimum, blocks) != STAR)
+            if s0 % r:  # earlier rows of this block were all defined or all undefined
+                partial |= undefined != skipped
             if partial.any():
-                i = b0 + int(partial.argmax())
+                i = s0 // r + int(partial.argmax())
                 return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
                                   f"block {i} partially defined")
+            skipped = bool(undefined[-1])
             if undefined.all():
                 continue
             if undefined.any():
-                defined = ~undefined
-                blocks, counts, block_top = blocks[defined], counts[defined], block_top[defined]
+                blocks, block_top = blocks[~undefined], block_top[~undefined]
             alien = bool((block_top >= a).any())
         stray = stray or alien
+        counts = count_rows(rows_equal(blocks.reshape(-1, m_prev), pillar).reshape(-1, per))
+        if faithful and level == 1:
+            has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
+        elif listed:
+            # every block must use every word, not just the union
+            if s0 % r == 0:
+                seen = np.zeros(blocks.shape[0] * codes.size, dtype=bool)
+            is_word = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
+                                  a if alien else None, seen)
+            member = member and is_word
+        if per < r:  # rows of one block, read over several batches
+            count += int(counts[0])
+            if faithful and level == 1:
+                symbols |= has[:, 0]
+            if s1 % r:
+                continue
+            counts, has = np.array([count]), symbols[:, None]
+            count, symbols = 0, np.zeros(a, dtype=bool)
         n_def += counts.size
         pillar_total += int(counts.sum())
         low = int(counts.min())
         min_share = low if min_share is None else min(min_share, low)
         if faithful and level == 1:
-            for c in range(a):
-                present[c] &= bool(count_rows(blocks == c).all())
+            present &= has.all(axis=1)
         elif listed:
-            # every block must use every word, not just the union
-            is_word, uses_all = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
-                                            a if alien else None)
-            member, every = member and is_word, every and uses_all
+            every = every and bool(seen.all())
 
     membership = every_word = "ok" if faithful else "waived"
     if n_def and level == 1:

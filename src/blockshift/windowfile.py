@@ -9,6 +9,7 @@ The checksum is sha256 of the payload characters truncated to 64 bits
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +40,20 @@ class WindowFile:
     fill: str
     seed: int
 
-    def render(self) -> str:
-        payload = self.alphabet.text_of_cells(self.window.cells)
-        lines = [
+    def _chunks(self) -> Iterator[bytes]:
+        """The file's bytes: the header, then each payload line and its
+        newline, then the checksum line.
+
+        The cells are checked first: a cell outside the alphabet raises
+        InvalidParameterError before the header is yielded.  Only one
+        line of the payload is held at a time.
+        """
+        cells = self.window.cells
+        lines = [cells[i:i + LINE_CELLS] for i in range(0, cells.size, LINE_CELLS)]
+        if int(cells.max()) >= self.alphabet.size:  # a STAR, or a cell outside the alphabet
+            for line in lines:
+                self.alphabet.text_of_cells(line)
+        yield "\n".join([
             FORMAT_TAG,
             f"alphabet: {self.alphabet.symbols}",
             f"profile: {self.profile}",
@@ -53,19 +65,32 @@ class WindowFile:
             f"seed: {self.seed}",
             f"offset: {self.window.offset}",
             f"length: {len(self.window)}",
-            "cells:",
-        ]
-        lines.extend(payload[i:i + LINE_CELLS] for i in range(0, len(payload), LINE_CELLS))
-        lines.append(f"checksum: {checksum64(payload)}")
-        return "\n".join(lines) + "\n"
+            "cells:\n",
+        ]).encode("ascii")
+        digest = hashlib.sha256()
+        for line in lines:
+            text = self.alphabet.text_of_cells(line).encode("ascii")
+            digest.update(text)
+            yield text
+            yield b"\n"
+        yield f"checksum: {digest.hexdigest()[:16]}\n".encode("ascii")
+
+    def render(self) -> str:
+        return b"".join(self._chunks()).decode("ascii")
 
 
 def save_window(path, window: PartialWindow, *, alphabet: Alphabet, profile: str,
                 depth: int, m_list, sparse: str, u: str, fill: str,
                 seed: int = 0) -> WindowFile:
+    """Write a window file a payload line at a time through one file
+    handle; a cell outside the alphabet raises before the path is opened."""
     wf = WindowFile(window, alphabet, profile, int(depth),
                     tuple(int(m) for m in m_list), sparse, u, fill, int(seed))
-    Path(path).write_bytes(wf.render().encode("ascii"))
+    chunks = wf._chunks()
+    header = next(chunks)
+    with Path(path).open("wb") as out:
+        out.write(header)
+        out.writelines(chunks)
     return wf
 
 

@@ -7,6 +7,7 @@ cells hold the STAR sentinel, which is distinct from every symbol index.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,8 @@ def on_block_grid(start: int, length: int, m: int) -> bool:
 
 
 # The level passes (star-filling and the admissibility check) walk a window
-# in block-aligned batches of about this many cells, so no temporary of a
-# pass grows with the window.
+# in batches of at most this many cells (row_batches), so no temporary of
+# a pass grows with the window or with a block.
 _BATCH_CELLS = 1 << 22
 # Rows at most this wide are reduced column by column, and counted with
 # einsum into uint8 (exact, as such a row holds at most this many trues):
@@ -199,10 +200,21 @@ _BATCH_CELLS = 1 << 22
 _NARROW_ROW = 32
 
 
-def block_batches(n_blocks: int, m: int) -> list[tuple[int, int]]:
-    """Block-index ranges [b0, b1) of about _BATCH_CELLS cells, at least one block each."""
-    step = max(1, _BATCH_CELLS // m)
-    return [(b0, min(b0 + step, n_blocks)) for b0 in range(0, n_blocks, step)]
+def row_batches(n_blocks: int, r: int, width: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [s0, s1) of n_blocks blocks of r rows, each row costing
+    ``width`` cells, of at most _BATCH_CELLS cells (and at least one row)
+    each: whole blocks while a block fits, else consecutive rows of one
+    block, so no batch holds rows of two blocks unless it holds both whole.
+    """
+    step = max(1, _BATCH_CELLS // width)
+    if r <= step:
+        step -= step % r
+        for s in range(0, n_blocks * r, step):
+            yield s, min(s + step, n_blocks * r)
+        return
+    for b in range(0, n_blocks * r, r):
+        for s in range(0, r, step):
+            yield b + s, b + min(s + step, r)
 
 
 def fold_rows(ufunc, rows: np.ndarray) -> np.ndarray:

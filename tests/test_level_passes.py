@@ -23,6 +23,7 @@ from hypothesis import event, given, settings, strategies as st
 from blockshift import (STAR, Alphabet, BlockshiftError, ConstructionInvariantError,
                         PartialWindow, SparseSetSpec, TargetSequence, build_schedule,
                         fill_level, init_partial, realize, schedule, words)
+from blockshift.words import block_of
 from tests.oracles import check_level_dense, fill_level_by_blocks, word_ids_by_void_search
 
 # name -> (alphabet, profile, depth, realize window or None for the central block)
@@ -56,11 +57,15 @@ def built(sched2, x2):
 
 @contextmanager
 def batch_of(m, blocks, extra):
-    """The level passes batched at ``blocks`` blocks of length m (None: unpatched)."""
+    """The level passes batched at ``blocks`` blocks of length m plus
+    ``extra`` % m cells (None: unpatched).  With blocks = 0 the budget is
+    m / 2^(1 + extra % 12) cells, but at least 8: below one block when m
+    exceeds 8, so a block splits over row batches."""
     if blocks is None:
         yield
         return
-    with mock.patch.object(words, "_BATCH_CELLS", blocks * m + extra % m):
+    budget = blocks * m + extra % m if blocks else max(8, m >> (1 + extra % 12))
+    with mock.patch.object(words, "_BATCH_CELLS", budget):
         yield
 
 
@@ -108,7 +113,8 @@ def outcome(fn):
 
 
 edits = st.lists(st.tuples(st.sampled_from(OPS), st.integers(1, 3)), max_size=4)
-batch_blocks = st.sampled_from([1, 2, 3, 5, None])
+batch_blocks = st.sampled_from([0, 1, 2, 3, 5, None])
+batch_extra = st.integers(0, 1 << 16)
 
 
 def check_case(built, name, data):
@@ -123,7 +129,7 @@ def check_case(built, name, data):
     defined = np.flatnonzero(cells.reshape(nb, m).max(axis=1) != STAR)
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=defined)
     w = PartialWindow(x.offset + b0 * m, cells)
-    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(st.integers(0, 99))):
+    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra)):
         got = outcome(lambda: schedule._check_level(w, sched, level))
     want = outcome(lambda: check_level_dense(w, sched, level))
     event(f"level {level}: " + (want.detail or f"membership {want.membership}"))
@@ -143,7 +149,7 @@ def fill_case(built, name, data):
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=meeting)
     w = PartialWindow(start.offset, cells)
     cycle = data.draw(st.integers(-3, 40), label="cycle start")
-    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(st.integers(0, 99))):
+    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra)):
         got = outcome(lambda: fill_level(w, level, sched, cycle_start=cycle))
     want = outcome(lambda: fill_level_by_blocks(w, level, sched, cycle_start=cycle))
     event(f"level {level}: " + (re.sub(r"-?\d+", "#", want[1]) if isinstance(want, tuple)
@@ -186,13 +192,147 @@ def test_faithful_word_lookup_matches(built):
     mutated = PartialWindow(x.offset, cells)
     pair = PartialWindow(x.offset - len(x), np.concatenate([cells, x.cells]))
     for window in (x, mutated, pair):
-        with batch_of(sched.m(2), 1, 0):
-            got = schedule._check_level(window, sched, 2)
-        assert got == check_level_dense(window, sched, 2)
+        for blocks_per_batch in (1, 0):
+            with batch_of(sched.m(2), blocks_per_batch, 5000):
+                got = schedule._check_level(window, sched, 2)
+            assert got == check_level_dense(window, sched, 2)
     # the two blocks together hold every word of A_1, yet the first alone does not
     assert len({row.tobytes() for row in pair.cells.reshape(-1, sched.m(1))}
                & {row.tobytes() for row in sched.words(1)}) == 30826
     assert schedule._check_level(pair, sched, 2).every_word == "fail"
+
+
+# budgets in cells, each below one level-2 block of fast-01-d2 (2 115 cells)
+SPLIT_BUDGETS = (8, 97, 700, 2114)
+
+
+def assert_split_matches(fn, oracle, sub_block_budgets=SPLIT_BUDGETS):
+    want = outcome(oracle)
+    for budget in sub_block_budgets:
+        with mock.patch.object(words, "_BATCH_CELLS", budget):
+            got = outcome(fn)
+        if isinstance(want, PartialWindow):
+            assert got.cells.tobytes() == want.cells.tobytes()
+        else:
+            assert got == want, budget
+    return want
+
+
+def test_fill_failures_inside_a_split_block(built):
+    """Each failure of the fill in a level-2 block read over row batches:
+    the error the block loop raises first, naming the same block and
+    sub-block, also when the sparsity count fails in the first row
+    batch and a partly defined sub-block sits in the last one."""
+    sched, u, x = built["fast-01-d2"]
+    m, m_old = sched.m(2), sched.m(1)
+    r = m // m_old
+    q = r // 3
+    start = fill_level(init_partial(u, sched.sparse, x.interval(), sched.alphabet), 1, sched,
+                       cycle_start=2)
+    grid = start.cells.reshape(-1, r, m_old)
+    b = int(np.flatnonzero((grid != STAR).any(axis=(1, 2)))[0])
+    free = np.flatnonzero((grid[b] == STAR).all(axis=1))
+    missing = int(np.flatnonzero((grid == STAR).all(axis=(1, 2)))[0])
+
+    def edited(*edits):
+        cells = start.cells.copy()
+        subs = cells.reshape(-1, r, m_old)
+        for edit in edits:
+            if edit == "crowd":  # a third of the sub-blocks defined, in the first rows
+                subs[b, free[:q]] = sched.pillar(1)
+            elif edit == "mixed last":
+                subs[b, free[-1], 3] = 0
+            elif edit == "mixed first":
+                subs[b, free[0], 3] = 0
+            elif edit == "alien":
+                subs[b, 0, 0] = sched.alphabet.size
+            elif edit == "outside S":
+                subs[missing, -1, -1] = 1
+        return PartialWindow(start.offset, cells)
+
+    i = block_of(start.offset, m) + b
+    cases = [
+        ((), None),
+        (("crowd",), ("DensityViolation", f"level-2 block {i} already holds "
+                      f"{r - free.size + q} defined sub-blocks, sparsity promised < {q}")),
+        (("crowd", "mixed last"), ("ConstructionInvariantError",
+                                   f"level-2 block {i}: sub-block {free[-1]} is partially defined")),
+        (("mixed first",), ("ConstructionInvariantError",
+                            f"level-2 block {i}: sub-block {free[0]} is partially defined")),
+        (("alien",), ("ConstructionInvariantError", "window holds cell values outside the alphabet")),
+        (("outside S",), ("ConstructionInvariantError",
+                          f"defined cell at {start.offset + (missing + 1) * m - 1} lies in a "
+                          f"level-2 block disjoint from S")),
+    ]
+    for edits, error in cases:
+        w = edited(*edits)
+        want = assert_split_matches(lambda: fill_level(w, 2, sched, cycle_start=5),
+                                    lambda: fill_level_by_blocks(w, 2, sched, cycle_start=5))
+        assert (isinstance(want, PartialWindow) if error is None else want == error), edits
+
+
+def test_too_few_free_rows_in_a_split_block(built):
+    """A faithful fill source of more words than a level-1 block has free
+    sub-blocks past the pillar, with the block read a row at a time."""
+    sched, u, x = built["faithful-0+--d1"]
+    start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
+    many = np.repeat(sched.fill_matrix(0), 4, axis=0)  # 12 words; a block has 9 free or fewer
+    with mock.patch.object(sched, "fill_matrix", lambda k: many):
+        want = assert_split_matches(lambda: fill_level(start, 1, sched),
+                                    lambda: fill_level_by_blocks(start, 1, sched), (8, 9, 15))
+    assert want[0] == "ConstructionInvariantError"
+    assert re.fullmatch(r"level-1 block -?\d+: \d free sub-blocks cannot use all 12 words",
+                        want[1])
+
+
+def test_check_failures_inside_a_split_block(built):
+    """Each outcome of the check on a level block read over row batches:
+    partly defined (defined rows then a STAR, or undefined rows then
+    defined ones), a pillar share short in the first batch only, and a
+    cell outside the alphabet in the first batch only."""
+    sched, _, x = built["fast-01-d2"]
+    m, m_old = sched.m(2), sched.m(1)
+    r = m // m_old
+    b = int(np.flatnonzero(x.cells.reshape(-1, m).max(axis=1) != STAR)[0])
+    pillars = np.flatnonzero(words.rows_equal(x.cells.reshape(-1, r, m_old)[b], sched.pillar(1)))
+    for edit in ("then a STAR", "undefined, then defined", "short share", "alien"):
+        cells = x.cells.copy()
+        rows = cells.reshape(-1, r, m_old)[b]
+        if edit == "then a STAR":
+            rows[-1, -1] = STAR
+        elif edit == "undefined, then defined":
+            rows[:100] = STAR
+        elif edit == "short share":  # the pillars in the first 30 rows replaced
+            rows[pillars[pillars < 30]] = sched.alphabet.size - 1
+        else:
+            rows[0, 0] = sched.alphabet.size
+        w = PartialWindow(x.offset, cells)
+        for level in (1, 2):
+            want = assert_split_matches(lambda: schedule._check_level(w, sched, level),
+                                        lambda: check_level_dense(w, sched, level))
+            if level == 2 and edit in ("then a STAR", "undefined, then defined"):
+                assert want.detail == f"block {b} partially defined"
+            if level == 2 and edit == "short share":
+                assert want.min_pillar_share < want.required_share and not want.detail
+            if level == 1 and edit == "alien":
+                assert want.membership == "fail"
+
+
+def test_every_symbol_over_a_split_level_1_block(built):
+    """A faithful level-1 block whose symbols sit one in its first cell
+    and one in its last, read in row batches of 8 and 7 cells, uses every
+    symbol; without its first cell it does not."""
+    sched, _, x = built["faithful-0+--d1"]
+    cells = x.cells.copy()
+    block = cells.reshape(-1, 15)[np.flatnonzero(cells.reshape(-1, 15).max(axis=1) != STAR)[0]]
+    block[:] = 0
+    block[0], block[-1] = 2, 1
+    for first, every_word in ((2, "ok"), (0, "fail")):
+        block[0] = first
+        w = PartialWindow(x.offset, cells)
+        want = assert_split_matches(lambda: schedule._check_level(w, sched, 1),
+                                    lambda: check_level_dense(w, sched, 1), (8, 14))
+        assert want.every_word == every_word
 
 
 def test_realized_windows_pass_unchanged(built):
@@ -217,10 +357,11 @@ def test_failures_in_an_early_batch_persist(built):
     sched, _, x = built["faithful-01-d2"]
     flat = np.zeros(len(x), dtype=np.uint8)  # not a word of A_1, and uses no 1
     w = PartialWindow(x.offset, np.concatenate([flat, x.cells]))
-    with batch_of(sched.m(2), 1, 0):
-        got = schedule._check_level(w, sched, 2)
-    assert (got.membership, got.every_word) == ("fail", "fail")
-    assert got == check_level_dense(w, sched, 2)
+    for blocks_per_batch in (1, 0):
+        with batch_of(sched.m(2), blocks_per_batch, 5000):
+            got = schedule._check_level(w, sched, 2)
+        assert (got.membership, got.every_word) == ("fail", "fail")
+        assert got == check_level_dense(w, sched, 2)
 
 
 def test_no_temporary_grows_with_the_window(ternary):
@@ -238,14 +379,16 @@ def test_no_temporary_grows_with_the_window(ternary):
         finally:
             tracemalloc.stop()
 
-    with batch_of(1, 1 << 16, 0):
-        x = realize(u, sched, 2, window=hull)
-        n = len(x)
-        assert peak(lambda: realize(u, sched, 2, window=hull)) < n * 5 // 4
-        for level in (1, 2):
-            assert peak(lambda: schedule._check_level(x, sched, level)) < n // 4
-        start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
-        assert peak(lambda: fill_level(start, 1, sched)) < n * 5 // 4
+    x = realize(u, sched, 2, window=hull)
+    n = len(x)
+    start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
+    # 2^16 cells, and 2 000 cells: below one level-2 block (2 115 cells)
+    for budget in (1 << 16, 2000):
+        with batch_of(1, budget, 0):
+            assert peak(lambda: realize(u, sched, 2, window=hull)) < n * 5 // 4
+            for level in (1, 2):
+                assert peak(lambda: schedule._check_level(x, sched, level)) < n // 4
+            assert peak(lambda: fill_level(start, 1, sched)) < n * 5 // 4
 
 
 # --- the packed-code word lookup ----------------------------------------
@@ -328,6 +471,13 @@ def assert_too_wide(sched, width):
         schedule._check_level(w, sched, 2)
 
 
+def word_flags(rows, r, codes, bits, alien_at):
+    """schedule._word_flags on fresh seen bits: every row a word, and
+    every block of r rows holding every word."""
+    seen = np.zeros(len(rows) // r * codes.size, dtype=bool)
+    return schedule._word_flags(rows, r, codes, bits, alien_at, seen), bool(seen.all())
+
+
 def flags_by_void_search(rows, words_, r):
     """schedule._word_flags by word_ids_by_void_search: every row found,
     and every block of r rows holding every word."""
@@ -365,13 +515,12 @@ def test_word_ids_match_void_search(symbols, width, n, chunk):
                     rng.integers(1, 4)]
             rows = blocks.reshape(-1, width)
             want = flags_by_void_search(rows, few, r)
-            assert schedule._word_flags(rows, r, words.row_codes(few, bits), bits, a) == want
+            assert word_flags(rows, r, words.row_codes(few, bits), bits, a) == want
             seen.add(want)
         codes = words.row_codes(words_, bits)
         rows = probe_rows(rng, words_, a, 3 * r)
         for group in (rows, rows[:3 * r], words_[:len(words_) // r * r]):
-            assert (schedule._word_flags(group, r, codes, bits, a)
-                    == flags_by_void_search(group, words_, r))
+            assert word_flags(group, r, codes, bits, a) == flags_by_void_search(group, words_, r)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -417,8 +566,8 @@ def test_check_level_matches_dense_on_word_matrices(symbols, width, n):
         w = PartialWindow(-((m - 1) // 2), blocks.reshape(-1))
         want = check_level_dense(w, sched, 2)
         seen.add(want.membership)
-        for blocks_per_batch in (1, 3, None):
-            with batch_of(m, blocks_per_batch, trial):
+        for blocks_per_batch in (0, 1, 3, None):
+            with batch_of(m, blocks_per_batch, trial * 101):
                 assert schedule._check_level(w, sched, 2) == want
     assert seen == {"ok", "fail"}
 
@@ -439,7 +588,7 @@ def test_alias_in_a_faithful_window_reads_not_found(built):
     stray = PartialWindow(x.offset, cells)
     behind = PartialWindow(x.offset - m, np.concatenate([np.full(m, STAR, np.uint8), cells]))
     for w in (stray, behind):
-        for blocks_per_batch in (1, None):
-            with batch_of(m, blocks_per_batch, 0):
+        for blocks_per_batch in (0, 1, None):
+            with batch_of(m, blocks_per_batch, 5000):
                 got = schedule._check_level(w, sched, 2)
             assert got.membership == "fail" and got == check_level_dense(w, sched, 2)

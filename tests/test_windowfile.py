@@ -1,9 +1,14 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockshift import (
+    STAR,
     ChecksumError,
     InconsistencyError,
+    InvalidParameterError,
     PartialWindow,
     VersionError,
     WindowFormatError,
@@ -142,6 +147,41 @@ def test_window_off_the_block_grid(tmp_path, binary):
     with pytest.raises(InconsistencyError,
                        match=r"window \(-7, 8\) is not a union of level-1 blocks"):
         load_window(path)
+
+
+@pytest.mark.parametrize("fill", [0, STAR])
+def test_cell_outside_the_alphabet_leaves_the_path_alone(tmp_path, binary, fill):
+    """A cell outside the alphabet in the third payload line raises the
+    translation error before a byte reaches the path, in a fully defined
+    window and in one holding stars."""
+    cells = np.full(3 * LINE_CELLS, fill, dtype=np.uint8)
+    cells[-5] = 7
+    path = tmp_path / "w.bsw"
+    path.write_bytes(b"kept")
+    with pytest.raises(InvalidParameterError, match="^cell value 7 outside alphabet$"):
+        save_window(path, PartialWindow(0, cells), alphabet=binary, profile="fast", depth=1,
+                    m_list=(1, 3), sparse="squares", u="mu-indicator",
+                    fill="pillar-first-ltr,cycle-seeded@0")
+    assert path.read_bytes() == b"kept"
+
+
+def test_save_holds_a_few_lines_at_a_time(tmp_path, binary):
+    """The save translates, hashes and writes one payload line at a time:
+    its traced peak stays within a few lines' worth (np.take's intp copy
+    of a line's cells is eight bytes a cell) of a 4 M-cell window."""
+    cells = np.tile(np.array([0, 1, 1, STAR, 0], dtype=np.uint8), 800_000)
+    x = PartialWindow(-2_000_002, cells)
+    tracemalloc.start()
+    try:
+        wf = save_window(tmp_path / "w.bsw", x, alphabet=binary, profile="fast", depth=1,
+                         m_list=(1, 5), sparse="squares", u="mu-indicator",
+                         fill="pillar-first-ltr,cycle-seeded@0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * LINE_CELLS < len(x) // 3
+    assert load_window(tmp_path / "w.bsw").window == x
+    assert wf.render().encode() == (tmp_path / "w.bsw").read_bytes()
 
 
 @pytest.fixture(scope="module")
