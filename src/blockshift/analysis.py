@@ -11,7 +11,7 @@ language size, since a finite window can undercount straddling words.
 
 Minimality witnesses make no pass of their own over the window: they
 certify aligned pillar copies, read off the admissibility report, and
-the pillar coverage that the schedule checked when it built each w_k.
+read pillar coverage off the profile, as build_schedule checks each w_k.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError
-from .schedule import Schedule, WindowAdmissibilityReport, _check_level
-from .words import PartialWindow, on_block_grid
+# re-exported: the package, the CLI and correlation read window_admissibility_report here
+from .schedule import Schedule, WindowAdmissibilityReport, window_admissibility_report
+from .words import PartialWindow, on_block_grid, row_chunks
 
 
 # --- subword complexity -------------------------------------------------
@@ -107,10 +108,9 @@ def complexity_profile(x: PartialWindow, n_max: int,
 
 
 _ALL_ONES = np.uint64(2**64 - 1)
-# In-place passes over a key go forward in chunks of this many entries:
-# each chunk reads entries ahead of it before they change, so no pass
-# needs a second key-sized array.
-_CHUNK = 1 << 16
+# In-place passes over a key go forward a cache-sized chunk at a time
+# (words.row_chunks): each chunk reads entries ahead of it before they
+# change, so no pass needs a second key-sized array.
 
 
 def _packed(digits: np.ndarray, width: int, bits: int, size: int) -> np.ndarray:
@@ -135,18 +135,17 @@ def _packed(digits: np.ndarray, width: int, bits: int, size: int) -> np.ndarray:
 def _join(key: np.ndarray, tail: np.ndarray, ahead: int, shift: int) -> None:
     """key[i] = key[i] << shift | tail[i + ahead] for i < key.size - ahead."""
     end = key.size - ahead
-    for a in range(0, end, _CHUNK):
-        b = min(a + _CHUNK, end)
-        key[a:b] = (key[a:b] << shift) | tail[a + ahead:b + ahead]
+    head, tail = key[:end], tail[ahead:ahead + end]
+    for part in row_chunks(end):
+        head[part] = (head[part] << shift) | tail[part]
 
 
 def _xor_with_next(key: np.ndarray) -> np.ndarray:
     """key[i] ^= key[i + 1] for every i but the last, in place, as key[:-1]."""
-    last = key.size - 1
-    for a in range(0, last, _CHUNK):
-        b = min(a + _CHUNK, last)
-        key[a:b] ^= key[a + 1:b + 1]
-    return key[:-1]
+    head, after = key[:-1], key[1:]
+    for part in row_chunks(head.size):
+        head[part] ^= after[part]
+    return head
 
 
 def _aligned_rows(x: PartialWindow, m: int) -> np.ndarray:
@@ -230,26 +229,6 @@ def decay_report(schedule: Schedule) -> dict:
     return {"C_corrected": C, "C_naive": paper_C, "levels": rows}
 
 
-# --- window admissibility ----------------------------------------------
-
-
-def window_admissibility_report(x: PartialWindow, schedule: Schedule,
-                                depth: int) -> WindowAdmissibilityReport:
-    """Per-level admissibility of every fully defined block of the window.
-
-    Faithful profile checks block structure, symbols, pillar share,
-    sub-block membership, and every-word coverage; fast profile checks
-    structure, symbols and pillar share only.  Sub-blocks are found in
-    A_{level-1} by binary search on packed uint64 row codes
-    (schedule._check_level).
-    """
-    if not 1 <= depth <= schedule.depth:
-        raise InvalidParameterError(f"depth {depth} outside built depth")
-    return WindowAdmissibilityReport(tuple(
-        _check_level(x, schedule, level) for level in range(1, depth + 1)
-    ))
-
-
 # --- minimality witnesses ------------------------------------------------
 
 
@@ -272,8 +251,8 @@ def minimality_witnesses(report: WindowAdmissibilityReport,
     (b) gap-bound: implied by (a), since aligned copies of w_k in
         adjacent level-(k+1) blocks sit at most 2*m_{k+1} - m_k apart;
     (c) pillar-coverage: w_{k+1} holds every word of A_k, a schedule
-        property checked when w_{k+1} was built (waived in the fast
-        profile).
+        property: build_schedule refuses a pillar that fails it, so a
+        built schedule reads "ok" (faithful) or "waived" (fast).
 
     An aligned copy is an occurrence, so each "ok" also holds for
     occurrences anywhere in the window.
@@ -292,10 +271,10 @@ def minimality_witnesses(report: WindowAdmissibilityReport,
             checks.append((f"pillar-containment k={k}", "fail",
                            f"a level-{k + 1} block holds no aligned w_{k}"))
             checks.append((f"gap-bound k={k}", "fail", "not implied: containment fails"))
+    coverage = "ok" if schedule.faithful else "waived"
     for c in report.checks:
         k = c.level - 1
-        checks.append((f"pillar-coverage k={k}",
-                       schedule.level(k + 1).pillar_check.every_word,
+        checks.append((f"pillar-coverage k={k}", coverage,
                        f"every-word check of w_{k + 1} at build time"))
     return MinimalityReport(tuple(checks))
 

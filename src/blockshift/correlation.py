@@ -23,7 +23,7 @@ from .mobius import MobiusTable, mobius_sieve
 from .realization import TargetSequence, realize, verify_realization
 from .schedule import Schedule, build_schedule
 from .sparse import SparseSetSpec
-from .words import Alphabet, PartialWindow, block_interval
+from .words import STAR, Alphabet, PartialWindow, block_interval
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,10 @@ def correlation_average(x: PartialWindow, rho: WeightTable, p: SparseSetSpec,
                 f"p({n}) = {s} falls outside the window {x.interval()}"
             )
         cell = x[s]
-        if cell >= alphabet.size:
+        if cell == STAR:
             raise InvalidParameterError(f"x({s}) is undefined ('*')")
+        if cell >= alphabet.size:
+            raise InvalidParameterError(f"x({s}) = {cell} outside alphabet of size {alphabet.size}")
         w = rho.weight(n)
         term = w * int(val[cell])
         running += term
@@ -131,6 +133,8 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     the density of mu = 1); the fast profile uses the three-symbol sign
     target, whose averages tend to the squarefree density 6/pi^2.
     """
+    if count < 1:
+        raise InvalidParameterError("N must be >= 1")
     if profile == "faithful":
         alphabet = Alphabet("01")
         u = TargetSequence.mu_indicator()
@@ -146,7 +150,7 @@ def sarnak_demo(profile: str = "faithful", depth: int = 2, count: int = 832,
     window = None if need <= central[1] else (1, need)
 
     x = realize(u, sched, depth, window=window)
-    table = mobius_sieve(max(count, 1 << 12))
+    table = mobius_sieve(count)
     rho = WeightTable.mobius(table, values)
     report = correlation_average(x, rho, squares, count, alphabet, u=u)
 

@@ -1,4 +1,5 @@
-"""Exact Mobius function table with Mertens and squarefree summaries."""
+"""Exact Mobius function table with Mertens and squarefree summaries, and
+mu grown segment by segment (grown_mu); this module owns the segment size."""
 
 from __future__ import annotations
 
@@ -56,6 +57,29 @@ def mobius_sieve(limit: int) -> MobiusTable:
         hi = min(lo + _SEGMENT - 1, limit)
         mu[lo:hi + 1] = mobius_segment(lo, hi)
     return MobiusTable(limit, mu)
+
+
+def grown_mu():
+    """mu(n) from the last segment, or from a new one starting at n when n
+    falls outside it.  Each segment is twice the last, from 2**12 up to
+    _SEGMENT indices (read at call time), so the work follows the number
+    of indices asked for and no table grows with n.  A segment that
+    starts below the index bound _SEGMENT**2 ends before it, so every n
+    below the bound gets its mu."""
+    state = {"lo": 1, "values": np.zeros(0, dtype=np.int8)}
+
+    def mu(n: int) -> int:
+        lo, values = state["lo"], state["values"]
+        if not lo <= n < lo + values.size:
+            size = min(max(2 * values.size, 1 << 12), _SEGMENT)
+            hi = n + size - 1
+            if n < _SEGMENT**2:
+                hi = min(hi, _SEGMENT**2 - 1)
+            lo, values = n, mobius_segment(n, hi)
+            state["lo"], state["values"] = lo, values
+        return int(values[n - lo])
+
+    return mu
 
 
 def mobius_segment(lo: int, hi: int) -> np.ndarray:

@@ -15,6 +15,7 @@ starred rows.  A batch holds whole blocks, or consecutive rows of a
 block longer than the batch budget, so no temporary grows with the
 window or with a block.  ``realize`` allocates one cell buffer and
 fills every level in it; ``fill_level`` copies its input first.
+The mu targets read mu from mobius.grown_mu.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .errors import (
     IncompleteDataError,
     InvalidParameterError,
 )
-from . import mobius
-from .analysis import window_admissibility_report
-from .schedule import Schedule
+from .mobius import grown_mu
+from .schedule import Schedule, window_admissibility_report
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of,
                     check_cell_count, count_rows, fold_rows, hull_of_blocks,
@@ -70,7 +70,7 @@ class TargetSequence:
     @classmethod
     def mu_indicator(cls) -> "TargetSequence":
         """u(n) = second symbol when mu(n) = 1, zero symbol otherwise."""
-        mu = _grown_mu()
+        mu = grown_mu()
         return cls("mu-indicator", lambda n: 1 if mu(n) == 1 else 0)
 
     @classmethod
@@ -79,32 +79,9 @@ class TargetSequence:
         +1 -> symbols[1], -1 -> symbols[2]."""
         if alphabet.size < 3:
             raise InvalidParameterError("mu-sign needs at least 3 symbols")
-        mu = _grown_mu()
+        mu = grown_mu()
         table = {0: 0, 1: 1, -1: 2}
         return cls("mu-sign", lambda n: table[mu(n)])
-
-
-def _grown_mu():
-    """mu(n) from the last segment, or from a new one starting at n when n
-    falls outside it.  Each segment is twice the last, from 2**12 up to
-    mobius._SEGMENT indices (read at call time), so the work follows the
-    number of indices asked for and no table grows with n.  A segment
-    that starts below the index bound mobius._SEGMENT**2 ends before it,
-    so every n below the bound gets its mu."""
-    state = {"lo": 1, "values": np.zeros(0, dtype=np.int8)}
-
-    def mu(n: int) -> int:
-        lo, values = state["lo"], state["values"]
-        if not lo <= n < lo + values.size:
-            size = min(max(2 * values.size, 1 << 12), mobius._SEGMENT)
-            hi = n + size - 1
-            if n < mobius._SEGMENT**2:
-                hi = min(hi, mobius._SEGMENT**2 - 1)
-            lo, values = n, mobius.mobius_segment(n, hi)
-            state["lo"], state["values"] = lo, values
-        return int(values[n - lo])
-
-    return mu
 
 
 def init_partial(u: TargetSequence, sparse: SparseSetSpec,
@@ -139,7 +116,7 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
     sub-block, the star discipline (defined cells only inside blocks
     meeting S), and the per-block sparsity count.  Admissibility of the
     surviving sub-blocks is certified once, after the top level (see
-    analysis.window_admissibility_report).
+    schedule.window_admissibility_report).
     """
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth {schedule.depth}")

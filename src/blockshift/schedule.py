@@ -18,13 +18,17 @@ An enumerated A_k has one form, the sorted read-only matrix
 sub-block in it by binary search on uint64 codes of whole rows, a few
 bits a cell, packed from that matrix on each call; every enumerable
 A_k is an A_1 of at most 30 bits a row.
+
+The admissibility rule (_check_level) and its window report live here.
+build_schedule refuses a pillar that fails the rule, so the pillar
+coverage of a built schedule holds and is not stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +113,6 @@ class LevelParams:
     m: int
     pillar: np.ndarray  # read-only (m,) uint8
     card: Card
-    pillar_check: LevelCheck | None = None  # w_k as one level-k block; None at k = 0
 
 
 class Schedule:
@@ -516,6 +519,19 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
                       membership, every_word)
 
 
+def window_admissibility_report(x: PartialWindow, schedule: Schedule,
+                                depth: int) -> WindowAdmissibilityReport:
+    """_check_level at levels 1..depth on the window's defined blocks:
+    every cell a symbol, at least one-third of the sub-blocks of each
+    block equal to the pillar one level down, and (faithful profile) every
+    sub-block a word of the level below, each such word in each block."""
+    if not 1 <= depth <= schedule.depth:
+        raise InvalidParameterError(f"depth {depth} outside built depth")
+    return WindowAdmissibilityReport(tuple(
+        _check_level(x, schedule, level) for level in range(1, depth + 1)
+    ))
+
+
 def _one_block(word: np.ndarray) -> PartialWindow:
     """A word as the centred block of its level."""
     return PartialWindow(-((len(word) - 1) // 2), word)
@@ -541,24 +557,15 @@ def _word_cells(word) -> np.ndarray:
 
 
 def is_admissible_block(word, level: int, schedule: Schedule) -> WindowAdmissibilityReport:
-    """The admissibility report of one word, given as bytes or a uint8
-    array, as the one-block window of its level.
-
-    The word is checked at every level from 1 to ``level``: every cell a
-    symbol, at least one-third of the sub-blocks of each block equal to
-    the pillar one level down, and (faithful profile) every sub-block an
-    admissible word of the level below, each of those words present in
-    each block.
-    """
+    """The window_admissibility_report of one word, given as bytes or a
+    uint8 array, as the one-block window of its level."""
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth")
     word = _word_cells(word)
     m = schedule.m(level)
     if len(word) != m:
         raise InvalidParameterError(f"word length {len(word)} != m_{level} = {m}")
-    x = _one_block(word)
-    return WindowAdmissibilityReport(tuple(_check_level(x, schedule, k)
-                                           for k in range(1, level + 1)))
+    return window_admissibility_report(_one_block(word), schedule, level)
 
 
 # --- construction -----------------------------------------------------
@@ -658,7 +665,6 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         check = _check_level(_one_block(pillar), sched, k)
         if not check.ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
-        sched.levels[k] = replace(sched.levels[k], pillar_check=check)
     m_depth = plan[depth][0]
     lo, hi = hull_of_blocks(*DEFAULT_WINDOW_HINT, m_depth)
     sched.verified_range = (min(lo, 1), max(hi, m_depth))

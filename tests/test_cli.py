@@ -302,6 +302,9 @@ def _empty_payload(lines):
      "realization   FAIL  target sequence 'text:0' has 1 terms, u(2) requested"),
     ({"u": "text:0"}, ["verify", "{file}"], 1,
      "minimality    PASS  pillar-containment k=0:ok"),
+    # N is checked before the depth-3 schedule is built and its window filled
+    ("", ["demo-sarnak", "--profile", "fast", "--depth", "3", "--N", "-3"], 2,
+     "error: N must be >= 1"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"

@@ -1,18 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blockshift import (
+    STAR,
     InvalidParameterError,
+    PartialWindow,
     WeightTable,
     WindowRangeError,
     correlation_average,
     mobius_sieve,
-    realization,
     sarnak_demo,
 )
-from blockshift import mobius
-from blockshift.mobius import mobius_segment
+from blockshift import correlation, mobius
+from blockshift.mobius import grown_mu, mobius_segment
 from blockshift.realization import realize
 from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
@@ -74,7 +76,7 @@ def test_mobius_segment_up_to_the_index_bound():
 def test_grown_mu_past_the_budget_matches_the_sieve(mob, monkeypatch):
     # segments of 1024 indices, so primes up to 1000 stay below the table bound
     monkeypatch.setattr(mobius, "_SEGMENT", 1024)
-    mu = realization._grown_mu()
+    mu = grown_mu()
     # up through the budget and several segments, far out, then back below it
     ns = [*range(1, 4000), *range(10**6 - 1500, 10**6 + 1), 999_950, 1000, 1001, 4000, 1]
     assert [mu(n) for n in ns] == [mob.mu(n) for n in ns]
@@ -117,6 +119,27 @@ def test_out_of_window(binary, sched2, mu_target, squares, mob):
     with pytest.raises(WindowRangeError) as exc:
         correlation_average(x, rho, squares, 3, binary)
     assert "p(3) = 9" in str(exc.value)
+
+
+@pytest.mark.parametrize("cell,message", [
+    (STAR, r"x\(1\) is undefined \('\*'\)"),
+    (7, r"x\(1\) = 7 outside alphabet of size 2"),
+])
+def test_cell_outside_the_alphabet_is_named(binary, squares, mob, cell, message):
+    x = PartialWindow(1, np.array([cell, 0, 0, 0], dtype=np.uint8))
+    rho = WeightTable.mobius(mob, {"0": 0, "1": 1})
+    with pytest.raises(InvalidParameterError, match=message):
+        correlation_average(x, rho, squares, 2, binary)
+
+
+def test_demo_checks_n_before_it_builds(monkeypatch):
+    def build_schedule(*args, **kwargs):
+        raise AssertionError("build_schedule called")
+
+    monkeypatch.setattr(correlation, "build_schedule", build_schedule)
+    for count in (0, -3):
+        with pytest.raises(InvalidParameterError, match=r"^N must be >= 1$"):
+            sarnak_demo("fast", 3, count)
 
 
 def test_demo_depth1(binary):

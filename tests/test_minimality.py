@@ -6,14 +6,12 @@ on mutated realized windows every row that minimality_witnesses marks
 "ok" is "ok" in the reference too: an aligned copy is an occurrence.
 """
 
-import copy
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from blockshift import (
+    ConstructionInvariantError,
     InvalidParameterError,
     PartialWindow,
     TargetSequence,
@@ -22,6 +20,7 @@ from blockshift import (
     realize,
     window_admissibility_report,
 )
+from blockshift import schedule
 from tests.oracles import minimality_by_occurrences
 
 
@@ -164,13 +163,25 @@ def test_rejects_partially_defined_window(sched2, binary):
         minimality_witnesses(window_admissibility_report(x, sched2, 1), sched2)
 
 
-def test_coverage_reads_the_check_of_the_next_pillar(sched2, x2):
-    report = window_admissibility_report(x2, sched2, 2)
-    sched = copy.copy(sched2)
-    sched.levels = list(sched2.levels)
-    level1 = sched.levels[1]
-    sched.levels[1] = replace(level1, pillar_check=replace(level1.pillar_check,
-                                                           every_word="fail"))
-    rows = {name: status for name, status, _ in minimality_witnesses(report, sched).checks}
-    assert rows["pillar-coverage k=0"] == "fail"
-    assert rows["pillar-coverage k=1"] == "ok"
+def test_coverage_is_checked_when_the_pillar_is_built(binary, squares, sources,
+                                                     monkeypatch):
+    # a built schedule passed the every-word check of each pillar, so its
+    # coverage rows read off the profile
+    for name, want in (("faithful-d2", "ok"), ("fast-d2", "waived")):
+        sched, depth, x = sources[name]
+        report = window_admissibility_report(x, sched, depth)
+        rows = {row: status for row, status, _ in minimality_witnesses(report, sched).checks}
+        assert [rows[f"pillar-coverage k={k}"] for k in (0, 1)] == [want, want], name
+
+    # a w_1 without the last word of A_0 stops the build
+    build_pillar = schedule._build_pillar
+
+    def short_pillar(sched, k, m_k):
+        pillar = build_pillar(sched, k, m_k).copy()
+        pillar[-sched.m(k - 1):] = sched.pillar(k - 1)
+        return pillar
+
+    monkeypatch.setattr(schedule, "_build_pillar", short_pillar)
+    with pytest.raises(ConstructionInvariantError,
+                       match=r"^pillar w_1 not admissible: level-0 words never used$"):
+        build_schedule(binary, squares, 1)

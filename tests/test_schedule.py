@@ -413,6 +413,13 @@ def test_bad_word_is_invalid_parameter(sched2, word, match):
         is_admissible_block(word, 1, sched2)
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_level_outside_the_built_depth_is_named(sched2, level):
+    # the level is checked before the word's length, which m_level would need
+    with pytest.raises(InvalidParameterError, match=rf"^level {level} outside built depth$"):
+        is_admissible_block(bytes(15), level, sched2)
+
+
 def test_word_forms_agree(sched2):
     word = sched2.words(1)[123]
     want = is_admissible_block(word, 1, sched2)
