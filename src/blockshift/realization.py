@@ -167,8 +167,7 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
     pinned = np.fromiter((s - start for _, s in elements), dtype=np.int64)
     meeting = np.unique(pinned // m_new)  # window-local block indices
     first_block = block_of(start, m_new)
-    fill_src = schedule.fill_matrix(level - 1)
-    n_src = fill_src.shape[0]
+    n_src = schedule.fill_size(level - 1)
     cycle_start %= n_src  # the fill index is taken mod n_src; past int64 it would overflow
     pillar = schedule.pillar(level - 1)
     grid = cells.reshape(n_blocks, m_new)
@@ -213,7 +212,7 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
             np.cumsum(n_star) - n_star, n_star)
         rows[free[rank < q]] = pillar
         tail = rank >= q
-        rows[free[tail]] = fill_src[(cycle_start + rank[tail] - q) % n_src]
+        rows[free[tail]] = schedule.fill_rows(level - 1, (cycle_start + rank[tail] - q) % n_src)
         if not run:
             grid[idx] = blocks
         if s1 % r:

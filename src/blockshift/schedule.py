@@ -13,11 +13,11 @@ so deeper or wider demos stay desk-sized at the price of the minimality
 guarantee.  Every schedule is stamped with its profile, and
 ``Schedule.faithful`` is the one bit the rest of the package reads.
 
-An enumerated A_k has one form, the sorted read-only matrix
-``Schedule.words(k)``.  The faithful admissibility check finds a
-sub-block in it by binary search on uint64 codes of whole rows, a few
-bits a cell, packed from that matrix on each call; every enumerable
-A_k is an A_1 of at most 30 bits a row.
+Only A_0 and A_1 are enumerable (every A_2 is over DEFAULT_ENUM_CAP), and
+an enumerated A_k has one form: the sorted read-only vector of its uint64
+row codes, ``Schedule.codes(k)``, which the faithful check searches and
+the faithful fill and pillars decode (``Schedule.words``).  build_schedule
+checks and digests every pillar, but no fill reads w_depth: it is not kept.
 
 The admissibility rule (_check_level) and its window report live here.
 build_schedule refuses a pillar that fails the rule, so the pillar
@@ -41,7 +41,7 @@ from .errors import (
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, check_cell_count, count_rows,
                     fold_rows, hull_of_blocks, on_block_grid, row_batches, row_chunks,
-                    row_codes, rows_equal)
+                    row_codes, rows_equal, rows_of_codes)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -111,8 +111,9 @@ class Card:
 class LevelParams:
     k: int
     m: int
-    pillar: np.ndarray  # read-only (m,) uint8
+    pillar: np.ndarray | None  # read-only (m,) uint8; None at the top level
     card: Card
+    digest: str  # of w_k, as describe_rows prints it
 
 
 class Schedule:
@@ -127,7 +128,9 @@ class Schedule:
         self.seed = seed
         self.verified_range: tuple[int, int] | None = None
         self.levels: list[LevelParams] = []
-        self._words_cache: dict[int, np.ndarray] = {}
+        a0 = np.arange(alphabet.size, dtype=np.uint64)  # A_0: one code a symbol
+        a0.setflags(write=False)
+        self._codes_cache: dict[int, np.ndarray] = {0: a0}
         self._pool_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -148,32 +151,37 @@ class Schedule:
         return self.level(k).m
 
     def pillar(self, k: int) -> np.ndarray:
-        return self.level(k).pillar
+        """w_k, read-only; the top pillar, which no fill reads, is rebuilt."""
+        held = self.level(k).pillar
+        return _build_pillar(self, k, self.m(k)) if held is None else held
 
     def ratio(self, k: int) -> int:
         """r = m_k / m_{k-1}, the block count of a level-k word."""
         return self.m(k) // self.m(k - 1)
 
-    def words(self, k: int) -> np.ndarray:
-        """A_k as a read-only matrix, one word per row, rows in lexicographic order."""
-        if k not in self._words_cache:
-            if k == 0:
-                out = np.arange(self.alphabet.size, dtype=np.uint8).reshape(-1, 1)
-            else:
-                card = self.level(k).card
-                if card.exact is None or card.exact > DEFAULT_ENUM_CAP:
-                    raise InfeasibleDepth(
-                        f"|A_{k}| = {card.describe()} is not enumerable under cap {DEFAULT_ENUM_CAP}"
-                    )
-                out = _admissible_rows(self.words(k - 1), self.ratio(k), self.faithful)
-                if out.shape[0] != card.exact:
-                    raise ConstructionInvariantError(
-                        f"enumeration of A_{k} produced {out.shape[0]} words, "
-                        f"count says {card.exact}"
-                    )
+    def codes(self, k: int) -> np.ndarray:
+        """A_k, k in {0, 1}, as the sorted read-only vector of its uint64 row
+        codes (words.row_codes, (a - 1).bit_length() bits a cell)."""
+        if k not in self._codes_cache:
+            card = self.level(k).card
+            if k > 1 or card.exact is None or card.exact > DEFAULT_ENUM_CAP:
+                raise InfeasibleDepth(
+                    f"|A_{k}| = {card.describe()} is not enumerable under cap {DEFAULT_ENUM_CAP}"
+                )
+            out = _admissible_codes(self.alphabet.size, self.ratio(k), self.faithful)
+            if out.size != card.exact:
+                raise ConstructionInvariantError(
+                    f"enumeration of A_{k} produced {out.size} words, count says {card.exact}"
+                )
             out.setflags(write=False)
-            self._words_cache[k] = out
-        return self._words_cache[k]
+            self._codes_cache[k] = out
+        return self._codes_cache[k]
+
+    def words(self, k: int, ids=slice(None), out=None) -> np.ndarray:
+        """Words ``ids`` of A_k (k <= 1, in order), decoded from codes(k) into ``out``."""
+        codes = self.codes(k)[ids]
+        out = np.empty((codes.size, self.m(k)), dtype=np.uint8) if out is None else out
+        return rows_of_codes(codes, (self.alphabet.size - 1).bit_length(), out)
 
     def pool_matrix(self, k: int) -> np.ndarray:
         """Fast-profile fill pool: row 0 is w_k, the rest seeded samples.
@@ -199,9 +207,14 @@ class Schedule:
             self._pool_cache[k] = pool
         return self._pool_cache[k]
 
-    def fill_matrix(self, k: int) -> np.ndarray:
-        """Cycle source for the non-pillar fill at level k."""
-        return self.words(k) if self.faithful else self.pool_matrix(k)
+    def fill_size(self, k: int) -> int:
+        """How many rows the level-k fill source (fill_rows) holds."""
+        return self.codes(k).size if self.faithful else POOL_SIZE
+
+    def fill_rows(self, k: int, ids) -> np.ndarray:
+        """Rows ``ids`` of the cycle source for the non-pillar fill at level
+        k + 1, whose row 0 is w_k: A_k (faithful) or the seeded pool (fast)."""
+        return self.words(k, ids) if self.faithful else self.pool_matrix(k)[ids]
 
     def fill_convention(self, cycle_start: int) -> str:
         """The ``fill`` header of a window realized from this schedule."""
@@ -209,15 +222,7 @@ class Schedule:
         return f"pillar-first-ltr,{tail}@{cycle_start}"
 
     def describe_rows(self) -> list[tuple]:
-        return [(lv.k, lv.m, lv.card.describe(), _digest_word(lv.pillar, self.alphabet))
-                for lv in self.levels]
-
-
-def _digest_word(word: np.ndarray, alphabet: Alphabet) -> str:
-    if len(word) <= 32:
-        return alphabet.text_of_cells(word)
-    h = hashlib.sha256(word).hexdigest()[:16]
-    return f"len={len(word)},sha256-64={h}"
+        return [(lv.k, lv.m, lv.card.describe(), lv.digest) for lv in self.levels]
 
 
 # --- counting --------------------------------------------------------
@@ -276,21 +281,23 @@ def next_card(r: int, prev: Card, every_word: bool) -> Card:
 # --- enumeration ------------------------------------------------------
 
 
-def _admissible_rows(prev: np.ndarray, r: int, every_word: bool) -> np.ndarray:
-    """The concatenations of r rows of ``prev`` (A_{k-1} in lexicographic
-    order, so row 0 is its pillar) with at least r/3 copies of row 0 and,
-    with every_word, every row used; one word per row, lexicographically.
+def _admissible_codes(a: int, r: int, every_word: bool) -> np.ndarray:
+    """The sorted row codes (words.row_codes) of A_1: the words of r of
+    the a symbols with at least r/3 zeros (w_0) and, with every_word,
+    every symbol.  A word of more than 64 bits has no code.
 
-    Index tuples grow one slot (one column) at a time, breadth first.  A
-    prefix is kept only while its remaining slots can still hold the
-    pillar copies and unused rows it lacks; every kept prefix then
+    Prefixes grow one symbol at a time, breadth first, as codes, so in
+    order.  A prefix is kept only while its remaining slots can still
+    hold the zeros and unused symbols it lacks; every kept prefix then
     completes, so no step holds more prefixes than there are words.
     """
-    a = prev.shape[0]
-    owed = np.array([r // 3], dtype=np.int32)  # pillar copies still due
-    unused = np.array([a - 1], dtype=np.int32) if every_word else 0  # rows > 0 not yet used
+    bits = (a - 1).bit_length()
+    if r * bits > 64:
+        raise ConstructionInvariantError(f"words of A_1 are {r * bits} bits, over the 64 of a code")
+    owed = np.array([r // 3], dtype=np.int8)  # zeros still due
+    unused = np.array([a - 1], dtype=np.int16) if every_word else 0  # symbols > 0 not yet used
     used = np.zeros((1, a), dtype=bool)
-    cols: list[np.ndarray] = []
+    acc = np.zeros(1, dtype=np.uint64)
     for pos in range(r):
         spare = r - pos - 1
         fits = np.empty((owed.size, a), dtype=bool)
@@ -300,21 +307,19 @@ def _admissible_rows(prev: np.ndarray, r: int, every_word: bool) -> np.ndarray:
             fits[:, 1:] = need[:, None] - ~used[:, 1:] <= spare
         else:
             fits[:, 1:] = (need <= spare)[:, None]
-        parent, label = np.divmod(np.flatnonzero(fits), a)
-        label = label.astype(np.min_scalar_type(a - 1))
-        for j, col in enumerate(cols):  # in place, so each old column is freed at once
-            cols[j] = col[parent]
-        cols.append(label)
+        parent = np.flatnonzero(fits)
+        label = np.remainder(parent, a, out=np.empty(parent.size, np.uint8), casting="unsafe")
+        parent //= a
+        acc = acc[parent]
+        acc <<= np.uint64(bits)
+        acc |= label
         owed = np.maximum(owed[parent] - (label == 0), 0)
         if every_word:
-            used = used[parent]
-            at = (np.arange(label.size), label)
-            unused = unused[parent] - (~used[at] & (label != 0))
-            used[at] = True
-    out = np.empty((cols[0].size, r, prev.shape[1]), dtype=np.uint8)
-    for j, col in enumerate(cols):
-        out[:, j] = prev[col]
-    return out.reshape(-1, r * prev.shape[1])
+            used, unused = used[parent], unused[parent]
+            for c in range(1, a):
+                unused -= (label == c) & ~used[:, c]
+                used[:, c] |= label == c
+    return acc
 
 
 # --- admissibility ----------------------------------------------------
@@ -410,14 +415,10 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     one-third of each block's sub-blocks equal w_{level-1}.  The faithful
     profile also checks that every sub-block lies in A_{level-1} and that
     every block uses every word of A_{level-1}; the fast profile waives
-    both.  Sub-blocks are looked up (_word_flags) in the uint64 codes of
-    the sorted word matrix of A_{level-1} (Schedule.words), bits =
-    (a - 1).bit_length() a cell, packed afresh on each call.  Every
-    enumerable A_{level-1} is an A_1 of at most 30 bits a row, so a row
-    wider than 64 bits raises ConstructionInvariantError.  A cell of
-    2^bits or more would alias another row, so when a defined block
-    holds a cell outside the alphabet, the rows holding one are not
-    words.
+    both.  Sub-blocks are looked up (_word_flags) in Schedule.codes of
+    A_{level-1}.  A cell of 2^bits or more would alias another row, so
+    when a defined block holds a cell outside the alphabet, the rows
+    holding one are not words.
 
     The window is read in row batches of sub-blocks (words.row_batches):
     whole blocks, or consecutive rows of a block longer than the budget,
@@ -440,14 +441,8 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     pillar = schedule.pillar(level - 1)
     faithful = schedule.faithful
     listed = faithful and level > 1
-    if listed:
-        bits = (a - 1).bit_length()
-        words_prev = schedule.words(level - 1)
-        if m_prev * bits > 64:
-            raise ConstructionInvariantError(
-                f"words of A_{level - 1} are {m_prev * bits} bits a row, over the 64 of a code"
-            )
-        codes = row_codes(words_prev, bits)
+    bits = (a - 1).bit_length()
+    codes = schedule.codes(level - 1) if listed else None
 
     n_def = pillar_total = 0
     min_share = None
@@ -657,13 +652,13 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
         raise InvalidParameterError("depth must be >= 1")
     plan = _plan_levels(sparse, depth, alphabet.size, sched.faithful)
 
-    sched.levels.append(LevelParams(0, 1, sched.words(0)[0], plan[0][1]))
-    for k in range(1, depth + 1):
-        m_k, card_k = plan[k]
-        pillar = _build_pillar(sched, k, m_k)
-        sched.levels.append(LevelParams(k, m_k, pillar, card_k))
-        check = _check_level(_one_block(pillar), sched, k)
-        if not check.ok:
+    for k, (m_k, card_k) in enumerate(plan):
+        # w_0 is the zero symbol; no fill reads the top pillar, so it is not kept
+        pillar = _build_pillar(sched, k, m_k) if k else np.frombuffer(bytes(1), dtype=np.uint8)
+        digest = (alphabet.text_of_cells(pillar) if m_k <= 32
+                  else f"len={m_k},sha256-64={hashlib.sha256(pillar).hexdigest()[:16]}")
+        sched.levels.append(LevelParams(k, m_k, pillar if k < depth else None, card_k, digest))
+        if k and not (check := _check_level(_one_block(pillar), sched, k)).ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
     m_depth = plan[depth][0]
     lo, hi = hull_of_blocks(*DEFAULT_WINDOW_HINT, m_depth)
@@ -674,31 +669,27 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
 def _build_pillar(sched: Schedule, k: int, m_k: int) -> np.ndarray:
     """w_k written by row slices from the fill source one level down,
     whose row 0 is w_{k-1}: faithful, r - |A_{k-1}| + 1 copies of w_{k-1}
-    and then the other words of A_{k-1} in order; fast, r/3 copies of
-    w_{k-1} and then the pool rows in turn."""
+    and then the other words of A_{k-1} in order (decoded from codes);
+    fast, r/3 copies of w_{k-1} and then the pool rows in turn."""
     r = m_k // sched.m(k - 1)
     q = r // 3
     try:
-        words = sched.words(k - 1) if sched.faithful else None
+        n_src = sched.fill_size(k - 1)
         check_cell_count(m_k)
     except (InfeasibleDepth, InvalidParameterError) as exc:
         raise InfeasibleDepth(f"cannot build w_{k}: {exc}") from exc
-    if sched.faithful:
-        a = words.shape[0]
-        copies = r - a + 1
-        if copies < q:
-            raise ConstructionInvariantError(
-                f"pillar construction needs r - |A_{k-1}| + 1 >= r/3 at level {k}"
-            )
+    copies = r - n_src + 1 if sched.faithful else q
+    if copies < q:
+        raise ConstructionInvariantError(
+            f"pillar construction needs r - |A_{k-1}| + 1 >= r/3 at level {k}"
+        )
     pillar = np.empty(m_k, dtype=np.uint8)
     rows = pillar.reshape(r, -1)
+    rows[:copies] = sched.pillar(k - 1)
     if sched.faithful:
-        rows[:copies] = words[0]
-        rows[copies:] = words[1:]
-    else:
-        pool = sched.pool_matrix(k - 1)
-        rows[:q] = pool[0]
-        for i in range(POOL_SIZE):  # a cycled copy of the pool would be a pillar-sized temporary
-            rows[q + i::POOL_SIZE] = pool[i]
+        sched.words(k - 1, slice(1, None), out=rows[copies:])
+    else:  # row by row: a cycled copy of the pool would be a pillar-sized temporary
+        for i, row in enumerate(sched.pool_matrix(k - 1)):
+            rows[q + i::POOL_SIZE] = row
     pillar.setflags(write=False)
     return pillar

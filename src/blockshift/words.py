@@ -259,6 +259,16 @@ def row_codes(rows: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
+def rows_of_codes(codes: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
+    """The rows that row_codes packed into ``codes``, written a chunk at a
+    time into the uint8 array ``out`` (one row per code); returns out."""
+    mask, width = np.uint64((1 << bits) - 1), out.shape[1]
+    for part in row_chunks(codes.size):  # a column at a time, so temporaries stay small
+        for j in range(width):
+            out[part, j] = codes[part] >> np.uint64(bits * (width - 1 - j)) & mask
+    return out
+
+
 def rows_equal(rows: np.ndarray, word: np.ndarray) -> np.ndarray:
     """Whether each row of a C-contiguous uint8 array equals the word.
 

@@ -79,6 +79,49 @@ def admissible_words_by_recursion(prev, r, every_word):
     return list(rec(0, 0, a - 1))
 
 
+def admissible_rows_by_columns(prev, r, every_word):
+    """The words of r slots over the rows of the matrix ``prev`` (a word
+    set in lexicographic order, row 0 its pillar) with at least r/3
+    copies of row 0 and, with every_word, every row used, as the rows of
+    a uint8 matrix in lexicographic order: schedule._admissible_codes
+    for any word set below, not only the alphabet.
+
+    Index tuples grow one slot (one column) at a time, breadth first; a
+    prefix is kept only while its remaining slots can still hold the
+    pillar copies and unused rows it lacks.  The rows are gathered from
+    the index columns at the end.
+    """
+    a = prev.shape[0]
+    owed = np.array([r // 3], dtype=np.int32)  # pillar copies still due
+    unused = np.array([a - 1], dtype=np.int32) if every_word else 0  # rows > 0 not yet used
+    used = np.zeros((1, a), dtype=bool)
+    cols = []
+    for pos in range(r):
+        spare = r - pos - 1
+        fits = np.empty((owed.size, a), dtype=bool)
+        fits[:, 0] = np.maximum(owed - 1, 0) + unused <= spare
+        need = owed + unused
+        if every_word:
+            fits[:, 1:] = need[:, None] - ~used[:, 1:] <= spare
+        else:
+            fits[:, 1:] = (need <= spare)[:, None]
+        parent, label = np.divmod(np.flatnonzero(fits), a)
+        label = label.astype(np.min_scalar_type(a - 1))
+        for j, col in enumerate(cols):  # in place, so each old column is freed at once
+            cols[j] = col[parent]
+        cols.append(label)
+        owed = np.maximum(owed[parent] - (label == 0), 0)
+        if every_word:
+            used = used[parent]
+            at = (np.arange(label.size), label)
+            unused = unused[parent] - (~used[at] & (label != 0))
+            used[at] = True
+    out = np.empty((cols[0].size, r, prev.shape[1]), dtype=np.uint8)
+    for j, col in enumerate(cols):
+        out[:, j] = prev[col]
+    return out.reshape(-1, r * prev.shape[1])
+
+
 def exact_next_count_by_sum(r, a):
     """schedule.exact_next_count without every_word, as a sum over the
     pillar count z >= r/3 with each power of a - 1 formed on its own."""
@@ -179,7 +222,7 @@ def minimality_by_occurrences(x, schedule, depth):
 
 
 def word_ids_by_void_search(rows, words):
-    """schedule._word_ids by binary search on whole rows: each row's
+    """schedule._word_flags's lookup by binary search on whole rows: each row's
     index among the rows of the sorted word matrix, compared as void
     scalars, and whether the row is there at all."""
     whole = np.dtype((np.void, words.shape[1]))
@@ -258,7 +301,9 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
         raise ConstructionInvariantError("window holds cell values outside the alphabet")
 
     meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
-    fill_src = schedule.fill_matrix(level - 1)
+    # the fill source as a whole matrix, row 0 the pillar
+    fill_src = (schedule.words(level - 1) if schedule.faithful
+                else schedule.pool_matrix(level - 1))
     n_src = fill_src.shape[0]
     pillar = schedule.pillar(level - 1)
 

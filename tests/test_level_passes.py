@@ -8,7 +8,7 @@ class and message (so the same first offending block and sub-block) as
 patched down to a few blocks so that batch edges fall inside the windows.
 The packed-code word lookup is also checked against a binary search on
 whole rows (``word_ids_by_void_search``), and on cells that would alias
-a word; a word matrix too wide for one 64-bit code stops the check.
+a word; the enumerator of A_1 refuses a word too wide for one 64-bit code.
 """
 
 import re
@@ -276,8 +276,8 @@ def test_too_few_free_rows_in_a_split_block(built):
     sub-blocks past the pillar, with the block read a row at a time."""
     sched, u, x = built["faithful-0+--d1"]
     start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
-    many = np.repeat(sched.fill_matrix(0), 4, axis=0)  # 12 words; a block has 9 free or fewer
-    with mock.patch.object(sched, "fill_matrix", lambda k: many):
+    many = np.repeat(sched.codes(0), 4)  # 12 words; a block has 9 free or fewer
+    with mock.patch.object(sched, "codes", lambda k: many):
         want = assert_split_matches(lambda: fill_level(start, 1, sched),
                                     lambda: fill_level_by_blocks(start, 1, sched), (8, 9, 15))
     assert want[0] == "ConstructionInvariantError"
@@ -395,9 +395,9 @@ def test_no_temporary_grows_with_the_window(ternary):
 
 
 class WordMatrixSchedule:
-    """What the level check reads of a faithful two-level Schedule, with a
-    given sorted word matrix as A_1 (row 0 its pillar) and r sub-blocks
-    to a level-2 block."""
+    """What the level check and its dense oracle read of a faithful
+    two-level Schedule, with a given sorted word matrix as A_1 (row 0 its
+    pillar) and r sub-blocks to a level-2 block."""
 
     faithful = True
 
@@ -412,6 +412,9 @@ class WordMatrixSchedule:
     def words(self, k):
         assert k == 1
         return self._words
+
+    def codes(self, k):
+        return words.row_codes(self.words(k), (self.alphabet.size - 1).bit_length())
 
     def pillar(self, k):
         return self.words(k)[0]
@@ -462,13 +465,13 @@ def too_wide(symbols, width):
     return width * (len(symbols) - 1).bit_length() > 64
 
 
-def assert_too_wide(sched, width):
-    """A matrix whose rows do not pack into 64 bits stops the level check
-    with ConstructionInvariantError (no enumerable A_k is that wide)."""
-    m = sched.m(2)
-    w = PartialWindow(-((m - 1) // 2), np.tile(sched.words(1)[0], m // width))
-    with pytest.raises(ConstructionInvariantError, match="over the 64 of a code"):
-        schedule._check_level(w, sched, 2)
+def assert_too_wide(symbols, width):
+    """Words whose rows do not pack into 64 bits have no codes: the
+    enumerator of A_1 refuses them with ConstructionInvariantError before
+    it enumerates (no enumerable A_1 is that wide)."""
+    for every_word in (False, True):
+        with pytest.raises(ConstructionInvariantError, match="over the 64 of a code"):
+            schedule._admissible_codes(len(symbols), width, every_word)
 
 
 def word_flags(rows, r, codes, bits, alien_at):
@@ -498,7 +501,7 @@ def test_word_ids_match_void_search(symbols, width, n, chunk):
     rng = np.random.default_rng(width * n + a)
     words_ = sorted_words(rng, a, width, n)
     if too_wide(symbols, width):
-        assert_too_wide(WordMatrixSchedule(symbols, words_, r), width)
+        assert_too_wide(symbols, width)
         return
     seen = set()
     with batch_of(1, None if chunk is None else chunk * 64, 0):
@@ -539,10 +542,10 @@ def test_check_level_matches_dense_on_word_matrices(symbols, width, n):
     r, nb = 12, 9
     rng = np.random.default_rng(n + width)
     words_ = sorted_words(rng, a, width, n)
-    sched = WordMatrixSchedule(symbols, words_, r)
     if too_wide(symbols, width):
-        assert_too_wide(sched, width)
+        assert_too_wide(symbols, width)
         return
+    sched = WordMatrixSchedule(symbols, words_, r)
     m = sched.m(2)
     fake = aliases(words_, bits)
     # each alias packs like a word, so only the check for cells >= a rejects it

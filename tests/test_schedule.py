@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -24,8 +26,10 @@ from blockshift import (
 from blockshift.cli import main
 from blockshift import schedule
 from blockshift.schedule import POOL_SIZE, LevelParams, Schedule, exact_next_count
-from tests.oracles import (admissible_words_by_recursion, every_word_count_by_surjections,
-                           exact_next_count_by_sum, plan_by_fixed_point, rows_outside)
+from blockshift.words import row_codes, rows_of_codes
+from tests.oracles import (admissible_rows_by_columns, admissible_words_by_recursion,
+                           every_word_count_by_surjections, exact_next_count_by_sum,
+                           plan_by_fixed_point, rows_outside)
 
 
 def brute_force_level1_binary():
@@ -95,33 +99,67 @@ def small_word_sets(draw):
 
 def hand_schedule(a, ratios, every_word):
     """Levels of the given ratios over a symbols, set by hand (no search);
-    Schedule.words reads only the ratios, the counts and the profile."""
+    Schedule.codes reads only the ratios, the counts and the profile."""
     sched = Schedule(Alphabet("0123"[:a]), SparseSetSpec.squares(),
                      "faithful" if every_word else "fast")
     m, card = 1, Card.exact_count(a)
-    sched.levels.append(LevelParams(0, m, np.zeros(1, dtype=np.uint8), card))
+    sched.levels.append(LevelParams(0, m, np.zeros(1, dtype=np.uint8), card, ""))
     for k, r in enumerate(ratios, 1):
         m *= r
         card = Card.exact_count(exact_next_count(r, card.exact, every_word))
-        sched.levels.append(LevelParams(k, m, np.zeros(m, dtype=np.uint8), card))
+        sched.levels.append(LevelParams(k, m, np.zeros(m, dtype=np.uint8), card, ""))
     return sched
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=small_word_sets())
 def test_words_match_recursive_oracle(case):
+    """A_1 from the schedule, and the levels above it (which no real
+    schedule can enumerate) from the matrix oracle over the level below."""
     a, ratios, every_word = case
     sched = hand_schedule(a, ratios, every_word)
+    got = sched.words(0)
     for k in range(1, sched.depth + 1):
-        prev = [row.tobytes() for row in sched.words(k - 1)]
-        got = sched.words(k)
+        prev = [row.tobytes() for row in got]
+        got = sched.words(1) if k == 1 else admissible_rows_by_columns(got, sched.ratio(k),
+                                                                       every_word)
         rows = [row.tobytes() for row in got]
         assert rows == admissible_words_by_recursion(prev, sched.ratio(k), every_word)
         assert all(x < y for x, y in zip(rows, rows[1:]))
-        # the admissibility check finds sub-blocks by binary search on these keys
-        keys = got.view(np.dtype((np.void, got.shape[1])))[:, 0]
-        assert (np.searchsorted(keys, keys) == np.arange(keys.size)).all()
-        assert not got.flags.writeable
+    # the admissibility check finds sub-blocks by binary search on these codes
+    codes = sched.codes(1)
+    assert np.array_equal(codes, row_codes(sched.words(1), (a - 1).bit_length()))
+    assert (codes[:-1] < codes[1:]).all()
+    assert not codes.flags.writeable
+    if sched.depth > 1:
+        with pytest.raises(InfeasibleDepth, match=r"^\|A_2\| = exact:"):
+            sched.codes(2)
+
+
+@pytest.mark.parametrize("every_word", [False, True])
+@pytest.mark.parametrize("r", [3, 6, 9, 12, 15])
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_code_enumeration_matches_matrix_oracle(a, r, every_word):
+    """The codes of A_1 against the codes of the oracle's rows, for every
+    case under the enumeration cap."""
+    count = exact_next_count(r, a, every_word)
+    if count > schedule.DEFAULT_ENUM_CAP:
+        return
+    want = row_codes(admissible_rows_by_columns(np.arange(a, dtype=np.uint8)[:, None], r,
+                                                every_word), (a - 1).bit_length())
+    got = schedule._admissible_codes(a, r, every_word)
+    assert got.dtype == np.uint64 and got.size == count
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(1, 8).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.integers(1, 64 // bits), st.integers(0, 300), st.integers(0, 2**32 - 1))))
+def test_codes_decode_to_their_rows(case):
+    bits, width, n, seed = case
+    rows = np.random.default_rng(seed).integers(0, 1 << bits, size=(n, width), dtype=np.uint8)
+    out = np.empty_like(rows)
+    assert rows_of_codes(row_codes(rows, bits), bits, out) is out
+    assert np.array_equal(out, rows)
 
 
 def test_enumeration_cap(sched2, binary, squares):
@@ -198,26 +236,31 @@ def test_surjection_and_closed_form():
 
 
 def test_every_enumerable_faithful_word_set_packs_into_64_bits():
-    """The faithful level check packs each word of A_{k-1} into one uint64.
+    """A_1 has one form, a vector of uint64 codes, in both profiles.
 
-    m_1 = 3j with j odd, j > a (the size gate) and 3j above the float
-    bound 12·ln 2·4/3, so j >= 5.  Only three A_1 sets stay under the
-    enumeration cap, all at most 30 bits a row, and level 2 needs
-    r_2 > 3|A_1| slots, so no A_2 is enumerable.
+    m_1 = 3j with j odd and 3j above the float bound 12·ln 2·4/3, so
+    j >= 5, and faithful j > a (the size gate).  Over every alphabet the
+    cell encoding allows, only three A_1 sets stay under the enumeration
+    cap, each at most 30 bits a row.  No A_2 is enumerable: its count
+    grows with r_2, and even the smallest r_2 (faithful 3j with j odd
+    above |A_1|, fast 3) gives more words than the cap.
     """
-    enumerable = {}
-    for a in range(2, 17):
-        for j in range(max(5, a + 1) | 1, 1000, 2):
-            count = exact_next_count(3 * j, a, True)
-            if count > schedule.DEFAULT_ENUM_CAP:
-                break
-            assert 3 * j * (a - 1).bit_length() <= 64, (a, j)
-            enumerable[a, 3 * j] = count
-    assert enumerable == {(2, 15): 30826, (2, 21): 2014991, (3, 15): 8489366}
-    for count in enumerable.values():
-        j = (count + 1) | 1  # the smallest odd j above |A_1|
-        card = schedule.next_card(3 * j, Card.exact_count(count), True)
-        assert card.log_lower > math.log(schedule.DEFAULT_ENUM_CAP)
+    counts = {True: {(2, 15): 30826, (2, 21): 2014991, (3, 15): 8489366},
+              False: {(2, 15): 30827, (2, 21): 2014992, (3, 15): 8551019}}
+    for every_word, want in counts.items():
+        enumerable = {}
+        for a in range(2, 255):
+            for j in range(max(5, a + 1) | 1 if every_word else 5, 1000, 2):
+                count = exact_next_count(3 * j, a, every_word)
+                if count > schedule.DEFAULT_ENUM_CAP:
+                    break
+                assert 3 * j * (a - 1).bit_length() <= 30, (a, j)
+                enumerable[a, 3 * j] = count
+        assert enumerable == want
+        for count in enumerable.values():
+            r2 = 3 * ((count + 1) | 1) if every_word else 3
+            card = schedule.next_card(r2, Card.exact_count(count), every_word)
+            assert card.log_lower > math.log(schedule.DEFAULT_ENUM_CAP)
 
 
 @given(st.integers(1, 60).map(lambda t: 3 * t), st.integers(1, 40))
@@ -438,24 +481,41 @@ def pillar_gather(sched, k):
     """w_k rebuilt from the fill source one level down: copies of its row
     0, then faithful the other words of A_{k-1} in order, fast the pool
     rows in turn."""
-    src = sched.fill_matrix(k - 1)
+    n = sched.fill_size(k - 1)
     r = sched.ratio(k)
     if sched.faithful:
-        picks = [0] * (r - src.shape[0] + 1) + list(range(1, src.shape[0]))
+        picks = [0] * (r - n + 1) + list(range(1, n))
     else:
         picks = [0] * (r // 3) + [t % POOL_SIZE for t in range(r - r // 3)]
-    return src[picks].reshape(-1)
+    return sched.fill_rows(k - 1, picks).reshape(-1)
 
 
 @pytest.mark.parametrize("name", ["sched2", "fast3"])
 def test_fill_row_zero_is_the_pillar(request, name):
     sched = request.getfixturevalue(name)
     for k in range(sched.depth):
-        assert np.array_equal(sched.fill_matrix(k)[0], sched.pillar(k))
+        assert np.array_equal(sched.fill_rows(k, [0])[0], sched.pillar(k))
     for k in range(1, sched.depth + 1):
         w = sched.pillar(k)
         assert w.dtype == np.uint8 and w.shape == (sched.m(k),) and not w.flags.writeable
         assert np.array_equal(w, pillar_gather(sched, k))
+
+
+def test_top_pillar_is_rebuilt_not_held(ternary, squares):
+    """No fill reads w_3, so the schedule holds less than its m_3 bytes,
+    and pillar(3) rebuilds it from w_2 and the pool."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sched = build_schedule(ternary, squares, 3, profile="fast")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < sched.m(3)
+    w = sched.pillar(3)
+    assert not w.flags.writeable and np.array_equal(w, pillar_gather(sched, 3))
+    assert sched.describe_rows()[3][3] == "len=40271715,sha256-64=ba8d6cb89a3ae233"
 
 
 def test_fast_pillar_rows_are_pool_rows(fast3):
