@@ -9,7 +9,7 @@ the pillar word, and the rest cycle through the level's word list
 per block.  Cells written at an earlier level are never overwritten.
 
 A level is filled in row batches of the blocks that meet the set
-(words.row_batches), a sub-block row at a time: row max and min tell
+(words.split_level_pass), a sub-block row at a time: row max and min tell
 the defined rows from the starred ones, and a running count ranks the
 starred rows.  A batch holds whole blocks, or consecutive rows of a
 block longer than the batch budget, so no temporary grows with the
@@ -37,7 +37,7 @@ from .schedule import Schedule, window_admissibility_report
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of,
                     check_cell_count, count_rows, fold_rows, hull_of_blocks,
-                    on_block_grid, row_batches)
+                    on_block_grid, split_level_pass)
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,16 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
                    cycle_start: int) -> None:
     """fill_level on a writable cell buffer whose first cell is ``start``.
 
-    The alphabet check and the defined-cell count run first, over fixed
-    chunks of cells through one reused buffer.  The blocks that meet S
-    are then filled in row batches of sub-blocks (words.row_batches):
-    whole blocks, a slice view when they are consecutive and a gathered
-    copy otherwise, or consecutive rows of a block longer than the
-    budget, whose defined and starred row counts carry from batch to
-    batch.  Errors name the first offending block in window order, and
-    the same sub-block, as a block-by-block loop would.
+    The alphabet check and the defined-cell count run first, one buffer
+    a range of level blocks.  The blocks that meet S are then filled in
+    row batches of sub-blocks: whole blocks, a slice view when they are
+    consecutive and a gathered copy otherwise, or consecutive rows of a
+    block longer than the budget, whose defined and starred row counts
+    carry from batch to batch.  Each pass runs on ranges of whole blocks
+    (words.split_level_pass), so the pillar, the fill source and the
+    blocks that meet S are fetched before it.  Errors name the first
+    offending block in window order, and the same sub-block, as a
+    block-by-block loop would.
     """
     m_new = schedule.m(level)
     m_old = schedule.m(level - 1)
@@ -149,18 +151,22 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
         )
     a = schedule.alphabet.size
     n_blocks = size // m_new
-    defined_total = 0
-    buf = None
-    for c0, c1 in row_batches(1, size, 1):
-        if buf is None:
-            buf = np.empty(c1, dtype=np.uint8)  # the first chunk is the longest
-        # STAR wraps to 0 and symbol c to c + 1, so a cell outside the
-        # alphabet is one above a, and the defined cells are the nonzero ones
-        shifted = np.add(cells[c0:c1], np.uint8(1), out=buf[:c1 - c0])
-        if int(shifted.max()) > a:
-            raise ConstructionInvariantError("window holds cell values outside the alphabet")
-        defined_total += int(np.count_nonzero(shifted))
-    del buf, shifted
+
+    def count_defined(_, batches) -> int:
+        buf = None
+        defined = 0
+        for c0, c1 in batches:
+            if buf is None:
+                buf = np.empty(c1 - c0, dtype=np.uint8)  # the first batch is the longest
+            # STAR wraps to 0 and symbol c to c + 1, so a cell outside the
+            # alphabet is one above a, and the defined cells are the nonzero ones
+            shifted = np.add(cells[c0:c1], np.uint8(1), out=buf[:c1 - c0])
+            if int(shifted.max()) > a:
+                raise ConstructionInvariantError("window holds cell values outside the alphabet")
+            defined += int(np.count_nonzero(shifted))
+        return defined
+
+    defined_total = sum(split_level_pass(count_defined, n_blocks, m_new, 1))
 
     elements = schedule.sparse.elements_in((start, start + size - 1))
     # window-local offsets fit int64 even where the coordinates do not
@@ -170,67 +176,78 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
     n_src = schedule.fill_size(level - 1)
     cycle_start %= n_src  # the fill index is taken mod n_src; past int64 it would overflow
     pillar = schedule.pillar(level - 1)
+    fill_rows = schedule.fill_source(level - 1)
     grid = cells.reshape(n_blocks, m_new)
 
-    defined_in_meeting = 0
-    held_defined = held_star = 0  # rows of a block that earlier batches read
-    # a row costs its cells and a few int64 indices
-    for s0, s1 in row_batches(meeting.size, r, max(m_old, 8)):
-        j0 = s0 // r
-        idx = meeting[j0:-(-s1 // r)]
-        run = idx[-1] - idx[0] + 1 == idx.size
-        blocks = grid[idx[0]:idx[-1] + 1] if run else grid[idx]
-        lead = s0 - j0 * r  # the batch's first row within its first block
-        rows = blocks.reshape(-1, m_old)[lead:lead + s1 - s0]
-        if m_old == 1:
-            row_top = row_low = rows[:, 0]
-        else:
-            row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
-        per = min(r, s1 - s0)
-        star = (row_low == STAR).reshape(-1, per)      # wholly undefined sub-blocks
-        touched = (row_top == STAR).reshape(-1, per)   # sub-blocks holding a STAR
-        n_star = count_rows(touched).astype(np.intp)
-        defined_rows = per - n_star
-        defined_in_meeting += int(defined_rows.sum()) * m_old
-        defined_rows[0] += held_defined
-        mixed = touched & ~star
-        bad = mixed.any(axis=1)
-        if s1 % r == 0:  # the batch ends its last block
-            bad |= defined_rows >= q
-            if schedule.faithful:
-                bad |= r - defined_rows - q < n_src
-        if bad.any():
-            j = int(bad.argmax())
-            _raise_block_error(level, first_block + int(idx[j]), m_new, r, q, n_src,
-                               int(defined_rows[j]),
-                               lead + int(mixed[j].argmax()) if mixed[j].any() else None)
+    def fill(_, batches) -> int:
+        """Fill the meeting blocks of one range; returns their defined cells."""
+        defined_in_meeting = 0
+        held_defined = held_star = 0  # rows of a block that earlier batches read
+        for s0, s1 in batches:
+            j0 = s0 // r
+            idx = meeting[j0:-(-s1 // r)]
+            run = idx[-1] - idx[0] + 1 == idx.size
+            blocks = grid[idx[0]:idx[-1] + 1] if run else grid[idx]
+            lead = s0 - j0 * r  # the batch's first row within its first block
+            rows = blocks.reshape(-1, m_old)[lead:lead + s1 - s0]
+            if m_old == 1:
+                row_top = row_low = rows[:, 0]
+            else:
+                row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
+            per = min(r, s1 - s0)
+            star = (row_low == STAR).reshape(-1, per)      # wholly undefined sub-blocks
+            touched = (row_top == STAR).reshape(-1, per)   # sub-blocks holding a STAR
+            n_star = count_rows(touched).astype(np.intp)
+            defined_rows = per - n_star
+            defined_in_meeting += int(defined_rows.sum()) * m_old
+            defined_rows[0] += held_defined
+            mixed = touched & ~star
+            bad = mixed.any(axis=1)
+            if s1 % r == 0:  # the batch ends its last block
+                bad |= defined_rows >= q
+                if schedule.faithful:
+                    bad |= r - defined_rows - q < n_src
+            if bad.any():
+                j = int(bad.argmax())
+                _raise_block_error(level, first_block + int(idx[j]), m_new, r, q, n_src,
+                                   int(defined_rows[j]),
+                                   lead + int(mixed[j].argmax()) if mixed[j].any() else None)
 
-        # rank each undefined sub-block within its block: the first q take
-        # the pillar, the rest cycle through the fill source
-        free = np.flatnonzero(star)
-        rank = np.arange(held_star, held_star + free.size) - np.repeat(
-            np.cumsum(n_star) - n_star, n_star)
-        rows[free[rank < q]] = pillar
-        tail = rank >= q
-        rows[free[tail]] = schedule.fill_rows(level - 1, (cycle_start + rank[tail] - q) % n_src)
-        if not run:
-            grid[idx] = blocks
-        if s1 % r:
-            held_defined, held_star = int(defined_rows[0]), held_star + int(n_star[0])
-        else:
-            held_defined = held_star = 0
+            # rank each undefined sub-block within its block: the first q take
+            # the pillar, the rest cycle through the fill source
+            free = np.flatnonzero(star)
+            rank = np.arange(held_star, held_star + free.size) - np.repeat(
+                np.cumsum(n_star) - n_star, n_star)
+            rows[free[rank < q]] = pillar
+            tail = rank >= q
+            rows[free[tail]] = fill_rows((cycle_start + rank[tail] - q) % n_src)
+            if not run:
+                grid[idx] = blocks
+            if s1 % r:
+                held_defined, held_star = int(defined_rows[0]), held_star + int(n_star[0])
+            else:
+                held_defined = held_star = 0
+        return defined_in_meeting
+
+    # a row costs its cells and about 64 bytes of int64 indices: free,
+    # rank and its offsets, the fill ids
+    defined_in_meeting = sum(split_level_pass(fill, meeting.size, r, m_old + 64))
 
     if defined_total != defined_in_meeting:
         outside = np.ones(n_blocks, dtype=bool)
         outside[meeting] = False
-        for c0, c1 in row_batches(n_blocks, m_new, 1):
-            hits = (cells[c0:c1] != STAR).reshape(-1, min(m_new, c1 - c0))
-            hits &= outside[c0 // m_new:c0 // m_new + hits.shape[0], None]
-            if hits.any():
-                raise ConstructionInvariantError(
-                    f"defined cell at {start + c0 + int(hits.argmax())} lies in a "
-                    f"level-{level} block disjoint from S"
-                )
+
+        def find_outside(_, batches) -> None:
+            for c0, c1 in batches:
+                hits = (cells[c0:c1] != STAR).reshape(-1, min(m_new, c1 - c0))
+                hits &= outside[c0 // m_new:c0 // m_new + hits.shape[0], None]
+                if hits.any():
+                    raise ConstructionInvariantError(
+                        f"defined cell at {start + c0 + int(hits.argmax())} lies in a "
+                        f"level-{level} block disjoint from S"
+                    )
+
+        split_level_pass(find_outside, n_blocks, m_new, 1)
 
 
 def _raise_block_error(level: int, i: int, m_new: int, r: int, q: int, n_src: int,

@@ -17,7 +17,8 @@ Only A_0 and A_1 are enumerable (every A_2 is over DEFAULT_ENUM_CAP), and
 an enumerated A_k has one form: the sorted read-only vector of its uint64
 row codes, ``Schedule.codes(k)``, which the faithful check searches and
 the faithful fill and pillars decode (``Schedule.words``).  build_schedule
-checks and digests every pillar, but no fill reads w_depth: it is not kept.
+checks every pillar, but no fill reads w_depth: it is not kept, and only
+describe_rows, which digests it, rebuilds it.
 
 The admissibility rule (_check_level) and its window report live here.
 build_schedule refuses a pillar that fails the rule, so the pillar
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,8 @@ from .errors import (
 )
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, check_cell_count, count_rows,
-                    fold_rows, hull_of_blocks, on_block_grid, row_batches, row_chunks,
-                    row_codes, rows_equal, rows_of_codes)
+                    fold_rows, hull_of_blocks, on_block_grid, row_chunks, row_codes,
+                    rows_equal, rows_of_codes, split_level_pass)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -113,7 +115,6 @@ class LevelParams:
     m: int
     pillar: np.ndarray | None  # read-only (m,) uint8; None at the top level
     card: Card
-    digest: str  # of w_k, as describe_rows prints it
 
 
 class Schedule:
@@ -208,13 +209,23 @@ class Schedule:
         return self._pool_cache[k]
 
     def fill_size(self, k: int) -> int:
-        """How many rows the level-k fill source (fill_rows) holds."""
+        """How many rows the level-k fill source (fill_source) holds."""
         return self.codes(k).size if self.faithful else POOL_SIZE
 
-    def fill_rows(self, k: int, ids) -> np.ndarray:
-        """Rows ``ids`` of the cycle source for the non-pillar fill at level
-        k + 1, whose row 0 is w_k: A_k (faithful) or the seeded pool (fast)."""
-        return self.words(k, ids) if self.faithful else self.pool_matrix(k)[ids]
+    def fill_source(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
+        """The cycle source for the non-pillar fill at level k + 1, whose
+        row 0 is w_k, as a function from row ids to rows: A_k decoded from
+        codes(k) (faithful) or the seeded pool (fast).  It holds what it
+        reads, so it fills no cache and may run on any thread."""
+        if not self.faithful:
+            return self.pool_matrix(k).__getitem__
+        codes, bits, m = self.codes(k), (self.alphabet.size - 1).bit_length(), self.m(k)
+
+        def rows(ids):
+            picked = codes[ids]
+            return rows_of_codes(picked, bits, np.empty((picked.size, m), dtype=np.uint8))
+
+        return rows
 
     def fill_convention(self, cycle_start: int) -> str:
         """The ``fill`` header of a window realized from this schedule."""
@@ -222,7 +233,16 @@ class Schedule:
         return f"pillar-first-ltr,{tail}@{cycle_start}"
 
     def describe_rows(self) -> list[tuple]:
-        return [(lv.k, lv.m, lv.card.describe(), lv.digest) for lv in self.levels]
+        """(k, m_k, |A_k|, w_k) a level: w_k as text up to 32 cells, else
+        its length and the first 64 bits of its sha256 (the top pillar is
+        rebuilt to take it)."""
+        rows = []
+        for lv in self.levels:
+            pillar = self.pillar(lv.k)
+            digest = (self.alphabet.text_of_cells(pillar) if lv.m <= 32
+                      else f"len={lv.m},sha256-64={hashlib.sha256(pillar).hexdigest()[:16]}")
+            rows.append((lv.k, lv.m, lv.card.describe(), digest))
+        return rows
 
 
 # --- counting --------------------------------------------------------
@@ -420,13 +440,15 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     when a defined block holds a cell outside the alphabet, the rows
     holding one are not words.
 
-    The window is read in row batches of sub-blocks (words.row_batches):
-    whole blocks, or consecutive rows of a block longer than the budget,
-    whose pillar count, symbols and seen words carry from batch to
-    batch.  So no temporary grows with the window or with a block.  Block
-    star masks are built only when the window holds a STAR, from each
-    block's max and min (STAR is the largest cell value), and each
-    sub-block row is matched against the pillar as one unit.
+    The window is read in row batches of sub-blocks: whole blocks, or
+    consecutive rows of a block longer than the budget, whose pillar
+    count, symbols and seen words carry from batch to batch.  So no
+    temporary grows with the window or with a block.  Block star masks
+    are built only when a range of blocks (words.split_level_pass) holds
+    a STAR, from each block's max and min (STAR is the largest cell
+    value), and each sub-block row is matched against the pillar as one
+    unit.  The ranges' tallies are merged in window order, and the first
+    partially defined block is that of the earliest range holding one.
     """
     a = schedule.alphabet.size
     m = schedule.m(level)
@@ -436,81 +458,95 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     if not on_block_grid(x.offset, len(x), m):
         raise InvalidParameterError(f"window not aligned to level-{level} blocks")
     n_blocks = len(x) // m
-    top = int(x.cells.max())
-    starred = top == STAR
     pillar = schedule.pillar(level - 1)
     faithful = schedule.faithful
     listed = faithful and level > 1
     bits = (a - 1).bit_length()
     codes = schedule.codes(level - 1) if listed else None
 
-    n_def = pillar_total = 0
-    min_share = None
-    stray = False  # a defined cell outside the alphabet
-    present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
-    member = every = True
-    # of the rows that earlier batches read of a block split over batches
-    count, symbols, skipped = 0, np.zeros(a, dtype=bool), False
-    for s0, s1 in row_batches(n_blocks, r, m_prev):
-        per = min(r, s1 - s0)
-        blocks = x.cells[s0 * m_prev:s1 * m_prev].reshape(-1, per * m_prev)
-        alien = top >= a
-        if starred:
-            block_top = fold_rows(np.maximum, blocks)
-            undefined = block_top == STAR
-            partial = undefined & (fold_rows(np.minimum, blocks) != STAR)
-            if s0 % r:  # earlier rows of this block were all defined or all undefined
-                partial |= undefined != skipped
-            if partial.any():
-                i = s0 // r + int(partial.argmax())
-                return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
-                                  f"block {i} partially defined")
-            skipped = bool(undefined[-1])
-            if undefined.all():
-                continue
-            if undefined.any():
-                blocks, block_top = blocks[~undefined], block_top[~undefined]
-            alien = bool((block_top >= a).any())
-        stray = stray or alien
-        counts = count_rows(rows_equal(blocks.reshape(-1, m_prev), pillar).reshape(-1, per))
-        if faithful and level == 1:
-            has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
-        elif listed:
-            # every block must use every word, not just the union
-            if s0 % r == 0:
-                seen = np.zeros(blocks.shape[0] * codes.size, dtype=bool)
-            is_word = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
-                                  a if alien else None, seen)
-            member = member and is_word
-        if per < r:  # rows of one block, read over several batches
-            count += int(counts[0])
+    def tally(span, batches):
+        """(defined blocks, pillar total, least share, stray, present,
+        member, every) of one range, or the LevelCheck of its first
+        partially defined block."""
+        top = int(x.cells[span.start * m:span.stop * m].max())
+        starred = top == STAR
+        n_def = pillar_total = 0
+        min_share = None
+        stray = False  # a defined cell outside the alphabet
+        present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
+        member = every = True
+        # of the rows that earlier batches read of a block split over batches
+        count, symbols, skipped = 0, np.zeros(a, dtype=bool), False
+        for s0, s1 in batches:
+            per = min(r, s1 - s0)
+            blocks = x.cells[s0 * m_prev:s1 * m_prev].reshape(-1, per * m_prev)
+            alien = top >= a
+            if starred:
+                block_top = fold_rows(np.maximum, blocks)
+                undefined = block_top == STAR
+                partial = undefined & (fold_rows(np.minimum, blocks) != STAR)
+                if s0 % r:  # earlier rows of this block were all defined or all undefined
+                    partial |= undefined != skipped
+                if partial.any():
+                    i = s0 // r + int(partial.argmax())
+                    return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
+                                      f"block {i} partially defined")
+                skipped = bool(undefined[-1])
+                if undefined.all():
+                    continue
+                if undefined.any():
+                    blocks, block_top = blocks[~undefined], block_top[~undefined]
+                alien = bool((block_top >= a).any())
+            stray = stray or alien
+            counts = count_rows(rows_equal(blocks.reshape(-1, m_prev), pillar).reshape(-1, per))
             if faithful and level == 1:
-                symbols |= has[:, 0]
-            if s1 % r:
-                continue
-            counts, has = np.array([count]), symbols[:, None]
-            count, symbols = 0, np.zeros(a, dtype=bool)
-        n_def += counts.size
-        pillar_total += int(counts.sum())
-        low = int(counts.min())
-        min_share = low if min_share is None else min(min_share, low)
-        if faithful and level == 1:
-            present &= has.all(axis=1)
-        elif listed:
-            every = every and bool(seen.all())
+                has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
+            elif listed:
+                # every block must use every word, not just the union
+                if s0 % r == 0:
+                    seen = np.zeros(blocks.shape[0] * codes.size, dtype=bool)
+                is_word = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
+                                      a if alien else None, seen)
+                member = member and is_word
+            if per < r:  # rows of one block, read over several batches
+                count += int(counts[0])
+                if faithful and level == 1:
+                    symbols |= has[:, 0]
+                if s1 % r:
+                    continue
+                counts, has = np.array([count]), symbols[:, None]
+                count, symbols = 0, np.zeros(a, dtype=bool)
+            n_def += counts.size
+            pillar_total += int(counts.sum())
+            low = int(counts.min())
+            min_share = low if min_share is None else min(min_share, low)
+            if faithful and level == 1:
+                present &= has.all(axis=1)
+            elif listed:
+                every = every and bool(seen.all())
+        return n_def, pillar_total, min_share, stray, present, member, every
+
+    tallies = split_level_pass(tally, n_blocks, r, m_prev)
+    for t in tallies:
+        if isinstance(t, LevelCheck):
+            return t
+    n_defs, totals, shares, strays, presents, members, everys = zip(*tallies)
+    n_def = sum(n_defs)
+    shares = [s for s in shares if s is not None]
+    min_share = min(shares) if shares else None
 
     membership = every_word = "ok" if faithful else "waived"
     if n_def and level == 1:
-        if stray:
+        if any(strays):
             membership = "fail"
         if faithful:
-            covered = int(present.sum())
+            covered = int(np.logical_and.reduce(presents).sum())
             every_word = "ok" if covered == a else "fail"
     elif n_def and listed:
-        membership = "ok" if member else "fail"
-        every_word = "ok" if every else "fail"
+        membership = "ok" if all(members) else "fail"
+        every_word = "ok" if all(everys) else "fail"
 
-    return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
+    return LevelCheck(level, n_blocks, n_def, q, min_share, sum(totals),
                       membership, every_word)
 
 
@@ -655,9 +691,7 @@ def build_schedule(alphabet: Alphabet, sparse: SparseSetSpec, depth: int,
     for k, (m_k, card_k) in enumerate(plan):
         # w_0 is the zero symbol; no fill reads the top pillar, so it is not kept
         pillar = _build_pillar(sched, k, m_k) if k else np.frombuffer(bytes(1), dtype=np.uint8)
-        digest = (alphabet.text_of_cells(pillar) if m_k <= 32
-                  else f"len={m_k},sha256-64={hashlib.sha256(pillar).hexdigest()[:16]}")
-        sched.levels.append(LevelParams(k, m_k, pillar if k < depth else None, card_k, digest))
+        sched.levels.append(LevelParams(k, m_k, pillar if k < depth else None, card_k))
         if k and not (check := _check_level(_one_block(pillar), sched, k)).ok:
             raise ConstructionInvariantError(f"pillar w_{k} not admissible: {_failure(check)}")
     m_depth = plan[depth][0]

@@ -7,7 +7,8 @@ cells hold the STAR sentinel, which is distinct from every symbol index.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,30 +192,66 @@ def on_block_grid(start: int, length: int, m: int) -> bool:
 
 
 # The level passes (star-filling and the admissibility check) walk a window
-# in batches of at most this many cells (row_batches), so no temporary of
-# a pass grows with the window or with a block.
+# in batches of at most this many cells (split_level_pass), so no temporary
+# of a pass grows with the window or with a block.
 _BATCH_CELLS = 1 << 22
+# Threads a level pass runs on (numpy releases the GIL in the pass kernels);
+# they share the _BATCH_CELLS budget.
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 8)
 # Rows at most this wide are reduced column by column, and counted with
 # einsum into uint8 (exact, as such a row holds at most this many trues):
 # numpy's reduction along a short row costs several times more per cell.
 _NARROW_ROW = 32
 
 
-def row_batches(n_blocks: int, r: int, width: int) -> Iterator[tuple[int, int]]:
-    """Row ranges [s0, s1) of n_blocks blocks of r rows, each row costing
-    ``width`` cells, of at most _BATCH_CELLS cells (and at least one row)
-    each: whole blocks while a block fits, else consecutive rows of one
-    block, so no batch holds rows of two blocks unless it holds both whole.
+def _row_batches(lo: int, hi: int, r: int, width: int, budget: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [s0, s1) over blocks lo..hi-1 of r rows each, each row
+    costing ``width`` cells, of at most ``budget`` cells (and at least one
+    row) each: whole blocks while a block fits, else consecutive rows of
+    one block, so no batch holds rows of two blocks unless it holds both whole.
     """
-    step = max(1, _BATCH_CELLS // width)
+    step = max(1, budget // width)
     if r <= step:
         step -= step % r
-        for s in range(0, n_blocks * r, step):
-            yield s, min(s + step, n_blocks * r)
+        for s in range(lo * r, hi * r, step):
+            yield s, min(s + step, hi * r)
         return
-    for b in range(0, n_blocks * r, r):
+    for b in range(lo * r, hi * r, r):
         for s in range(0, r, step):
             yield b + s, b + min(s + step, r)
+
+
+def split_level_pass(fn: Callable[[range, Iterator[tuple[int, int]]], object], n_blocks: int,
+                     r: int, width: int) -> list:
+    """fn(span, batches) on each of at most _WORKERS contiguous ranges
+    ``span`` of whole blocks, out of n_blocks blocks of r rows of
+    ``width`` cells; the results come back in window order.
+
+    ``batches`` yields the row ranges [s0, s1) of the range (rows counted
+    from the window's first block), each of at most _BATCH_CELLS / ranges
+    cells, and whole blocks while a block fits (_row_batches).  A pass
+    that fits in one batch, or has one block, is one range, run inline:
+    only a pass of several ranges starts threads, one per range, for the
+    length of the call.  fn must fill no lazy cache and call no function
+    that a tracer may rebind.  An exception of fn is raised from the
+    earliest range that raised.
+    """
+    n = 1 if n_blocks * r * width <= _BATCH_CELLS else min(_WORKERS, n_blocks)
+    bounds = [n_blocks * i // n for i in range(n + 1)]
+
+    def run(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        return fn(range(lo, hi), _row_batches(lo, hi, r, width, _BATCH_CELLS // n))
+
+    if n == 1:
+        return [run(0)]
+    # imported here: concurrent.futures loads logging, about 6 ms and
+    # 0.7 MB that a command whose passes all run inline need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n) as pool:
+        return list(pool.map(run, range(n)))
 
 
 def fold_rows(ufunc, rows: np.ndarray) -> np.ndarray:

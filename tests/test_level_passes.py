@@ -5,13 +5,18 @@ block-aligned batches of sub-block rows.  On random partial windows they
 must give the same LevelCheck, the same cells, and the same exception
 class and message (so the same first offending block and sub-block) as
 ``check_level_dense`` and ``fill_level_by_blocks``.  The batch budget is
-patched down to a few blocks so that batch edges fall inside the windows.
+patched down to a few blocks so that batch edges fall inside the windows,
+and the worker count to one, two or three, so that a pass also runs on
+ranges of blocks in threads (words.split_level_pass).
 The packed-code word lookup is also checked against a binary search on
 whole rows (``word_ids_by_void_search``), and on cells that would alias
 a word; the enumerator of A_1 refuses a word too wide for one 64-bit code.
 """
 
+import concurrent.futures
+import itertools
 import re
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from blockshift import (STAR, Alphabet, BlockshiftError, ConstructionInvariantError,
-                        PartialWindow, SparseSetSpec, TargetSequence, build_schedule,
+                        PartialWindow, SparseSetSpec, TargetSequence, build_schedule, cli,
                         fill_level, init_partial, realize, schedule, words)
 from blockshift.words import block_of
 from tests.oracles import check_level_dense, fill_level_by_blocks, word_ids_by_void_search
@@ -56,17 +61,19 @@ def built(sched2, x2):
 
 
 @contextmanager
-def batch_of(m, blocks, extra):
+def batch_of(m, blocks, extra, workers=1):
     """The level passes batched at ``blocks`` blocks of length m plus
-    ``extra`` % m cells (None: unpatched).  With blocks = 0 the budget is
-    m / 2^(1 + extra % 12) cells, but at least 8: below one block when m
-    exceeds 8, so a block splits over row batches."""
-    if blocks is None:
-        yield
-        return
-    budget = blocks * m + extra % m if blocks else max(8, m >> (1 + extra % 12))
-    with mock.patch.object(words, "_BATCH_CELLS", budget):
-        yield
+    ``extra`` % m cells (None: unpatched), on ``workers`` threads sharing
+    that budget.  With blocks = 0 the budget is m / 2^(1 + extra % 12)
+    cells, but at least 8: below one block when m exceeds 8, so a block
+    splits over row batches."""
+    with mock.patch.object(words, "_WORKERS", workers):
+        if blocks is None:
+            yield
+            return
+        budget = blocks * m + extra % m if blocks else max(8, m >> (1 + extra % 12))
+        with mock.patch.object(words, "_BATCH_CELLS", budget):
+            yield
 
 
 def mutate(cells, sched, level, rng, ops, focus=None):
@@ -115,6 +122,7 @@ def outcome(fn):
 edits = st.lists(st.tuples(st.sampled_from(OPS), st.integers(1, 3)), max_size=4)
 batch_blocks = st.sampled_from([0, 1, 2, 3, 5, None])
 batch_extra = st.integers(0, 1 << 16)
+worker_counts = st.sampled_from([1, 2, 3])
 
 
 def check_case(built, name, data):
@@ -129,7 +137,8 @@ def check_case(built, name, data):
     defined = np.flatnonzero(cells.reshape(nb, m).max(axis=1) != STAR)
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=defined)
     w = PartialWindow(x.offset + b0 * m, cells)
-    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra)):
+    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra),
+                  data.draw(worker_counts, label="workers")):
         got = outcome(lambda: schedule._check_level(w, sched, level))
     want = outcome(lambda: check_level_dense(w, sched, level))
     event(f"level {level}: " + (want.detail or f"membership {want.membership}"))
@@ -149,7 +158,8 @@ def fill_case(built, name, data):
     mutate(cells, sched, level, rng, data.draw(edits, label="edits"), focus=meeting)
     w = PartialWindow(start.offset, cells)
     cycle = data.draw(st.integers(-3, 40), label="cycle start")
-    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra)):
+    with batch_of(m, data.draw(batch_blocks, label="batch"), data.draw(batch_extra),
+                  data.draw(worker_counts, label="workers")):
         got = outcome(lambda: fill_level(w, level, sched, cycle_start=cycle))
     want = outcome(lambda: fill_level_by_blocks(w, level, sched, cycle_start=cycle))
     event(f"level {level}: " + (re.sub(r"-?\d+", "#", want[1]) if isinstance(want, tuple)
@@ -207,14 +217,17 @@ SPLIT_BUDGETS = (8, 97, 700, 2114)
 
 
 def assert_split_matches(fn, oracle, sub_block_budgets=SPLIT_BUDGETS):
+    """fn matches the oracle at each budget, on one to three workers."""
     want = outcome(oracle)
     for budget in sub_block_budgets:
-        with mock.patch.object(words, "_BATCH_CELLS", budget):
-            got = outcome(fn)
-        if isinstance(want, PartialWindow):
-            assert got.cells.tobytes() == want.cells.tobytes()
-        else:
-            assert got == want, budget
+        for workers in (1, 2, 3):
+            with mock.patch.object(words, "_BATCH_CELLS", budget), \
+                    mock.patch.object(words, "_WORKERS", workers):
+                got = outcome(fn)
+            if isinstance(want, PartialWindow):
+                assert got.cells.tobytes() == want.cells.tobytes()
+            else:
+                assert got == want, (budget, workers)
     return want
 
 
@@ -364,9 +377,84 @@ def test_failures_in_an_early_batch_persist(built):
         assert got == check_level_dense(w, sched, 2)
 
 
+def test_earliest_range_failure_wins(built):
+    """A failing block in the first and one in the last range of blocks:
+    the first names the fill's error and the check's detail, as in a
+    block-by-block loop, on one to three workers; alone, the last one does."""
+    sched, u, x = built["fast-01-d2"]
+    m, m_old = sched.m(2), sched.m(1)
+    r = m // m_old
+    start = fill_level(init_partial(u, sched.sparse, x.interval(), sched.alphabet), 1, sched,
+                       cycle_start=2)
+    meeting = np.flatnonzero(start.cells.reshape(-1, m).min(axis=1) != STAR)
+    defined = np.flatnonzero(x.cells.reshape(-1, m).max(axis=1) != STAR)
+    # two workers put the first and the last block in different ranges
+    assert meeting.size >= 2 and defined[0] < len(x) // m // 2 <= defined[-1]
+    for ends in ((0, -1), (-1,)):
+        cells = start.cells.copy()
+        subs = cells.reshape(-1, r, m_old)
+        for b in meeting[list(ends)]:
+            subs[b, int(np.flatnonzero((subs[b] == STAR).all(axis=1))[0]), 3] = 0
+        w = PartialWindow(start.offset, cells)
+        want = assert_split_matches(lambda: fill_level(w, 2, sched, cycle_start=5),
+                                    lambda: fill_level_by_blocks(w, 2, sched, cycle_start=5))
+        i = block_of(start.offset, m) + meeting[ends[0]]
+        assert want[1].startswith(f"level-2 block {i}: sub-block"), want
+
+        cells = x.cells.copy()
+        cells.reshape(-1, m)[defined[list(ends)], -1] = STAR
+        w = PartialWindow(x.offset, cells)
+        want = assert_split_matches(lambda: schedule._check_level(w, sched, 2),
+                                    lambda: check_level_dense(w, sched, 2))
+        assert want.detail == f"block {defined[ends[0]]} partially defined"
+
+
+def test_more_workers_than_cores(built):
+    """Eight workers on short batches, with a short thread switch interval:
+    each range writes its own blocks, so realize and the checks give what
+    one worker gives."""
+    sched, u, x = built["fast-01-d2"]
+    window = CONFIGS["fast-01-d2"][3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with batch_of(1, 700, 0, workers=8):
+            got = realize(u, sched, 2, window=window, cycle_start=2)
+            checks = [schedule._check_level(got, sched, level) for level in (1, 2)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == x
+    assert checks == [check_level_dense(x, sched, level) for level in (1, 2)]
+
+
+class ThreadStarted(Exception):
+    pass
+
+
+def test_small_passes_start_no_thread(built, tmp_path):
+    """Each pass of the faithful depth-2 commands fits in one batch or
+    holds one block, so none starts a thread, even on two workers; a pass
+    over several ranges does."""
+    def refuse(*args, **kwargs):
+        raise ThreadStarted
+
+    path = tmp_path / "f2.bsw"
+    with mock.patch.object(words, "_WORKERS", 2), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", refuse):
+        assert cli.main(["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "2",
+                         "--u", "mu-indicator", "--out", str(path)]) == 0
+        assert cli.main(["verify", str(path)]) == 0
+        assert cli.main(["demo-sarnak", "--profile", "faithful", "--depth", "2",
+                         "--N", "832"]) == 0
+        sched, _, x = built["fast-01-d2"]
+        with batch_of(sched.m(2), 1, 0, workers=2), pytest.raises(ThreadStarted):
+            schedule._check_level(x, sched, 2)
+
+
 def test_no_temporary_grows_with_the_window(ternary):
     """With a batch budget far below the window, each pass allocates little
-    beyond its output (the dense passes allocated two to four windows)."""
+    beyond its output (the dense passes allocated two to four windows),
+    also when the workers share the budget."""
     hull = (1, 3_000_000)
     sched = build_schedule(ternary, SparseSetSpec.squares(), 2, profile="fast")
     u = TargetSequence.mu_sign(ternary)
@@ -383,8 +471,8 @@ def test_no_temporary_grows_with_the_window(ternary):
     n = len(x)
     start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
     # 2^16 cells, and 2 000 cells: below one level-2 block (2 115 cells)
-    for budget in (1 << 16, 2000):
-        with batch_of(1, budget, 0):
+    for budget, workers in itertools.product((1 << 16, 2000), (1, 2)):
+        with batch_of(1, budget, 0, workers):
             assert peak(lambda: realize(u, sched, 2, window=hull)) < n * 5 // 4
             for level in (1, 2):
                 assert peak(lambda: schedule._check_level(x, sched, level)) < n // 4

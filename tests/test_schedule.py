@@ -103,11 +103,11 @@ def hand_schedule(a, ratios, every_word):
     sched = Schedule(Alphabet("0123"[:a]), SparseSetSpec.squares(),
                      "faithful" if every_word else "fast")
     m, card = 1, Card.exact_count(a)
-    sched.levels.append(LevelParams(0, m, np.zeros(1, dtype=np.uint8), card, ""))
+    sched.levels.append(LevelParams(0, m, np.zeros(1, dtype=np.uint8), card))
     for k, r in enumerate(ratios, 1):
         m *= r
         card = Card.exact_count(exact_next_count(r, card.exact, every_word))
-        sched.levels.append(LevelParams(k, m, np.zeros(m, dtype=np.uint8), card, ""))
+        sched.levels.append(LevelParams(k, m, np.zeros(m, dtype=np.uint8), card))
     return sched
 
 
@@ -487,14 +487,14 @@ def pillar_gather(sched, k):
         picks = [0] * (r - n + 1) + list(range(1, n))
     else:
         picks = [0] * (r // 3) + [t % POOL_SIZE for t in range(r - r // 3)]
-    return sched.fill_rows(k - 1, picks).reshape(-1)
+    return sched.fill_source(k - 1)(picks).reshape(-1)
 
 
 @pytest.mark.parametrize("name", ["sched2", "fast3"])
 def test_fill_row_zero_is_the_pillar(request, name):
     sched = request.getfixturevalue(name)
     for k in range(sched.depth):
-        assert np.array_equal(sched.fill_rows(k, [0])[0], sched.pillar(k))
+        assert np.array_equal(sched.fill_source(k)([0])[0], sched.pillar(k))
     for k in range(1, sched.depth + 1):
         w = sched.pillar(k)
         assert w.dtype == np.uint8 and w.shape == (sched.m(k),) and not w.flags.writeable
