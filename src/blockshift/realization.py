@@ -13,8 +13,9 @@ A level is filled in row batches of the blocks that meet the set
 the defined rows from the starred ones, and a running count ranks the
 starred rows.  A batch holds whole blocks, or consecutive rows of a
 block longer than the batch budget, so no temporary grows with the
-window or with a block.  ``realize`` allocates one cell buffer and
-fills every level in it; ``fill_level`` copies its input first.
+window or with a block.  ``realize`` walks S once and fills every
+level in one cell buffer, each level taking its blocks from the offsets
+of S that walk pinned; ``fill_level`` copies its input first.
 The mu targets read mu from mobius.grown_mu.
 """
 
@@ -85,27 +86,29 @@ class TargetSequence:
 
 
 def init_partial(u: TargetSequence, sparse: SparseSetSpec,
-                 window: tuple[int, int],
-                 alphabet: Alphabet | None = None) -> PartialWindow:
+                 window: tuple[int, int], alphabet: Alphabet) -> PartialWindow:
     """u written on the sparse set inside the window, stars elsewhere."""
     lo, hi = int(window[0]), int(window[1])
-    return PartialWindow(lo, _pinned_cells(u, sparse, lo, hi, alphabet))
+    return PartialWindow(lo, _pinned_cells(u, sparse, lo, hi, alphabet)[0])
 
 
 def _pinned_cells(u: TargetSequence, sparse: SparseSetSpec, lo: int, hi: int,
-                  alphabet: Alphabet | None) -> np.ndarray:
+                  alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of [lo, hi], u on S and stars elsewhere, and the offsets of S
+    in them, in order (window-local, so int64 even where coordinates are not)."""
     if lo > hi:
         raise InvalidParameterError(f"empty window [{lo},{hi}]")
     check_cell_count(hi - lo + 1)
     cells = np.full(hi - lo + 1, STAR, dtype=np.uint8)
-    for n, s in sparse.elements_in((lo, hi)):
+    elements = sparse.elements_in((lo, hi))
+    for n, s in elements:
         v = u.symbol_index(n)
-        if alphabet is not None and not 0 <= v < alphabet.size:
+        if not 0 <= v < alphabet.size:
             raise InvalidParameterError(
                 f"target value u({n}) = {v} outside alphabet of size {alphabet.size}"
             )
         cells[s - lo] = v
-    return cells
+    return cells, np.fromiter((s - lo for _, s in elements), np.int64, len(elements))
 
 
 def fill_level(x: PartialWindow, level: int, schedule: Schedule,
@@ -120,14 +123,17 @@ def fill_level(x: PartialWindow, level: int, schedule: Schedule,
     """
     if not 1 <= level <= schedule.depth:
         raise InvalidParameterError(f"level {level} outside built depth {schedule.depth}")
+    pinned = np.fromiter((s - x.offset for _, s in schedule.sparse.elements_in(x.interval())),
+                         np.int64)
     cells = x.cells.copy()
-    _fill_in_place(cells, x.offset, level, schedule, cycle_start)
+    _fill_in_place(cells, x.offset, level, schedule, cycle_start, pinned)
     return PartialWindow(x.offset, cells)
 
 
 def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule,
-                   cycle_start: int) -> None:
-    """fill_level on a writable cell buffer whose first cell is ``start``.
+                   cycle_start: int, pinned: np.ndarray) -> None:
+    """fill_level on a writable cell buffer whose first cell is ``start``
+    and whose offsets of S are ``pinned`` (_pinned_cells): it reads no S.
 
     The alphabet check and the defined-cell count run first, one buffer
     a range of level blocks.  The blocks that meet S are then filled in
@@ -136,7 +142,7 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
     block longer than the budget, whose defined and starred row counts
     carry from batch to batch.  Each pass runs on ranges of whole blocks
     (words.split_level_pass), so the pillar, the fill source and the
-    blocks that meet S are fetched before it.  Errors name the first
+    blocks that meet S are taken before it.  Errors name the first
     offending block in window order, and the same sub-block, as a
     block-by-block loop would.
     """
@@ -168,9 +174,6 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
 
     defined_total = sum(split_level_pass(count_defined, n_blocks, m_new, 1))
 
-    elements = schedule.sparse.elements_in((start, start + size - 1))
-    # window-local offsets fit int64 even where the coordinates do not
-    pinned = np.fromiter((s - start for _, s in elements), dtype=np.int64)
     meeting = np.unique(pinned // m_new)  # window-local block indices
     first_block = block_of(start, m_new)
     n_src = schedule.fill_size(level - 1)
@@ -296,13 +299,13 @@ def realize(u: TargetSequence, schedule: Schedule, depth: int,
     else:
         hull = hull_of_blocks(int(window[0]), int(window[1]), m_top)
 
-    cells = _pinned_cells(u, schedule.sparse, hull[0], hull[1], schedule.alphabet)
+    cells, pinned = _pinned_cells(u, schedule.sparse, hull[0], hull[1], schedule.alphabet)
     for level in range(1, depth + 1):
-        _fill_in_place(cells, hull[0], level, schedule, cycle_start)
+        _fill_in_place(cells, hull[0], level, schedule, cycle_start, pinned)
     x = PartialWindow(hull[0], cells)
-    if window is None and not x.is_fully_defined():
-        raise ConstructionInvariantError("central block still holds stars after the fill")
     report = window_admissibility_report(x, schedule, depth)
+    if window is None and not report.fully_defined:
+        raise ConstructionInvariantError("central block still holds stars after the fill")
     if not report.ok:
         raise ConstructionInvariantError(f"realized window fails admissibility: {report.summary()}")
     return x

@@ -180,9 +180,19 @@ class Schedule:
 
     def words(self, k: int, ids=slice(None), out=None) -> np.ndarray:
         """Words ``ids`` of A_k (k <= 1, in order), decoded from codes(k) into ``out``."""
-        codes = self.codes(k)[ids]
-        out = np.empty((codes.size, self.m(k)), dtype=np.uint8) if out is None else out
-        return rows_of_codes(codes, (self.alphabet.size - 1).bit_length(), out)
+        return self._decoder(k)(ids, out)
+
+    def _decoder(self, k: int) -> Callable[..., np.ndarray]:
+        """rows(ids, out=None): words ``ids`` of A_k decoded from codes(k).  It
+        holds what it reads, so it fills no cache and may run on any thread."""
+        codes, bits, m = self.codes(k), (self.alphabet.size - 1).bit_length(), self.m(k)
+
+        def rows(ids, out=None):
+            picked = codes[ids]
+            out = np.empty((picked.size, m), dtype=np.uint8) if out is None else out
+            return rows_of_codes(picked, bits, out)
+
+        return rows
 
     def pool_matrix(self, k: int) -> np.ndarray:
         """Fast-profile fill pool: row 0 is w_k, the rest seeded samples.
@@ -217,15 +227,7 @@ class Schedule:
         row 0 is w_k, as a function from row ids to rows: A_k decoded from
         codes(k) (faithful) or the seeded pool (fast).  It holds what it
         reads, so it fills no cache and may run on any thread."""
-        if not self.faithful:
-            return self.pool_matrix(k).__getitem__
-        codes, bits, m = self.codes(k), (self.alphabet.size - 1).bit_length(), self.m(k)
-
-        def rows(ids):
-            picked = codes[ids]
-            return rows_of_codes(picked, bits, np.empty((picked.size, m), dtype=np.uint8))
-
-        return rows
+        return self._decoder(k) if self.faithful else self.pool_matrix(k).__getitem__
 
     def fill_convention(self, cycle_start: int) -> str:
         """The ``fill`` header of a window realized from this schedule."""

@@ -291,6 +291,8 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
     m_old = schedule.m(level - 1)
     r = m_new // m_old
     q = r // 3
+    # S is walked before any check of the window, as fill_level does
+    meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
     if not on_block_grid(x.offset, len(x), m_new):
         raise ConstructionInvariantError(
             f"window {x.interval()} is not a union of level-{level} blocks"
@@ -300,7 +302,6 @@ def fill_level_by_blocks(x, level, schedule, cycle_start=0):
     if bool(((out != STAR) & (out >= schedule.alphabet.size)).any()):
         raise ConstructionInvariantError("window holds cell values outside the alphabet")
 
-    meeting = sorted({block_of(s, m_new) for _, s in schedule.sparse.elements_in(x.interval())})
     # the fill source as a whole matrix, row 0 the pillar
     fill_src = (schedule.words(level - 1) if schedule.faithful
                 else schedule.pool_matrix(level - 1))

@@ -27,7 +27,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from blockshift import (STAR, Alphabet, BlockshiftError, ConstructionInvariantError,
                         PartialWindow, SparseSetSpec, TargetSequence, build_schedule, cli,
-                        fill_level, init_partial, realize, schedule, words)
+                        fill_level, init_partial, realize, sarnak_demo, schedule, words)
 from blockshift.words import block_of
 from tests.oracles import check_level_dense, fill_level_by_blocks, word_ids_by_void_search
 
@@ -296,6 +296,48 @@ def test_too_few_free_rows_in_a_split_block(built):
     assert want[0] == "ConstructionInvariantError"
     assert re.fullmatch(r"level-1 block -?\d+: \d free sub-blocks cannot use all 12 words",
                         want[1])
+
+
+@contextmanager
+def walks_over_S():
+    """Counts the calls of SparseSetSpec.elements_in made inside the block."""
+    with mock.patch.object(SparseSetSpec, "elements_in", autospec=True,
+                           side_effect=SparseSetSpec.elements_in) as walk:
+        yield walk
+
+
+def test_a_build_walks_S_once(built, sched2, mu_target):
+    """realize pins S once and every level takes its blocks from those
+    offsets; fill_level walks S once; the demo walks it to pin and to verify."""
+    sched, u, x = built["fast-0+--d2-far"]
+    for run in (lambda: realize(u, sched, 2, window=CONFIGS["fast-0+--d2-far"][3]),
+                lambda: realize(mu_target, sched2, 2)):
+        with walks_over_S() as walk:
+            run()
+        assert walk.call_count == 1
+    start = init_partial(u, sched.sparse, x.interval(), sched.alphabet)
+    with walks_over_S() as walk:
+        fill_level(start, 1, sched)
+    assert walk.call_count == 1
+    with walks_over_S() as walk:
+        sarnak_demo("fast", 2, 50)
+    assert walk.call_count == 2
+
+
+def test_fill_walks_S_before_checking_the_window():
+    """Over a list enumerated through a horizon, a window past it that is
+    also off the block grid, or holds a cell outside the alphabet, raises
+    IncompleteDataError first, in fill_level and in the block loop alike."""
+    sparse = SparseSetSpec.explicit([n * n for n in range(1, 71)], horizon=5000)
+    sched = build_schedule(Alphabet("01"), sparse, 1, profile="fast")
+    m = sched.m(1)
+    lo = words.hull_of_blocks(4990, 4990, m)[0]
+    off_grid = PartialWindow(lo + 1, np.full(3 * m, STAR, dtype=np.uint8))
+    alien = PartialWindow(lo, np.full(3 * m, 5, dtype=np.uint8))
+    for w in (off_grid, alien):
+        want = outcome(lambda: fill_level_by_blocks(w, 1, sched))
+        assert outcome(lambda: fill_level(w, 1, sched)) == want
+        assert want[0] == "IncompleteDataError" and "enumerated through 5000" in want[1]
 
 
 def test_check_failures_inside_a_split_block(built):

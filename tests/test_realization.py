@@ -143,6 +143,30 @@ def test_realize_empty_core(binary):
         realize(u, sched, 1)
 
 
+def test_realize_reads_stars_from_its_report(monkeypatch, x2, sched2, mu_target):
+    """A central block the top level leaves starred is refused as such,
+    and realize reads "fully defined" from its admissibility report alone."""
+    fill = realization._fill_in_place
+
+    def skip_top(cells, start, level, schedule, cycle_start, pinned):
+        if level < 2:
+            fill(cells, start, level, schedule, cycle_start, pinned)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(realization, "_fill_in_place", skip_top)
+        with pytest.raises(ConstructionInvariantError) as caught:
+            realize(mu_target, sched2, 2)
+    assert type(caught.value) is ConstructionInvariantError
+    assert str(caught.value) == "central block still holds stars after the fill"
+
+    def unread(self):
+        raise AssertionError("is_fully_defined called")
+
+    monkeypatch.setattr(PartialWindow, "is_fully_defined", unread)
+    x = realize(mu_target, sched2, 2)
+    assert x.interval() == x2.interval() and x.cells.tobytes() == x2.cells.tobytes()
+
+
 def test_realize_window_variant(binary, sched2, mu_target, squares):
     x = realize(mu_target, sched2, 1, window=(1, 100))
     assert x.offset == -7 and x.end >= 100
