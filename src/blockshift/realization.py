@@ -193,10 +193,7 @@ def _fill_in_place(cells: np.ndarray, start: int, level: int, schedule: Schedule
             blocks = grid[idx[0]:idx[-1] + 1] if run else grid[idx]
             lead = s0 - j0 * r  # the batch's first row within its first block
             rows = blocks.reshape(-1, m_old)[lead:lead + s1 - s0]
-            if m_old == 1:
-                row_top = row_low = rows[:, 0]
-            else:
-                row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
+            row_top, row_low = fold_rows(np.maximum, rows), fold_rows(np.minimum, rows)
             per = min(r, s1 - s0)
             star = (row_low == STAR).reshape(-1, per)      # wholly undefined sub-blocks
             touched = (row_top == STAR).reshape(-1, per)   # sub-blocks holding a STAR

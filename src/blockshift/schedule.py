@@ -31,6 +31,7 @@ import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .sparse import SparseSetSpec
-from .words import (STAR, Alphabet, PartialWindow, check_cell_count, count_rows,
-                    fold_rows, hull_of_blocks, on_block_grid, row_chunks, row_codes,
-                    rows_equal, rows_of_codes, split_level_pass)
+from .words import (STAR, Alphabet, PartialWindow, block_interval, check_cell_count,
+                    count_rows, fold_rows, hull_of_blocks, on_block_grid, row_chunks,
+                    row_codes, rows_equal, rows_of_codes, split_level_pass)
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_EXACT_R_CAP = 2048
@@ -449,8 +450,11 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     are built only when a range of blocks (words.split_level_pass) holds
     a STAR, from each block's max and min (STAR is the largest cell
     value), and each sub-block row is matched against the pillar as one
-    unit.  The ranges' tallies are merged in window order, and the first
-    partially defined block is that of the earliest range holding one.
+    unit.  Each range gives the LevelCheck of its own blocks, whose two
+    statuses read "ok" ("waived" when fast) or "fail", and the checks fold
+    in window order: the earliest partially defined block wins; else the
+    counts add, the least share is that of the ranges that have one, and
+    "fail" dominates.
     """
     a = schedule.alphabet.size
     m = schedule.m(level)
@@ -465,17 +469,14 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     listed = faithful and level > 1
     bits = (a - 1).bit_length()
     codes = schedule.codes(level - 1) if listed else None
+    status = "ok" if faithful else "waived"
 
-    def tally(span, batches):
-        """(defined blocks, pillar total, least share, stray, present,
-        member, every) of one range, or the LevelCheck of its first
-        partially defined block."""
+    def tally(span, batches) -> LevelCheck:
+        """The check of one range of blocks."""
         top = int(x.cells[span.start * m:span.stop * m].max())
         starred = top == STAR
         n_def = pillar_total = 0
         min_share = None
-        stray = False  # a defined cell outside the alphabet
-        present = np.ones(a, dtype=bool)  # faithful level 1: symbols in every block
         member = every = True
         # of the rows that earlier batches read of a block split over batches
         count, symbols, skipped = 0, np.zeros(a, dtype=bool), False
@@ -499,10 +500,11 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
                 if undefined.any():
                     blocks, block_top = blocks[~undefined], block_top[~undefined]
                 alien = bool((block_top >= a).any())
-            stray = stray or alien
             counts = count_rows(rows_equal(blocks.reshape(-1, m_prev), pillar).reshape(-1, per))
-            if faithful and level == 1:
-                has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
+            if level == 1:
+                member = member and not alien
+                if faithful:
+                    has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
             elif listed:
                 # every block must use every word, not just the union
                 if s0 % r == 0:
@@ -523,33 +525,23 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             low = int(counts.min())
             min_share = low if min_share is None else min(min_share, low)
             if faithful and level == 1:
-                present &= has.all(axis=1)
+                every = every and bool(has.all())
             elif listed:
                 every = every and bool(seen.all())
-        return n_def, pillar_total, min_share, stray, present, member, every
+        return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
+                          status if member else "fail", status if every else "fail")
 
-    tallies = split_level_pass(tally, n_blocks, r, m_prev)
-    for t in tallies:
-        if isinstance(t, LevelCheck):
-            return t
-    n_defs, totals, shares, strays, presents, members, everys = zip(*tallies)
-    n_def = sum(n_defs)
-    shares = [s for s in shares if s is not None]
-    min_share = min(shares) if shares else None
+    def merge(c: LevelCheck, d: LevelCheck) -> LevelCheck:
+        """The check of c's range followed by d's."""
+        if c.detail or d.detail:
+            return c if c.detail else d
+        shares = [s for s in (c.min_pillar_share, d.min_pillar_share) if s is not None]
+        return LevelCheck(level, n_blocks, c.defined_blocks + d.defined_blocks, q,
+                          min(shares, default=None), c.pillar_total + d.pillar_total,
+                          status if c.membership == d.membership == status else "fail",
+                          status if c.every_word == d.every_word == status else "fail")
 
-    membership = every_word = "ok" if faithful else "waived"
-    if n_def and level == 1:
-        if any(strays):
-            membership = "fail"
-        if faithful:
-            covered = int(np.logical_and.reduce(presents).sum())
-            every_word = "ok" if covered == a else "fail"
-    elif n_def and listed:
-        membership = "ok" if all(members) else "fail"
-        every_word = "ok" if all(everys) else "fail"
-
-    return LevelCheck(level, n_blocks, n_def, q, min_share, sum(totals),
-                      membership, every_word)
+    return reduce(merge, split_level_pass(tally, n_blocks, r, m_prev))
 
 
 def window_admissibility_report(x: PartialWindow, schedule: Schedule,
@@ -567,7 +559,7 @@ def window_admissibility_report(x: PartialWindow, schedule: Schedule,
 
 def _one_block(word: np.ndarray) -> PartialWindow:
     """A word as the centred block of its level."""
-    return PartialWindow(-((len(word) - 1) // 2), word)
+    return PartialWindow(block_interval(0, len(word))[0], word)
 
 
 def _word_cells(word) -> np.ndarray:

@@ -253,37 +253,27 @@ class SparseSetSpec:
             )
         return bisect.bisect_left(self.values, lo), bisect.bisect_right(self.values, hi)
 
-    def count_in(self, interval: tuple[int, int]) -> int:
-        """|S ∩ interval| by rule inversion (O(log) for rule kinds)."""
-        lo, hi = interval
-        lo = max(int(lo), 1)
-        hi = int(hi)
+    def _index_span(self, interval: tuple[int, int]) -> range:
+        """The indices n with s_n in the inclusive interval; none below 1."""
+        lo, hi = max(int(interval[0]), 1), int(interval[1])
         if hi < lo:
-            return 0
+            return range(0)
         if self.kind == "explicit":
             i, j = self._list_span(lo, hi)
-            return j - i
-        return self._first_index_with_term_at_least(hi + 1) - self._first_index_with_term_at_least(lo)
+            return range(i + 1, j + 1)
+        return range(self._first_index_with_term_at_least(lo),
+                     self._first_index_with_term_at_least(hi + 1))
+
+    def count_in(self, interval: tuple[int, int]) -> int:
+        """|S ∩ interval| by rule inversion (O(log) for rule kinds)."""
+        return len(self._index_span(interval))
 
     def elements_in(self, interval: tuple[int, int]) -> list[tuple[int, int]]:
         """All (n, s_n) with s_n in the inclusive interval; empty below 1."""
-        lo, hi = interval
-        lo = max(int(lo), 1)
-        hi = int(hi)
-        if hi < lo:
-            return []
+        span = self._index_span(interval)
         if self.kind == "explicit":
-            i, j = self._list_span(lo, hi)
-            return [(n + 1, self.values[n]) for n in range(i, j)]
-        n = self._first_index_with_term_at_least(lo)
-        out = []
-        while True:
-            s = self.term(n)
-            if s > hi:
-                break
-            out.append((n, s))
-            n += 1
-        return out
+            return list(zip(span, self.values[span.start - 1:span.stop - 1]))
+        return [(n, self.term(n)) for n in span]
 
     # --- window statistics ---------------------------------------------
 

@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from blockshift import (
     DensityViolation,
     SparseSetSpec,
@@ -71,6 +73,31 @@ def test_criterion_1_schedule_exactness(binary, squares):
            f"level-1 {t_level1:.2f}s, level-2 {t_level2:.2f}s")
 
 
+# The child reports its own peak, VmHWM, which exec resets.  Its
+# ru_maxrss would start at the high-water mark of the process that
+# launched it (here pytest), so it bounds the launcher, not realize.
+REALIZE_IN_CHILD = (
+    "import json\n"
+    "from blockshift import *\n"
+    "ab = Alphabet('01'); sq = SparseSetSpec.squares()\n"
+    "sched = build_schedule(ab, sq, 2)\n"
+    "u = TargetSequence.mu_indicator()\n"
+    "x = realize(u, sched, 2)\n"
+    "rep = verify_realization(x, u, sq)\n"
+    "status = open('/proc/self/status').read()\n"
+    "peak = int(status.split('VmHWM:')[1].split()[0])\n"
+    "print(json.dumps({'passed': rep.passed, 'n': rep.constraints, 'kb': peak}))\n"
+)
+
+
+def realize_in_child() -> dict:
+    """Faithful d2 realize and verify in a fresh interpreter: its verdict,
+    constraint count and peak RSS in KB."""
+    proc = subprocess.run([sys.executable, "-c", REALIZE_IN_CHILD], capture_output=True,
+                          text=True, timeout=60)
+    return json.loads(proc.stdout)
+
+
 def test_criterion_2_realization_exactness(sched2, mu_target, squares, binary):
     t0 = time.perf_counter()
     x2 = realize(mu_target, sched2, 2)
@@ -79,20 +106,7 @@ def test_criterion_2_realization_exactness(sched2, mu_target, squares, binary):
     x1 = realize(mu_target, sched2, 1)
     central_match = x2.sub(-7, 7) == x1
 
-    script = (
-        "import resource, json\n"
-        "from blockshift import *\n"
-        "ab = Alphabet('01'); sq = SparseSetSpec.squares()\n"
-        "sched = build_schedule(ab, sq, 2)\n"
-        "u = TargetSequence.mu_indicator()\n"
-        "x = realize(u, sched, 2)\n"
-        "rep = verify_realization(x, u, sq)\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps({'passed': rep.passed, 'n': rep.constraints, 'kb': peak}))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60)
-    meas = json.loads(proc.stdout)
+    meas = realize_in_child()
     ok = (
         rep.passed
         and rep.constraints == 832
@@ -105,6 +119,14 @@ def test_criterion_2_realization_exactness(sched2, mu_target, squares, binary):
     report(2, ok,
            f"x_u(n^2)=u(n) for all 832 squares <= 693607; depth-1/depth-2 "
            f"central cells agree; {elapsed:.2f}s, peak {meas['kb'] / 1024:.0f} MB")
+
+
+def test_criterion_2_peak_is_the_childs_own():
+    """The criterion-2 child measures itself: with 256 MB held here, it
+    still peaks under the 200 MB bound."""
+    held = np.ones(256 << 20, dtype=np.uint8)
+    meas = realize_in_child()
+    assert meas["passed"] and meas["kb"] < 200 * 1024, meas
 
 
 def test_criterion_3_admissibility(x2, sched2):

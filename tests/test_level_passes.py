@@ -451,6 +451,48 @@ def test_earliest_range_failure_wins(built):
         assert want.detail == f"block {defined[ends[0]]} partially defined"
 
 
+def test_partial_block_outranks_an_earlier_failing_range(built):
+    """A partly defined block in the last range of blocks outranks a
+    membership and an every-word failure in the first range, on one to
+    three workers; with a partly defined block in each, the first range's
+    is the detail."""
+    sched, _, x = built["faithful-0+--d1"]
+    n = len(x) // 15
+    cells = x.cells.copy()
+    blocks = cells.reshape(-1, 15)
+    defined = np.flatnonzero(blocks.max(axis=1) != STAR)
+    # two or three workers put defined[:3] in the first range, defined[-1] in the last
+    assert defined[2] < n // 3 and defined[-1] >= n - n // 3
+    blocks[defined[0], 0] = sched.alphabet.size  # not a symbol
+    blocks[defined[1]] = 0                       # one symbol only
+    w = PartialWindow(x.offset, cells)
+    want = assert_split_matches(lambda: schedule._check_level(w, sched, 1),
+                                lambda: check_level_dense(w, sched, 1))
+    assert (want.membership, want.every_word, want.detail) == ("fail", "fail", "")
+    for b in (defined[-1], defined[2]):
+        blocks[b, -1] = STAR
+        w = PartialWindow(x.offset, cells)
+        want = assert_split_matches(lambda: schedule._check_level(w, sched, 1),
+                                    lambda: check_level_dense(w, sched, 1))
+        assert want.detail == f"block {b} partially defined"
+
+
+def test_a_range_without_defined_blocks_merges(built):
+    """A range of wholly undefined blocks, which has no least share,
+    merges with the ranges that hold defined blocks, before or after it."""
+    sched, _, x = built["fast-01-d2"]
+    m = sched.m(2)
+    n = len(x) // m
+    for undefined in (slice(0, n // 2), slice(n // 2, n)):
+        cells = x.cells.copy()
+        cells.reshape(-1, m)[undefined] = STAR
+        w = PartialWindow(x.offset, cells)
+        for level in (1, 2):
+            want = assert_split_matches(lambda: schedule._check_level(w, sched, level),
+                                        lambda: check_level_dense(w, sched, level))
+            assert want.defined_blocks and want.min_pillar_share >= want.required_share
+
+
 def test_more_workers_than_cores(built):
     """Eight workers on short batches, with a short thread switch interval:
     each range writes its own blocks, so realize and the checks give what

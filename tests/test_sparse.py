@@ -229,12 +229,46 @@ def test_nlogn_matches_exact_floor(n):
     assert _nlogn(n) == want
 
 
-def test_count_in_matches_elements(squares):
-    for rng in [(1, 10), (5, 500), (-3, 0), (90, 121)]:
-        assert squares.count_in(rng) == len(squares.elements_in(rng))
-    nl = SparseSetSpec.nlogn()
-    for rng in [(1, 10), (1, 1000)]:
-        assert nl.count_in(rng) == len(nl.elements_in(rng))
+def every_kind():
+    """A sparse set of every kind, explicit lists with and without a horizon."""
+    explicit = st.lists(st.integers(1, 3000), min_size=1, max_size=40, unique=True).map(sorted)
+    return st.one_of(
+        st.sampled_from([SparseSetSpec.squares(), SparseSetSpec.monomial(3),
+                         SparseSetSpec.power(Fraction(3, 2)), SparseSetSpec.nlogn(),
+                         SparseSetSpec.evens()]),
+        explicit.map(SparseSetSpec.explicit),
+        st.builds(lambda v, extra: SparseSetSpec.explicit(v, horizon=v[-1] + extra),
+                  explicit, st.integers(0, 500)),
+    )
+
+
+def elements_by_term(spec, lo, hi):
+    """(n, s_n) with lo <= s_n <= hi, from term() one index at a time."""
+    out, n = [], spec.first_index
+    while (spec.kind != "explicit" or n <= len(spec.values)) and spec.term(n) <= hi:
+        if spec.term(n) >= lo:
+            out.append((n, spec.term(n)))
+        n += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=every_kind(), lo=st.integers(-40, 3200), length=st.integers(-10, 3200))
+@example(spec=SparseSetSpec.squares(), lo=-3, length=3)
+@example(spec=SparseSetSpec.explicit([5, 17], horizon=20), lo=25, length=-10)
+def test_count_in_matches_elements(spec, lo, length):
+    """count_in and elements_in agree on every kind, also from lo <= 0 and
+    on empty intervals, and elements_in lists what term() gives; past a
+    horizon both raise."""
+    rng = (lo, lo + length)
+    if spec.horizon is not None and rng[1] > spec.horizon and max(lo, 1) <= rng[1]:
+        for query in (spec.count_in, spec.elements_in):
+            with pytest.raises(IncompleteDataError):
+                query(rng)
+        return
+    got = spec.elements_in(rng)
+    assert spec.count_in(rng) == len(got)
+    assert got == elements_by_term(spec, *rng)
 
 
 def test_elements_in_respects_nesting(squares):
