@@ -2,7 +2,7 @@
 character per cell ('*' for undefined), and a trailing checksum.
 
 The payload is chunked into 65536-character lines for inspectability.
-The checksum is sha256 of the payload characters truncated to 64 bits
+The checksum is sha256 of the payload bytes truncated to 64 bits
 ("sha256-64"), written as 16 hex digits; it is verified on load.
 """
 
@@ -12,6 +12,8 @@ import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ChecksumError, InconsistencyError, InvalidParameterError, VersionError
 from .schedule import PROFILES
@@ -24,8 +26,8 @@ _HEADER_KEYS = ("alphabet", "profile", "depth", "m-list", "sparse", "u",
                 "fill", "seed", "offset", "length")
 
 
-def checksum64(payload: str) -> str:
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+def checksum64(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -102,21 +104,21 @@ def _header_int(key: str, text: str) -> int:
 
 
 def load_window(path) -> WindowFile:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
-        raise InconsistencyError(
-            f"non-ASCII byte {exc.object[exc.start]:#04x} at offset {exc.start}"
-        ) from None
-    lines = text.split("\n")
-    if not lines or lines[0] != FORMAT_TAG:
-        raise VersionError(
-            f"unsupported format tag {lines[0]!r} (expected {FORMAT_TAG})"
-        )
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+        raise InconsistencyError(f"non-ASCII byte {data[pos]:#04x} at offset {pos}")
+    lines = data.splitlines()  # universal newlines: "\r\n" and a lone "\r" end a line too
+    if not data or data.endswith((b"\n", b"\r")):
+        lines.append(b"")
+    del data  # the lines copy the file, and the payload copies them: hold two copies at most
+    tag = lines[0].decode("ascii")
+    if tag != FORMAT_TAG:
+        raise VersionError(f"unsupported format tag {tag!r} (expected {FORMAT_TAG})")
     fields: dict[str, str] = {}
     i = 1
     while i < len(lines):
-        line = lines[i]
+        line = lines[i].decode("ascii")
         if line == "cells:":
             break
         if ": " not in line:
@@ -134,20 +136,14 @@ def load_window(path) -> WindowFile:
     if missing:
         raise InconsistencyError(f"missing header keys: {', '.join(missing)}")
 
-    payload_lines = []
-    checksum = None
-    for j in range(i + 1, len(lines)):
-        line = lines[j]
-        if line.startswith("checksum: "):
-            checksum = line.split(": ", 1)[1]
-            trailing = [t for t in lines[j + 1:] if t]
-            if trailing:
-                raise InconsistencyError("content after the checksum line")
-            break
-        payload_lines.append(line)
-    if checksum is None:
+    j = next((j for j in range(i + 1, len(lines)) if lines[j].startswith(b"checksum: ")), None)
+    if j is None:
         raise InconsistencyError("missing checksum line")
-    payload = "".join(payload_lines)
+    if any(lines[j + 1:]):
+        raise InconsistencyError("content after the checksum line")
+    checksum = lines[j][len(b"checksum: "):].decode("ascii")
+    payload = b"".join(lines[i + 1:j])
+    del lines
 
     length = _header_int("length", fields["length"])
     if len(payload) != length:
@@ -156,10 +152,9 @@ def load_window(path) -> WindowFile:
         )
     if length < 1:
         raise InconsistencyError("empty payload: a window needs at least one cell")
-    if checksum != checksum64(payload):
-        raise ChecksumError(
-            f"checksum mismatch: header {checksum}, payload {checksum64(payload)}"
-        )
+    digest = checksum64(payload)
+    if checksum != digest:
+        raise ChecksumError(f"checksum mismatch: header {checksum}, payload {digest}")
     try:
         alphabet = Alphabet(fields["alphabet"])
     except InvalidParameterError as exc:

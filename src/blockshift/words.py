@@ -60,18 +60,19 @@ class Alphabet:
             raise InvalidParameterError(f"symbol {ch!r} not in alphabet {self.symbols!r}")
         return i
 
-    def cells_of_text(self, text: str) -> np.ndarray:
-        """Translate a text into a uint8 array of symbol indices; '*' becomes STAR."""
-        try:
-            raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError as exc:
-            raise InvalidParameterError(f"non-ASCII character in text: {exc}") from None
-        cells = _translate(self._encode, raw)
+    def cells_of_text(self, text: str | bytes) -> np.ndarray:
+        """Translate a text or ASCII bytes into a uint8 array of symbol indices; '*' becomes STAR."""
+        if isinstance(text, str):
+            try:
+                text = text.encode("ascii")
+            except UnicodeEncodeError as exc:
+                raise InvalidParameterError(f"non-ASCII character in text: {exc}") from None
+        cells = _translate(self._encode, np.frombuffer(text, dtype=np.uint8))
         bad = cells == _NOT_SYMBOL
         if bad.any():
             pos = int(bad.argmax())
             raise InvalidParameterError(
-                f"symbol {text[pos]!r} not in alphabet {self.symbols!r}"
+                f"symbol {chr(text[pos])!r} not in alphabet {self.symbols!r}"
             )
         return cells
 

@@ -1,17 +1,20 @@
 """Slow reference implementations that fast paths of the package are
 checked against; nothing under src/ imports them."""
 
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 
-from blockshift import (STAR, Card, ConstructionInvariantError, DensityViolation, InfeasibleDepth,
-                        InvalidParameterError, PartialWindow, SparseSetSpec,
+from blockshift import (STAR, Alphabet, Card, ChecksumError, ConstructionInvariantError,
+                        DensityViolation, InconsistencyError, InfeasibleDepth,
+                        InvalidParameterError, PartialWindow, SparseSetSpec, VersionError,
                         aligned_block_census, block_interval, block_of)
 from blockshift import schedule as _schedule
-from blockshift.schedule import DEFAULT_WINDOW_HINT, LevelCheck, next_card
+from blockshift.schedule import DEFAULT_WINDOW_HINT, PROFILES, LevelCheck, next_card
 from blockshift.sparse import _int_field
+from blockshift.windowfile import _HEADER_KEYS, FORMAT_TAG, WindowFile, _header_int
 from blockshift.words import hull_of_blocks, on_block_grid
 
 
@@ -42,6 +45,98 @@ def sparse_file_by_strip(path):
         if line:
             values.append(_int_field(f"{path}:{lineno}", line))
     return SparseSetSpec.explicit(values, horizon=horizon)
+
+
+def load_window_by_text(path):
+    """load_window on the decoded text: the whole file read as one str
+    (universal newlines), split into lines, the payload joined into a
+    second str and encoded for the checksum and for the cells."""
+    def checksum64(payload):
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+        raise InconsistencyError(
+            f"non-ASCII byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    lines = text.split("\n")
+    if not lines or lines[0] != FORMAT_TAG:
+        raise VersionError(
+            f"unsupported format tag {lines[0]!r} (expected {FORMAT_TAG})"
+        )
+    fields: dict[str, str] = {}
+    i = 1
+    while i < len(lines):
+        line = lines[i]
+        if line == "cells:":
+            break
+        if ": " not in line:
+            raise InconsistencyError(f"malformed header line {line!r}")
+        key, value = line.split(": ", 1)
+        if key not in _HEADER_KEYS:
+            raise InconsistencyError(f"unknown header key {key!r}")
+        if key in fields:
+            raise InconsistencyError(f"duplicate header key {key!r}")
+        fields[key] = value
+        i += 1
+    else:
+        raise InconsistencyError("missing 'cells:' section")
+    missing = [k for k in _HEADER_KEYS if k not in fields]
+    if missing:
+        raise InconsistencyError(f"missing header keys: {', '.join(missing)}")
+
+    payload_lines = []
+    checksum = None
+    for j in range(i + 1, len(lines)):
+        line = lines[j]
+        if line.startswith("checksum: "):
+            checksum = line.split(": ", 1)[1]
+            trailing = [t for t in lines[j + 1:] if t]
+            if trailing:
+                raise InconsistencyError("content after the checksum line")
+            break
+        payload_lines.append(line)
+    if checksum is None:
+        raise InconsistencyError("missing checksum line")
+    payload = "".join(payload_lines)
+
+    length = _header_int("length", fields["length"])
+    if len(payload) != length:
+        raise InconsistencyError(
+            f"declared length {length} != payload cell count {len(payload)}"
+        )
+    if length < 1:
+        raise InconsistencyError("empty payload: a window needs at least one cell")
+    if checksum != checksum64(payload):
+        raise ChecksumError(
+            f"checksum mismatch: header {checksum}, payload {checksum64(payload)}"
+        )
+    try:
+        alphabet = Alphabet(fields["alphabet"])
+    except InvalidParameterError as exc:
+        raise InconsistencyError(f"header 'alphabet': {exc}") from None
+    if fields["profile"] not in PROFILES:
+        raise InconsistencyError(f"header 'profile': unknown profile {fields['profile']!r}")
+    try:
+        cells = alphabet.cells_of_text(payload)
+    except InvalidParameterError as exc:
+        raise InconsistencyError(f"payload {exc}") from None
+    window = PartialWindow(_header_int("offset", fields["offset"]), cells)
+    m_list = tuple(_header_int("m-list", v) for v in fields["m-list"].split(","))
+    depth = _header_int("depth", fields["depth"])
+    if len(m_list) != depth + 1:
+        raise InconsistencyError("m-list length does not match depth")
+    bad = [m for m in m_list if m < 1 or m % 2 == 0]
+    if bad:
+        raise InconsistencyError(f"header 'm-list': {bad[0]} is not an odd positive integer")
+    if not on_block_grid(window.offset, length, m_list[-1]):
+        raise InconsistencyError(
+            f"window {window.interval()} is not a union of level-{depth} blocks"
+        )
+    return WindowFile(window, alphabet, fields["profile"], depth, m_list,
+                      fields["sparse"], fields["u"], fields["fill"],
+                      _header_int("seed", fields["seed"]))
 
 
 def rows_outside(word, allowed):

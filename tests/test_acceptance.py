@@ -185,7 +185,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
     )
 
     base_payload = sched2.alphabet.text_of_cells(x2.cells)
-    base_sum = checksum64(base_payload)
+    base_sum = checksum64(base_payload.encode())
     rng = random.Random(0xB10C5)
     caught = 0
     for _ in range(100):
@@ -195,7 +195,7 @@ def test_criterion_5_minimality_and_mutation(x2, sched2, mu_target, squares):
         from blockshift import PartialWindow
 
         mutated = PartialWindow(x2.offset, cells)
-        by_checksum = checksum64(sched2.alphabet.text_of_cells(mutated.cells)) != base_sum
+        by_checksum = checksum64(sched2.alphabet.text_of_cells(mutated.cells).encode()) != base_sum
         by_realization = not verify_realization(mutated, mu_target, squares).passed
         if by_checksum or by_realization:
             caught += 1

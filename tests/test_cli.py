@@ -172,7 +172,7 @@ def _empty_payload(lines):
     """The depth-1 window file with no cells, `length: 0` and the empty checksum."""
     cells = lines.index("cells:")
     return "\n".join(["length: 0" if l.startswith("length: ") else l
-                      for l in lines[:cells + 1]] + [f"checksum: {checksum64('')}", ""])
+                      for l in lines[:cells + 1]] + [f"checksum: {checksum64(b'')}", ""])
 
 
 # A dict edit runs argv on the depth-1 window file with those header values;

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from blockshift import (
 )
 from blockshift.realization import realize
 from blockshift.windowfile import LINE_CELLS, checksum64
+from tests.oracles import load_window_by_text
 
 
 def _save(tmp_path, x, sched, name="w.bsw", depth=1):
@@ -102,7 +105,7 @@ def test_alphabet_payload_mismatch(tmp_path, sched2, mu_target):
     # keep the checksum consistent so the alphabet check is what fires
     for i, l in enumerate(lines):
         if l.startswith("checksum: "):
-            lines[i] = "checksum: " + checksum64(payload)
+            lines[i] = "checksum: " + checksum64(payload.encode())
     path.write_text("\n".join(lines))
     with pytest.raises(InconsistencyError):
         load_window(path)
@@ -184,23 +187,112 @@ def test_save_holds_a_few_lines_at_a_time(tmp_path, binary):
     assert wf.render().encode() == (tmp_path / "w.bsw").read_bytes()
 
 
+def test_load_holds_few_payload_copies(tmp_path, binary):
+    """The load keeps the file as bytes from disk to cells: its traced
+    peak on a 4 M-cell window stays below 3.5 bytes a cell."""
+    cells = np.tile(np.array([0, 1, 1, STAR, 0], dtype=np.uint8), 800_000)
+    x = PartialWindow(-2_000_002, cells)
+    path = tmp_path / "w.bsw"
+    save_window(path, x, alphabet=binary, profile="fast", depth=1, m_list=(1, 5),
+                sparse="squares", u="mu-indicator", fill="pillar-first-ltr,cycle-seeded@0")
+    tracemalloc.start()
+    try:
+        wf = load_window(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wf.window == x
+    assert peak < 3.5 * len(x)
+
+
+def _edit_lines(text, fn):
+    return "\n".join(fn(text.split("\n")))
+
+
+def _with_payload(lines, payload):
+    """The lines with the payload line replaced and the checksum made to match."""
+    cells = lines.index("cells:") + 1
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return lines[:cells] + [payload, f"checksum: {digest}", ""]
+
+
+# Each edit maps the text of the depth-1 window file (alphabet 01, cells
+# 000000101100101, checksum b21d787d93035dfe) to the text of the input.
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda t: t.replace("BLOCKSHIFT/1", "BLOCKSHIFT/2"), VersionError,
+     "unsupported format tag 'BLOCKSHIFT/2' (expected BLOCKSHIFT/1)"),
+    (lambda t: "", VersionError, "unsupported format tag '' (expected BLOCKSHIFT/1)"),
+    (lambda t: t.replace("u: mu-indicator", "u: mu-indicat\u00e9r"), InconsistencyError,
+     "non-ASCII byte 0xc3 at offset 95"),
+    (lambda t: t.replace("depth: 1", "depth 1"), InconsistencyError,
+     "malformed header line 'depth 1'"),
+    (lambda t: t.replace("seed: 0", "colour: red"), InconsistencyError,
+     "unknown header key 'colour'"),
+    (lambda t: t.replace("seed: 0", "seed: 0\nseed: 1"), InconsistencyError,
+     "duplicate header key 'seed'"),
+    (lambda t: t.replace("seed: 0\n", ""), InconsistencyError, "missing header keys: seed"),
+    (lambda t: t.split("\ncells:")[0], InconsistencyError, "missing 'cells:' section"),
+    (lambda t: t.split("cells:")[0], InconsistencyError, "malformed header line ''"),
+    (lambda t: _edit_lines(t, lambda ls: ls[:-2] + [""]), InconsistencyError,
+     "missing checksum line"),
+    (lambda t: t + "0\n", InconsistencyError, "content after the checksum line"),
+    (lambda t: t.replace("length: 15", "length: 16"), InconsistencyError,
+     "declared length 16 != payload cell count 15"),
+    (lambda t: _edit_lines(t.replace("length: 15", "length: 0"),
+                           lambda ls: _with_payload(ls, "")), InconsistencyError,
+     "empty payload: a window needs at least one cell"),
+    (lambda t: t.replace("000000101100101", "100000101100101"), ChecksumError,
+     "checksum mismatch: header b21d787d93035dfe, payload "
+     + hashlib.sha256(b"100000101100101").hexdigest()[:16]),
+    (lambda t: _edit_lines(t, lambda ls: _with_payload(ls, "000000201100101")),
+     InconsistencyError, "payload symbol '2' not in alphabet '01'"),
+    (lambda t: t.replace("profile: faithful", "profile: bogus"), InconsistencyError,
+     "header 'profile': unknown profile 'bogus'"),
+], ids=["tag", "empty-file", "non-ascii", "malformed", "unknown-key", "duplicate-key",
+        "missing-keys", "no-cells", "no-cells-newline", "no-checksum", "after-checksum",
+        "length", "empty", "checksum", "symbol", "profile"])
+def test_load_error_messages(tmp_path, sched2, mu_target, edit, error, message):
+    path = _save(tmp_path, realize(mu_target, sched2, 1), sched2)
+    path.write_bytes(edit(path.read_text()).encode("utf-8"))
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        load_window(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_crlf_and_cr_files_load_as_the_lf_file(tmp_path, x2, sched2, newline):
+    path = _save(tmp_path, x2, sched2, depth=2)
+    other = tmp_path / "other.bsw"
+    other.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert load_window(other) == load_window(path)
+
+
 @pytest.fixture(scope="module")
 def d1_path(tmp_path_factory, sched2, mu_target):
     return _save(tmp_path_factory.mktemp("d1"), realize(mu_target, sched2, 1), sched2)
 
 
-EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete", "0xff"]),
+EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete", "0xff", "cr", "lf"]),
                            st.integers(0, 1 << 16), st.integers(0, 255)),
                  min_size=1, max_size=4)
+
+
+def _outcome(load, path):
+    """The loaded file, or the class and message of the format error raised."""
+    try:
+        return load(path)
+    except WindowFormatError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=400, deadline=None)
 @given(edits=EDITS)
 def test_mutated_file_raises_only_format_errors(d1_path, edits):
+    """A mutant raises a format error, the same class and message as the
+    text loader of tests/oracles.py, or loads equal to it."""
     data = bytearray(d1_path.read_bytes())
     for op, pos, byte in edits:
-        if op == "insert":
-            data.insert(pos % (len(data) + 1), byte)
+        if op in ("insert", "cr", "lf"):
+            data.insert(pos % (len(data) + 1), {"cr": 13, "lf": 10}.get(op, byte))
         elif data and op == "delete":
             del data[pos % len(data)]
         elif data and op == "flip":
@@ -209,7 +301,4 @@ def test_mutated_file_raises_only_format_errors(d1_path, edits):
             data[pos % len(data)] = 0xFF
     mutant = d1_path.with_name("mutant.bsw")
     mutant.write_bytes(bytes(data))
-    try:
-        load_window(mutant)
-    except WindowFormatError:
-        pass
+    assert _outcome(load_window, mutant) == _outcome(load_window_by_text, mutant)
