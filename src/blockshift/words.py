@@ -67,31 +67,30 @@ class Alphabet:
                 text = text.encode("ascii")
             except UnicodeEncodeError as exc:
                 raise InvalidParameterError(f"non-ASCII character in text: {exc}") from None
-        cells = _translate(self._encode, np.frombuffer(text, dtype=np.uint8))
-        bad = cells == _NOT_SYMBOL
-        if bad.any():
-            pos = int(bad.argmax())
+        cells, bad = _translate(self._encode, np.frombuffer(text, dtype=np.uint8))
+        if bad is not None:
             raise InvalidParameterError(
-                f"symbol {chr(text[pos])!r} not in alphabet {self.symbols!r}"
-            )
+                f"symbol {chr(text[bad])!r} not in alphabet {self.symbols!r}")
         return cells
 
     def text_of_cells(self, cells: np.ndarray) -> str:
         arr = np.ascontiguousarray(cells, dtype=np.uint8)
-        chars = _translate(self._decode, arr)
-        if chars.size and int(chars.max()) == _NOT_SYMBOL:  # every symbol byte is ASCII
-            pos = int((chars == _NOT_SYMBOL).argmax())
-            raise InvalidParameterError(f"cell value {int(arr[pos])} outside alphabet")
+        chars, bad = _translate(self._decode, arr)
+        if bad is not None:
+            raise InvalidParameterError(f"cell value {int(arr[bad])} outside alphabet")
         return chars.tobytes().decode("ascii")
 
 
-def _translate(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """table[codes] for a 256-entry uint8 table and uint8 codes, a chunk
-    at a time (row_chunks), as np.take first copies its indices to intp."""
+def _translate(table: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """table[codes] for a 256-entry uint8 table and uint8 codes, a chunk at a time
+    (row_chunks), as np.take first copies its indices to intp; and the index of the
+    first code that maps to _NOT_SYMBOL (the output then ends at its chunk), or None."""
     out = np.empty(codes.size, dtype=np.uint8)
-    for part in row_chunks(codes.size):
-        np.take(table, codes[part], out=out[part], mode="clip")  # every uint8 code is in range
-    return out
+    for part in row_chunks(codes.size):  # mode="clip": every uint8 code is in range
+        bad = np.take(table, codes[part], out=out[part], mode="clip") == _NOT_SYMBOL
+        if bad.any():
+            return out, part.start + int(bad.argmax())
+    return out, None
 
 
 def check_cell_count(n: int) -> None:

@@ -305,6 +305,8 @@ def _empty_payload(lines):
     # N is checked before the depth-3 schedule is built and its window filled
     ("", ["demo-sarnak", "--profile", "fast", "--depth", "3", "--N", "-3"], 2,
      "error: N must be >= 1"),
+    ("", REALIZE + ["--u", "foo", "--out", "{dir}/x.bsw"], 2,
+     "error: cannot parse target sequence 'foo'"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line):
     path = tmp_path / "input"
@@ -322,6 +324,23 @@ def test_bad_input_exit_code(tmp_path, capsys, d1_lines, edit, argv, code, line)
     stream = err if "error:" in line else out
     assert any(l.startswith(line.format(file=path, dir=tmp_path))
                for l in stream.splitlines())
+
+
+def test_verify_fails_a_partially_defined_window(tmp_path, capsys, d1_lines):
+    """A star off S, with the checksum fixed, leaves block 0 partially
+    defined: admissibility fails on it and minimality is skipped."""
+    cells = d1_lines.index("cells:") + 1
+    payload = "*" + d1_lines[cells][1:]  # coordinate -7, not a square
+    path = tmp_path / "star.bsw"
+    path.write_text("\n".join(d1_lines[:cells] + [
+        payload, f"checksum: {checksum64(payload.encode())}", ""]))
+    code, out, _ = run(capsys, "verify", str(path))
+    rows = {l[:14].rstrip(): (l[14:20].rstrip(), l[20:]) for l in out.splitlines()}
+    assert code == 1
+    assert rows["realization"][0] == "PASS"
+    assert rows["admissibility"][0] == "FAIL"
+    assert rows["admissibility"][1].endswith(" [block 0 partially defined]")
+    assert rows["minimality"] == ("SKIP", "window not fully defined")
 
 
 # The density-scan calls of the benchmark, plus one range the element scan

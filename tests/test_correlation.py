@@ -7,6 +7,7 @@ from blockshift import (
     STAR,
     InvalidParameterError,
     PartialWindow,
+    TargetSequence,
     WeightTable,
     WindowRangeError,
     correlation_average,
@@ -98,6 +99,9 @@ def test_correlation_identity_depth2(x2, sched2, mu_target, squares, mob, binary
     by_n = dict(rep.rows)
     assert by_n[1] == Fraction(mob.mu(1) * 1, 1)
     assert by_n[832] == rep.final()
+    # a target the window does not realize breaks the identity
+    ones = TargetSequence.from_text("1" * 832, binary)
+    assert correlation_average(x2, rho, squares, 832, binary, u=ones).exact_identity is False
 
 
 def test_correlation_bounded_by_weight(x2, squares, mob, binary):

@@ -273,6 +273,16 @@ def test_exact_count_matches_sum(r, a):
     assert exact_next_count(r, a, False) == exact_next_count_by_sum(r, a)
 
 
+def test_log_bounded_next_card_brackets_the_exact_count():
+    """From a previous card known only by its log, the next card's bounds
+    hold the exact count (the branch of schedules too deep to count)."""
+    for r in range(3, 61, 3):
+        for a in range(2, 13):
+            card = schedule.next_card(r, Card.bounds(math.log(a), math.log(a)), False)
+            assert card.exact is None
+            assert card.log_lower <= math.log(exact_next_count(r, a, False)) <= card.log_upper
+
+
 def test_every_word_count_matches_surjections():
     """The faithful-profile count by inclusion-exclusion over Horner sums
     against the sum over pillar counts of surjection counts."""

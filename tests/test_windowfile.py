@@ -189,7 +189,7 @@ def test_save_holds_a_few_lines_at_a_time(tmp_path, binary):
 
 def test_load_holds_few_payload_copies(tmp_path, binary):
     """The load keeps the file as bytes from disk to cells: its traced
-    peak on a 4 M-cell window stays below 3.5 bytes a cell."""
+    peak on a 4 M-cell window stays below 2.5 bytes a cell."""
     cells = np.tile(np.array([0, 1, 1, STAR, 0], dtype=np.uint8), 800_000)
     x = PartialWindow(-2_000_002, cells)
     path = tmp_path / "w.bsw"
@@ -202,7 +202,7 @@ def test_load_holds_few_payload_copies(tmp_path, binary):
     finally:
         tracemalloc.stop()
     assert wf.window == x
-    assert peak < 3.5 * len(x)
+    assert peak < 2.5 * len(x)
 
 
 def _edit_lines(text, fn):
@@ -248,9 +248,11 @@ def _with_payload(lines, payload):
      InconsistencyError, "payload symbol '2' not in alphabet '01'"),
     (lambda t: t.replace("profile: faithful", "profile: bogus"), InconsistencyError,
      "header 'profile': unknown profile 'bogus'"),
+    (lambda t: t.replace("depth: 1", "depth: 2"), InconsistencyError,
+     "m-list length does not match depth"),
 ], ids=["tag", "empty-file", "non-ascii", "malformed", "unknown-key", "duplicate-key",
         "missing-keys", "no-cells", "no-cells-newline", "no-checksum", "after-checksum",
-        "length", "empty", "checksum", "symbol", "profile"])
+        "length", "empty", "checksum", "symbol", "profile", "depth"])
 def test_load_error_messages(tmp_path, sched2, mu_target, edit, error, message):
     path = _save(tmp_path, realize(mu_target, sched2, 1), sched2)
     path.write_bytes(edit(path.read_text()).encode("utf-8"))

@@ -1,8 +1,9 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockshift import (
     Alphabet,
@@ -11,6 +12,7 @@ from blockshift import (
     block_interval,
     block_of,
 )
+from blockshift import words
 from blockshift.words import count_rows, on_block_grid, rows_equal
 from tests.oracles import occurrences
 
@@ -146,30 +148,44 @@ def test_row_kernels_match_a_per_row_reference(w):
     assert rows_equal(np.zeros((0, w), np.uint8), word).shape == (0,)
 
 
+# The default batch, and one that makes row_chunks cut every 4 entries, so
+# that the first bad entry can lie in a later chunk than the first (as in
+# each test's example).
+CHUNKINGS = (words._BATCH_CELLS, 256)
+
+
 @given(st.sampled_from(["01", "0+-", "abcXYZ"]), st.text(alphabet="01+-abcXYZ*2 é", max_size=30))
+@example("01", "0*10+")
 def test_cells_of_text_names_the_first_character_outside_the_alphabet(symbols, text):
     ab = Alphabet(symbols)
     bad = [ch for ch in text if ch not in symbols + "*"]
-    if any(ord(ch) >= 128 for ch in text):
-        with pytest.raises(InvalidParameterError, match="^non-ASCII character in text: "):
-            ab.cells_of_text(text)
-    elif bad:
-        with pytest.raises(InvalidParameterError,
-                           match=re.escape(f"symbol {bad[0]!r} not in alphabet {symbols!r}")):
-            ab.cells_of_text(text)
-    else:
-        got = ab.cells_of_text(text)
-        assert got.dtype == np.uint8
-        assert got.tolist() == [255 if ch == "*" else symbols.index(ch) for ch in text]
+    for batch in CHUNKINGS:
+        with mock.patch.object(words, "_BATCH_CELLS", batch):
+            if any(ord(ch) >= 128 for ch in text):
+                with pytest.raises(InvalidParameterError, match="^non-ASCII character in text: "):
+                    ab.cells_of_text(text)
+            elif bad:
+                with pytest.raises(InvalidParameterError, match=re.escape(
+                        f"symbol {bad[0]!r} not in alphabet {symbols!r}")):
+                    ab.cells_of_text(text)
+            else:
+                got = ab.cells_of_text(text)
+                assert got.dtype == np.uint8
+                assert got.tolist() == [255 if ch == "*" else symbols.index(ch) for ch in text]
 
 
 @given(st.lists(st.integers(0, 255), max_size=30))
+@example([0, 1, 2, 255, 1, 9])
 def test_text_of_cells_names_the_first_cell_outside_the_alphabet(values):
     ab = Alphabet("0+-")
     cells = np.array(values, dtype=np.uint8)
     bad = [v for v in values if 3 <= v < 255]
-    if bad:
-        with pytest.raises(InvalidParameterError, match=f"^cell value {bad[0]} outside alphabet$"):
-            ab.text_of_cells(cells)
-    else:
-        assert ab.text_of_cells(cells) == "".join("*" if v == 255 else "0+-"[v] for v in values)
+    for batch in CHUNKINGS:
+        with mock.patch.object(words, "_BATCH_CELLS", batch):
+            if bad:
+                with pytest.raises(InvalidParameterError,
+                                   match=f"^cell value {bad[0]} outside alphabet$"):
+                    ab.text_of_cells(cells)
+            else:
+                assert ab.text_of_cells(cells) == "".join("*" if v == 255 else "0+-"[v]
+                                                          for v in values)
