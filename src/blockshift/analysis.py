@@ -2,10 +2,12 @@
 minimality witnesses, and the positive-density converse bound.
 
 Everything here is exact.  Subword counting packs the next n_max cells
-of every start position, a few bits a cell, into uint64 key words and
-sorts them once; the longest common prefixes of adjacent sorted keys,
-read off the XORs of their words, give the count for every length at
-once (no hashing).  Aligned blocks are counted by one lexsort of each
+of every start position, a few bits a cell, into uint64 key words built
+from the cells in place (no padded copy of the window) and sorts them
+once; the longest common prefixes of adjacent sorted keys, read off the
+XORs of their words, give the count for every length at once (no
+hashing).  Aligned blocks are counted by one sort of their row codes
+(words.row_codes), or, for rows past 64 bits, by one lexsort of each
 row's 8-byte words.  Reported counts are window lower bounds on the
 language size, since a finite window can undercount straddling words.
 
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError
 # re-exported: the package, the CLI and correlation read window_admissibility_report here
 from .schedule import Schedule, WindowAdmissibilityReport, window_admissibility_report
-from .words import PartialWindow, on_block_grid, row_chunks
+from .words import STAR, PartialWindow, on_block_grid, row_chunks, row_codes
 
 
 # --- subword complexity -------------------------------------------------
@@ -44,38 +46,37 @@ def complexity_profile(x: PartialWindow, n_max: int,
                        aligned_lengths=()) -> ComplexityReport:
     """Exact distinct-subword counts for every length up to n_max.
 
-    One lexicographic sort serves every length.  The cells are padded
-    with n_max - 1 copies of an end mark, the digit ``base`` (one above
-    every cell value), and each start position's next n_max digits are
-    packed, ``base.bit_length()`` bits a digit, into uint64 key words.
+    One lexicographic sort serves every length.  A start position's next
+    n_max digits are its cells and, past the last cell, copies of an end
+    mark, the digit ``base`` (one above every cell value); they are
+    packed, ``base.bit_length()`` bits a digit, into uint64 key words
+    built from the cells in place (no padded copy of the window).
     After the sort, the number of distinct n-prefixes is one more than
     the number of adjacent keys whose first n digits differ, and the
     highest set bit of their XOR tells the first digit that differs.  So
     one in-place sort of the XORs and one ``searchsorted`` against the
     digit boundaries give that number for every n of a key word (the
     histogram of longest common prefixes).  The XORs overwrite the
-    keys, so the peak holds the keys and little more.  The distinct
-    n-prefixes are the distinct length-n words plus the n - 1 prefixes
-    that hold the end mark.
+    keys, so the peak holds the cells, the keys and little more.  The
+    distinct n-prefixes are the distinct length-n words plus the n - 1
+    prefixes that hold the end mark.
 
     Counts over all positions are window lower bounds on the language
     size (straddling words can be undercounted); for each requested
     block length the grid-aligned distinct count is reported separately,
-    from one lexsort of the 8-byte words of the block rows.
+    from one sort of the block rows' codes, or for rows past 64 bits one
+    lexsort of their 8-byte words.
     """
-    if not x.is_fully_defined():
+    top = int(x.cells.max())  # read once: the star test and every digit width
+    if top == STAR:  # STAR is the largest cell value
         raise InvalidParameterError("window contains '*' cells")
     if n_max < 1 or n_max > len(x):
         raise InvalidParameterError(f"n_max {n_max} outside [1,{len(x)}]")
-    size = len(x)
-    base = int(x.cells.max()) + 1
+    base = top + 1
     bits = base.bit_length()
     per_word = 63 // bits
-    # cells are at most 254 (255 is the star), so the end mark fits uint8
-    padded = np.concatenate([x.cells, np.full(n_max - 1, base, dtype=np.uint8)])
     starts = range(0, n_max, per_word)
-    keys = [_packed(padded[lo:], min(per_word, n_max - lo), bits, size) for lo in starts]
-    del padded
+    keys = [_packed(x.cells, lo, min(per_word, n_max - lo), bits, base) for lo in starts]
     if len(keys) == 1:
         keys[0].sort()
     else:
@@ -101,9 +102,8 @@ def complexity_profile(x: PartialWindow, n_max: int,
         for n, pairs in enumerate(apart.tolist(), start=lo + 1):
             counts[n] = 1 + pairs - (n - 1)
         del xor
-    aligned = {
-        int(m): _distinct_rows(_aligned_rows(x, int(m))) for m in aligned_lengths
-    }
+    aligned = {int(m): _distinct_rows(_aligned_rows(x, int(m)), top.bit_length())
+               for m in aligned_lengths}
     return ComplexityReport(len(x), counts, aligned)
 
 
@@ -113,31 +113,40 @@ _ALL_ONES = np.uint64(2**64 - 1)
 # change, so no pass needs a second key-sized array.
 
 
-def _packed(digits: np.ndarray, width: int, bits: int, size: int) -> np.ndarray:
-    """key[i] = digits[i], ..., digits[i + width - 1], ``bits`` bits each,
-    the first digit highest, for i < size.
+def _packed(cells: np.ndarray, lo: int, width: int, bits: int, base: int) -> np.ndarray:
+    """key[i] = digits lo + i, ..., lo + i + width - 1, ``bits`` bits
+    each, the first digit highest, for i < cells.size; digit q is
+    cells[q], or the end mark ``base`` past the last cell.
 
-    Built by doubling: a key of h digits becomes one of 2h by joining
-    each key to the one h places on, and one of h + 1 by joining each
-    key to the digit h places on, so ``width`` digits take about
-    2·log2(width) passes, not width - 1."""
-    key = digits[:size + width - 1].astype(np.uint64)
+    The key starts as the digits from lo on, widened to uint64, and is
+    built in place by doubling: a key of h digits becomes one of 2h by
+    joining each key to the one h places on, and one of h + 1 by joining
+    each key to the digit h places on, so ``width`` digits take about
+    2·log2(width) passes, not width - 1.  A key that starts past the
+    last cell holds end marks only."""
+    size = cells.size
+    key = np.empty(size, dtype=np.uint64)
+    key[:size - lo] = cells[lo:]
+    key[size - lo:] = base
     have = 1
     for bit in bin(width)[3:]:
-        _join(key, key, have, bits * have)
+        _join(key, key[have:], bits * have, sum(base << bits * j for j in range(have)))
         have *= 2
         if bit == "1":
-            _join(key, digits, have, bits)
+            _join(key, cells[lo + have:], bits, base)
             have += 1
-    return key[:size]
+    return key
 
 
-def _join(key: np.ndarray, tail: np.ndarray, ahead: int, shift: int) -> None:
-    """key[i] = key[i] << shift | tail[i + ahead] for i < key.size - ahead."""
-    end = key.size - ahead
-    head, tail = key[:end], tail[ahead:ahead + end]
-    for part in row_chunks(end):
-        head[part] = (head[part] << shift) | tail[part]
+def _join(key: np.ndarray, tail: np.ndarray, shift: int, mark: int) -> None:
+    """key[i] = key[i] << shift | tail[i] for every i, in place, where
+    tail[i] is ``mark`` past the end of tail (tail may be key itself, a
+    few places on)."""
+    for part in row_chunks(key.size):
+        head, more = key[part], tail[part]
+        if more.size < head.size:  # the end marks, in the last chunk or so
+            more = np.concatenate([more, np.full(head.size - more.size, mark, more.dtype)])
+        np.bitwise_or(np.left_shift(head, shift), more, out=head)
 
 
 def _xor_with_next(key: np.ndarray) -> np.ndarray:
@@ -154,19 +163,21 @@ def _aligned_rows(x: PartialWindow, m: int) -> np.ndarray:
     return x.cells.reshape(len(x) // m, m)
 
 
-def _distinct_rows(rows: np.ndarray) -> int:
+def _distinct_rows(rows: np.ndarray, bits: int) -> int:
     """The number of distinct rows of a C-contiguous uint8 array of one
-    or more rows.
+    or more rows, whose cells are below 2**bits.
 
-    Rows are read as 8-byte words, as in ``words.rows_equal``: the words
-    at byte offsets 0, 8, ... and one at m - 8 for the tail, through
-    unaligned strided uint64 views, so no row is copied; rows under 8
-    bytes are zero-padded to one word.  A lexsort of the words puts equal
-    rows next to each other."""
+    A row of at most 64 bits is one words.row_codes code, so one sort of
+    the codes puts equal rows next to each other.  A wider row (over 8
+    cells, as bits <= 8) is read as 8-byte words, as in
+    ``words.rows_equal`` (byte offsets 0, 8, ... and m - 8 for the tail,
+    through unaligned strided uint64 views, so no row is copied), and
+    one lexsort of the words does that."""
     n, m = rows.shape
-    if m < 8:
-        rows = np.pad(rows, ((0, 0), (0, 8 - m)))
-        m = 8
+    if m * bits <= 64:
+        codes = row_codes(rows, bits)
+        codes.sort()
+        return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
     offsets = list(range(0, m - 7, 8)) + ([m - 8] if m % 8 else [])
     words = [np.ndarray((n,), np.uint64, rows, o, (m,)) for o in offsets]
     order = np.lexsort(words)

@@ -84,8 +84,12 @@ class Card:
 
     @classmethod
     def exact_count(cls, n: int) -> "Card":
+        # math.log of an int past 2**1024 is log(mantissa) + e·log(2): three
+        # roundings and a rounded log(2) put it up to about 1.3 ulp off, so
+        # one nextafter does not bracket ln n; 4 ulp each way does
         ln = math.log(n)
-        return cls(exact=n, log_lower=ln, log_upper=ln)
+        slack = 4 * math.ulp(ln)
+        return cls(exact=n, log_lower=ln - slack, log_upper=ln + slack)
 
     @classmethod
     def bounds(cls, lower: float, upper: float) -> "Card":

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,21 +104,47 @@ def test_complexity_matches_naive_on_raw_cells(case):
     assert rep.counts == {n: naive_distinct(cells, n) for n in range(1, n_max + 1)}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from([3, 7, 8, 9, 15, 16, 17, 23]), st.integers(1, 40),
        st.integers(-3, 3), st.data())
 def test_aligned_count_matches_census(m, blocks, shift, data):
-    # copies of one row, each with at most one byte changed, so equal rows
-    # recur and unequal ones can differ in any one byte
-    row = data.draw(st.lists(st.integers(0, 254), min_size=m, max_size=m))
+    # copies of one row, each with at most one cell changed, so equal rows
+    # recur and unequal ones can differ in any one cell.  The cells lie in
+    # 0..254 (8-bit rows: one code a row up to 8 cells, a lexsort of 8-byte
+    # words past that) or among 2-4 values of 0..3 (rows of at most 46
+    # bits: one code a row at every width here)
+    if data.draw(st.booleans()):
+        values = range(255)
+    else:
+        values = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
+    row = data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
     cells = []
     for _ in range(blocks):
         copy = list(row)
-        copy[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([row[0], 0, 254]))
+        copy[data.draw(st.integers(0, m - 1))] = data.draw(
+            st.sampled_from([row[0], min(values), max(values)]))
         cells += copy
     x = PartialWindow(shift * m - (m - 1) // 2, cells)
     rep = complexity_profile(x, 1, aligned_lengths=(m,))
     assert rep.aligned == {m: len(aligned_block_census(x, m))}
+
+
+def test_complexity_holds_the_keys_and_little_more():
+    """The key words are built from the cells in place, and the aligned
+    blocks are counted by one sort of their row codes: the traced peak
+    of a one-key-word profile of a 4 M-cell window stays below 8.5 bytes
+    a cell (its uint64 keys, and chunk-sized temporaries)."""
+    n = 4_000_005  # 266 667 aligned 15-blocks
+    x = PartialWindow(-7, np.random.default_rng(0).integers(0, 3, n, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        rep = complexity_profile(x, 24, aligned_lengths=(15,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counts[1] == 3 and rep.counts[24] <= n - 23
+    assert rep.aligned == {15: len(aligned_block_census(x, 15))}
+    assert peak < 8.5 * n
 
 
 @settings(max_examples=40)

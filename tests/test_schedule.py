@@ -1,12 +1,14 @@
 import gc
 import hashlib
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -594,6 +596,21 @@ def test_card_describe_past_the_str_digit_limit():
     assert Card.exact_count(10**4300).describe() == "exact:4301-digit,ln=9901.1159"
     assert Card.exact_count(10**5000 + 1).describe() == "exact:5001-digit,ln=11512.9255"
     assert Card.exact_count(2**30000).describe().startswith("exact:9031-digit,")
+
+
+def test_exact_count_brackets_ln():
+    """math.log of an int past 2**1024 can be more than an ulp off (a few
+    of these 300 random counts are); the exact count's log bounds still
+    bracket ln n, checked against mpmath at 50 digits."""
+    rng = random.Random(0)
+    counts = [1, 2, 3, 10**15 + 37, 2**53 + 1, 2**1024 - 1, 2**1024, 2**1024 + 1]
+    for _ in range(300):
+        bits = rng.randint(10, 200_000)
+        counts.append(rng.getrandbits(bits) | 1 << bits - 1)
+    with mpmath.workdps(50):
+        for n in counts:
+            card = Card.exact_count(n)
+            assert card.log_lower <= mpmath.log(n) <= card.log_upper, n
 
 
 @pytest.mark.parametrize("k", [1, 17, 4299, 4300, 4301, 9999, 10000, 65536, 100000])
