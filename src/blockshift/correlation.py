@@ -96,6 +96,7 @@ def correlation_average(x: PartialWindow, rho: WeightTable, p: SparseSetSpec,
     rows = []
     running = 0
     exact = None if u is None else True
+    want = None if u is None else u.values(1, count)
     for n in range(1, count + 1):
         s = p.term(n)
         if not x.offset <= s <= x.end:
@@ -110,7 +111,7 @@ def correlation_average(x: PartialWindow, rho: WeightTable, p: SparseSetSpec,
         w = rho.weight(n)
         term = w * int(val[cell])
         running += term
-        if u is not None and term != w * int(val[u.symbol_index(n)]):
+        if u is not None and term != w * int(val[want[n - 1]]):
             exact = False
         if n in ladder:
             rows.append((n, Fraction(running, n)))

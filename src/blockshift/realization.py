@@ -16,7 +16,9 @@ block longer than the batch budget, so no temporary grows with the
 window or with a block.  ``realize`` walks S once and fills every
 level in one cell buffer, each level taking its blocks from the offsets
 of S that walk pinned; ``fill_level`` copies its input first.
-The mu targets read mu from mobius.grown_mu.
+A target is read over a range of indices: the indices n with s_n in a
+window are one run, so the pins and verify_realization each read u once,
+and the mu targets take mu over just that run (mobius.mobius_segment).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     IncompleteDataError,
     InvalidParameterError,
 )
-from .mobius import grown_mu
+from .mobius import mobius_segment
 from .schedule import Schedule, window_admissibility_report
 from .sparse import SparseSetSpec
 from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of,
@@ -43,36 +45,38 @@ from .words import (STAR, Alphabet, PartialWindow, block_interval, block_of,
 
 @dataclass(frozen=True)
 class TargetSequence:
-    """u(1), u(2), ... as symbol indices, given by a rule."""
+    """u(1), u(2), ... as symbol indices, given by a rule: fn(lo, hi) is
+    u(lo..hi) as an integer array, index n - lo."""
 
     description: str
-    fn: Callable[[int], int]
+    fn: Callable[[int, int], np.ndarray]
 
-    def symbol_index(self, n: int) -> int:
-        if n < 1:
-            raise InvalidParameterError(f"target index {n} must be >= 1")
-        return self.fn(n)
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """u(lo..hi), for 1 <= lo <= hi."""
+        if lo < 1:
+            raise InvalidParameterError(f"target index {lo} must be >= 1")
+        return self.fn(lo, hi)
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet, description="explicit") -> "TargetSequence":
         """u(n) = the n-th symbol of the text; past its end u(n) is missing."""
-        values = tuple(alphabet.index(ch) for ch in text)
+        symbols = np.array([alphabet.index(ch) for ch in text], dtype=np.intp)
+        symbols.flags.writeable = False
 
-        def fn(n: int) -> int:
-            if n > len(values):
+        def fn(lo: int, hi: int) -> np.ndarray:
+            if hi > symbols.size:
                 raise IncompleteDataError(
-                    f"target sequence {description!r} has {len(values)} "
-                    f"terms, u({n}) requested"
+                    f"target sequence {description!r} has {symbols.size} "
+                    f"terms, u({max(lo, symbols.size + 1)}) requested"
                 )
-            return values[n - 1]
+            return symbols[lo - 1:hi]
 
         return cls(description, fn)
 
     @classmethod
     def mu_indicator(cls) -> "TargetSequence":
         """u(n) = second symbol when mu(n) = 1, zero symbol otherwise."""
-        mu = grown_mu()
-        return cls("mu-indicator", lambda n: 1 if mu(n) == 1 else 0)
+        return cls("mu-indicator", lambda lo, hi: (mobius_segment(lo, hi) == 1).view(np.uint8))
 
     @classmethod
     def mu_sign(cls, alphabet: Alphabet) -> "TargetSequence":
@@ -80,9 +84,8 @@ class TargetSequence:
         +1 -> symbols[1], -1 -> symbols[2]."""
         if alphabet.size < 3:
             raise InvalidParameterError("mu-sign needs at least 3 symbols")
-        mu = grown_mu()
-        table = {0: 0, 1: 1, -1: 2}
-        return cls("mu-sign", lambda n: table[mu(n)])
+        table = np.array([0, 1, 2], dtype=np.uint8)  # mu = -1 reads the last entry
+        return cls("mu-sign", lambda lo, hi: table[mobius_segment(lo, hi)])
 
 
 def init_partial(u: TargetSequence, sparse: SparseSetSpec,
@@ -101,14 +104,18 @@ def _pinned_cells(u: TargetSequence, sparse: SparseSetSpec, lo: int, hi: int,
     check_cell_count(hi - lo + 1)
     cells = np.full(hi - lo + 1, STAR, dtype=np.uint8)
     elements = sparse.elements_in((lo, hi))
-    for n, s in elements:
-        v = u.symbol_index(n)
-        if not 0 <= v < alphabet.size:
+    offsets = np.fromiter((s - lo for _, s in elements), np.int64, len(elements))
+    if elements:
+        v = u.values(elements[0][0], elements[-1][0])
+        bad = (v < 0) | (v >= alphabet.size)
+        if bad.any():
+            i = int(bad.argmax())
             raise InvalidParameterError(
-                f"target value u({n}) = {v} outside alphabet of size {alphabet.size}"
+                f"target value u({elements[i][0]}) = {v[i]} outside alphabet of size "
+                f"{alphabet.size}"
             )
-        cells[s - lo] = v
-    return cells, np.fromiter((s - lo for _, s in elements), np.int64, len(elements))
+        cells[offsets] = v
+    return cells, offsets
 
 
 def fill_level(x: PartialWindow, level: int, schedule: Schedule,
@@ -327,13 +334,14 @@ class RealizationReport:
 def verify_realization(x: PartialWindow, u: TargetSequence,
                        sparse: SparseSetSpec) -> RealizationReport:
     """Check x(s_n) = u(n) for every s_n inside the window, exactly."""
-    cells = x.cells
-    first = None
-    checked = 0
-    for n, s in sparse.elements_in(x.interval()):
-        checked += 1
-        got = int(cells[s - x.offset])
-        want = u.symbol_index(n)
-        if got != want and first is None:
-            first = (n, s, want, "STAR" if got == STAR else got)
-    return RealizationReport(first is None, checked, first)
+    elements = sparse.elements_in(x.interval())
+    if not elements:
+        return RealizationReport(True, 0)
+    got = x.cells[np.fromiter((s - x.offset for _, s in elements), np.int64, len(elements))]
+    want = u.values(elements[0][0], elements[-1][0])
+    wrong = got != want
+    if not wrong.any():
+        return RealizationReport(True, len(elements))
+    i = int(wrong.argmax())
+    (n, s), g = elements[i], int(got[i])
+    return RealizationReport(False, len(elements), (n, s, int(want[i]), "STAR" if g == STAR else g))

@@ -359,7 +359,6 @@ class LevelCheck:
     defined_blocks: int
     required_share: int
     min_pillar_share: int | None
-    pillar_total: int
     membership: str      # ok | fail | waived
     every_word: str      # ok | fail | waived
     detail: str = ""
@@ -442,14 +441,14 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     one-third of each block's sub-blocks equal w_{level-1}.  The faithful
     profile also checks that every sub-block lies in A_{level-1} and that
     every block uses every word of A_{level-1}; the fast profile waives
-    both.  Sub-blocks are looked up (_word_flags) in Schedule.codes of
-    A_{level-1}.  A cell of 2^bits or more would alias another row, so
-    when a defined block holds a cell outside the alphabet, the rows
-    holding one are not words.
+    both.  Past level 1, sub-blocks are looked up (_word_flags) in
+    Schedule.codes of A_{level-1}.  A cell of 2^bits or more would alias
+    another row, so when a defined block holds a cell outside the
+    alphabet, the rows holding one are not words.
 
     The window is read in row batches of sub-blocks: whole blocks, or
     consecutive rows of a block longer than the budget, whose pillar
-    count, symbols and seen words carry from batch to batch.  So no
+    count and seen words carry from batch to batch.  So no
     temporary grows with the window or with a block.  Block star masks
     are built only when a range of blocks (words.split_level_pass) holds
     a STAR, from each block's max and min (STAR is the largest cell
@@ -473,17 +472,18 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
     listed = faithful and level > 1
     bits = (a - 1).bit_length()
     codes = schedule.codes(level - 1) if listed else None
+    n_words = codes.size if listed else a  # |A_{level-1}|: the symbols at level 1
     status = "ok" if faithful else "waived"
 
     def tally(span, batches) -> LevelCheck:
         """The check of one range of blocks."""
         top = int(x.cells[span.start * m:span.stop * m].max())
         starred = top == STAR
-        n_def = pillar_total = 0
+        n_def = 0
         min_share = None
         member = every = True
         # of the rows that earlier batches read of a block split over batches
-        count, symbols, skipped = 0, np.zeros(a, dtype=bool), False
+        count, skipped = 0, False
         for s0, s1 in batches:
             per = min(r, s1 - s0)
             blocks = x.cells[s0 * m_prev:s1 * m_prev].reshape(-1, per * m_prev)
@@ -496,7 +496,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
                     partial |= undefined != skipped
                 if partial.any():
                     i = s0 // r + int(partial.argmax())
-                    return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
+                    return LevelCheck(level, n_blocks, 0, q, None, "fail", "fail",
                                       f"block {i} partially defined")
                 skipped = bool(undefined[-1])
                 if undefined.all():
@@ -507,32 +507,28 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             counts = count_rows(rows_equal(blocks.reshape(-1, m_prev), pillar).reshape(-1, per))
             if level == 1:
                 member = member and not alien
-                if faithful:
-                    has = np.stack([count_rows(blocks == c) > 0 for c in range(a)])
-            elif listed:
+            if faithful:
                 # every block must use every word, not just the union
                 if s0 % r == 0:
-                    seen = np.zeros(blocks.shape[0] * codes.size, dtype=bool)
-                is_word = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
-                                      a if alien else None, seen)
-                member = member and is_word
+                    seen = np.zeros(blocks.shape[0] * n_words, dtype=bool)
+                if listed:
+                    is_word = _word_flags(blocks.reshape(-1, m_prev), r, codes, bits,
+                                          a if alien else None, seen)
+                    member = member and is_word
+                else:
+                    for c in range(a):
+                        seen[c::a] |= count_rows(blocks == c) > 0
             if per < r:  # rows of one block, read over several batches
                 count += int(counts[0])
-                if faithful and level == 1:
-                    symbols |= has[:, 0]
                 if s1 % r:
                     continue
-                counts, has = np.array([count]), symbols[:, None]
-                count, symbols = 0, np.zeros(a, dtype=bool)
+                counts, count = np.array([count]), 0
             n_def += counts.size
-            pillar_total += int(counts.sum())
             low = int(counts.min())
             min_share = low if min_share is None else min(min_share, low)
-            if faithful and level == 1:
-                every = every and bool(has.all())
-            elif listed:
+            if faithful:
                 every = every and bool(seen.all())
-        return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
+        return LevelCheck(level, n_blocks, n_def, q, min_share,
                           status if member else "fail", status if every else "fail")
 
     def merge(c: LevelCheck, d: LevelCheck) -> LevelCheck:
@@ -541,7 +537,7 @@ def _check_level(x: PartialWindow, schedule: Schedule, level: int) -> LevelCheck
             return c if c.detail else d
         shares = [s for s in (c.min_pillar_share, d.min_pillar_share) if s is not None]
         return LevelCheck(level, n_blocks, c.defined_blocks + d.defined_blocks, q,
-                          min(shares, default=None), c.pillar_total + d.pillar_total,
+                          min(shares, default=None),
                           status if c.membership == d.membership == status else "fail",
                           status if c.every_word == d.every_word == status else "fail")
 

@@ -346,7 +346,7 @@ def check_level_dense(x, schedule, level):
     star_all = starred.all(axis=1)
     if bool((star_any & ~star_all).any()):
         i = int(np.nonzero(star_any & ~star_all)[0][0])
-        return LevelCheck(level, n_blocks, 0, q, None, 0, "fail", "fail",
+        return LevelCheck(level, n_blocks, 0, q, None, "fail", "fail",
                           f"block {i} partially defined")
     defined = ~star_any
     n_def = int(defined.sum())
@@ -355,7 +355,6 @@ def check_level_dense(x, schedule, level):
     pillar = schedule.pillar(level - 1)
     counts = (sub == pillar).all(axis=1).reshape(n_blocks, r).sum(axis=1)
     min_share = int(counts[defined].min()) if n_def else None
-    pillar_total = int(counts[defined].sum()) if n_def else 0
 
     membership = every_word = "ok" if faithful else "waived"
     if n_def and level == 1:
@@ -373,8 +372,7 @@ def check_level_dense(x, schedule, level):
         if not all(wordset <= set(keys[i:i + r]) for i in range(0, len(keys), r)):
             every_word = "fail"
 
-    return LevelCheck(level, n_blocks, n_def, q, min_share, pillar_total,
-                      membership, every_word)
+    return LevelCheck(level, n_blocks, n_def, q, min_share, membership, every_word)
 
 
 def fill_level_by_blocks(x, level, schedule, cycle_start=0):

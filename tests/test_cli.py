@@ -286,7 +286,7 @@ def _empty_payload(lines):
     ("", ["realize", "--alphabet", "01", "--sparse", "squares", "--depth", "1",
           "--u", "mu-indicator", "--window", f"{2**88}:{2**88 + 100}",
           "--out", "{dir}/x.bsw"], 2,
-     "error: Mobius segment up to 17592186048511 reaches the index bound 17592186044416, "
+     "error: Mobius segment up to 17592186044416 reaches the index bound 17592186044416, "
      "from which on its prime table would exceed 4194304 entries"),
     # each term is a 999th root of n**1000, taken by Newton steps from the float root
     ("", ["schedule", "--sparse", "power:1000/999", "--depth", "1"], 3,

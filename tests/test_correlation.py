@@ -5,6 +5,7 @@ import pytest
 
 from blockshift import (
     STAR,
+    IncompleteDataError,
     InvalidParameterError,
     PartialWindow,
     TargetSequence,
@@ -15,7 +16,7 @@ from blockshift import (
     sarnak_demo,
 )
 from blockshift import correlation, mobius
-from blockshift.mobius import grown_mu, mobius_segment
+from blockshift.mobius import mobius_segment
 from blockshift.realization import realize
 from blockshift.words import MAX_WINDOW_CELLS
 from tests.conftest import mu_by_trial_division
@@ -74,13 +75,39 @@ def test_mobius_segment_up_to_the_index_bound():
         mobius_segment(bound, bound)
 
 
-def test_grown_mu_past_the_budget_matches_the_sieve(mob, monkeypatch):
-    # segments of 1024 indices, so primes up to 1000 stay below the table bound
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 4000), (1000, 1100), (1023, 1025),
+                                   (2047, 3073), (999_000, 10**6)])
+def test_target_ranges_match_per_index_oracles(mob, ternary, monkeypatch, lo, hi):
+    # segments of 1024 indices, so the ranges cross segment edges and the
+    # primes up to 1000 stay below the table bound
     monkeypatch.setattr(mobius, "_SEGMENT", 1024)
-    mu = grown_mu()
-    # up through the budget and several segments, far out, then back below it
-    ns = [*range(1, 4000), *range(10**6 - 1500, 10**6 + 1), 999_950, 1000, 1001, 4000, 1]
-    assert [mu(n) for n in ns] == [mob.mu(n) for n in ns]
+    mu = [mob.mu(n) for n in range(lo, hi + 1)]
+    assert TargetSequence.mu_indicator().values(lo, hi).tolist() == [int(v == 1) for v in mu]
+    assert TargetSequence.mu_sign(ternary).values(lo, hi).tolist() == [
+        {0: 0, 1: 1, -1: 2}[v] for v in mu]
+    text = "0+-+" * 250_001
+    u = TargetSequence.from_text(text, ternary)
+    assert u.values(lo, hi).tolist() == [ternary.index(text[n - 1]) for n in range(lo, hi + 1)]
+
+
+def test_mu_target_ranges_near_10_12(ternary):
+    lo, hi = 10**12 - 6, 10**12 + 6
+    mu = [mu_by_trial_division(n) for n in range(lo, hi + 1)]
+    assert TargetSequence.mu_indicator().values(lo, hi).tolist() == [int(v == 1) for v in mu]
+    assert TargetSequence.mu_sign(ternary).values(lo, hi).tolist() == [
+        {0: 0, 1: 1, -1: 2}[v] for v in mu]
+
+
+def test_target_range_refusals(ternary):
+    u = TargetSequence.from_text("0+-", ternary, description="t")
+    assert u.values(3, 3).tolist() == [2]
+    for lo, hi, first in ((2, 4, 4), (5, 9, 5)):
+        with pytest.raises(IncompleteDataError,
+                           match=rf"^target sequence 't' has 3 terms, u\({first}\) requested$"):
+            u.values(lo, hi)
+    for target in (u, TargetSequence.mu_indicator(), TargetSequence.mu_sign(ternary)):
+        with pytest.raises(InvalidParameterError, match=r"^target index 0 must be >= 1$"):
+            target.values(0, 3)
 
 
 def test_squarefree_ratio_bracket(mob):

@@ -234,9 +234,7 @@ def test_star_discipline_after_level1(binary, squares, sched2, mu_target):
 def test_mu_sign_target(ternary):
     u = TargetSequence.mu_sign(ternary)
     # mu(1)=1 -> '+', mu(2)=-1 -> '-', mu(4)=0 -> '0'
-    assert u.symbol_index(1) == 1
-    assert u.symbol_index(2) == 2
-    assert u.symbol_index(4) == 0
+    assert u.values(1, 4).tolist() == [1, 2, 2, 0]
 
 
 def test_verify_catches_flip(binary, squares, sched2, mu_target):
@@ -261,7 +259,7 @@ def test_realize_on_rule_sets(binary, spec_text):
     sched = build_schedule(binary, s, 1)
     m1 = sched.m(1)
     assert s.sparsity_report(m1, 1)[0]
-    u = TargetSequence("parity", fn=lambda n: n % 2)
+    u = TargetSequence("parity", fn=lambda lo, hi: np.arange(lo, hi + 1) % 2)
     x = realize(u, sched, 1, window=(1, 3 * m1))
     rep = verify_realization(x, u, s)
     assert rep.passed and rep.constraints == len(s.elements_in(x.interval()))
@@ -281,7 +279,7 @@ def test_property_realize_explicit_sets(values, cycle):
         sched = build_schedule(ab, s, 1)
     except DensityViolation:
         assume(False)
-    u = TargetSequence("parity", fn=lambda n: n % 2)
+    u = TargetSequence("parity", fn=lambda lo, hi: np.arange(lo, hi + 1) % 2)
     x = realize(u, sched, 1, window=(1, max(values)), cycle_start=cycle)
     rep = verify_realization(x, u, s)
     assert rep.passed

@@ -202,11 +202,11 @@ def test_level_size_bounds(sched2):
 
 def test_admissibility_examples(sched2, binary):
     ok = is_admissible_block(binary.cells_of_text("000000000000001"), 1, sched2)
-    assert ok.ok and ok.checks[-1].pillar_total == 14
+    assert ok.ok and ok.checks[-1].min_pillar_share == 14
     bad = is_admissible_block(binary.cells_of_text("1" * 15), 1, sched2)
     assert not bad.ok
     fill = is_admissible_block(binary.cells_of_text("000000101100101"), 1, sched2)
-    assert fill.ok and fill.checks[-1].pillar_total == 10
+    assert fill.ok and fill.checks[-1].min_pillar_share == 10
     missing_one = is_admissible_block(binary.cells_of_text("0" * 15), 1, sched2)
     failed = [c for c in missing_one.checks if not c.ok]
     # only the every-word rule fails: the level-0 word 1 is never used
