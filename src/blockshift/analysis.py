@@ -1,14 +1,15 @@
 """Analyzers: distinct-subword profiles, the entropy bound chain,
 minimality witnesses, and the positive-density converse bound.
 
-Everything here is exact.  Subword counting packs the next n_max cells
-of every start position, a few bits a cell, into uint64 key words built
-from the cells in place (no padded copy of the window) and sorts them
-once; the longest common prefixes of adjacent sorted keys, read off the
-XORs of their words, give the count for every length at once (no
-hashing).  Aligned blocks are counted by one sort of their row codes
-(words.row_codes), or, for rows past 64 bits, by one lexsort of each
-row's 8-byte words.  Reported counts are window lower bounds on the
+Everything here is exact.  Subword counting packs the n_max cells of
+every start that has them all, one bit a binary cell, into uint32 or
+uint64 key words built from the cells in place (no padded copy of the
+window, no end mark) and sorts them once; the longest common prefixes of
+adjacent sorted keys, read off the XORs of their words, give the count
+for every length at once (no hashing), and each of the last n_max - 1
+starts adds the words longer than its longest previous factor.  Aligned
+blocks are counted by one sort of their row codes (words.row_codes), or,
+for rows past 64 bits, by one lexsort of each row's 8-byte words.  Reported counts are window lower bounds on the
 language size, since a finite window can undercount straddling words.
 
 Minimality witnesses make no pass of their own over the window: they
@@ -46,50 +47,51 @@ def complexity_profile(x: PartialWindow, n_max: int,
                        aligned_lengths=()) -> ComplexityReport:
     """Exact distinct-subword counts for every length up to n_max.
 
-    One lexicographic sort serves every length.  A start position's next
-    n_max digits are its cells and, past the last cell, copies of an end
-    mark, the digit ``base`` (one above every cell value); they are
-    packed, ``base.bit_length()`` bits a digit, into uint64 key words
-    built from the cells in place (no padded copy of the window).
-    After the sort, the number of distinct n-prefixes is one more than
-    the number of adjacent keys whose first n digits differ, and the
-    highest set bit of their XOR tells the first digit that differs.  So
-    one in-place sort of the XORs and one ``searchsorted`` against the
-    digit boundaries give that number for every n of a key word (the
-    histogram of longest common prefixes).  The XORs overwrite the
-    keys, so the peak holds the cells, the keys and little more.  The
-    distinct n-prefixes are the distinct length-n words plus the n - 1
-    prefixes that hold the end mark.
+    One lexicographic sort serves every length.  Each of the N - n_max +
+    1 starts with n_max cells in the window has a full key: those cells,
+    ``max(1, top.bit_length())`` bits a digit, in one uint32 word if they
+    fit, else in uint64 words of ``63 // bits`` digits.  The distinct
+    n-prefixes of the sorted full keys number one more than the adjacent
+    pairs whose first n digits differ, which the highest set bit of their
+    XOR tells; so one in-place sort of the XORs and one ``searchsorted``
+    against the digit boundaries count every n of a key word.  The XORs
+    overwrite the keys, so the peak holds the cells, the keys and little
+    more.  Each of the last n_max - 1 starts adds the words longer than
+    its longest previous factor (_first_words), so no end mark pads a key.
 
-    Counts over all positions are window lower bounds on the language
-    size (straddling words can be undercounted); for each requested
-    block length the grid-aligned distinct count is reported separately,
-    from one sort of the block rows' codes, or for rows past 64 bits one
-    lexsort of their 8-byte words.
+    Counts are window lower bounds on the language size (straddling words
+    can be undercounted); aligned counts come from _distinct_rows.
     """
     top = int(x.cells.max())  # read once: the star test and every digit width
     if top == STAR:  # STAR is the largest cell value
         raise InvalidParameterError("window contains '*' cells")
     if n_max < 1 or n_max > len(x):
         raise InvalidParameterError(f"n_max {n_max} outside [1,{len(x)}]")
-    base = top + 1
-    bits = base.bit_length()
-    per_word = 63 // bits
+    bits = max(1, top.bit_length())
+    one_word = n_max * bits <= 32
+    per_word = n_max if one_word else 63 // bits
     starts = range(0, n_max, per_word)
-    keys = [_packed(x.cells, lo, min(per_word, n_max - lo), bits, base) for lo in starts]
-    if len(keys) == 1:
-        keys[0].sort()
+    widths = [min(per_word, n_max - lo) for lo in starts]
+    full = len(x) - n_max + 1  # the starts with a full key
+    # Packing by doubling joins each start's key to a later start's, so
+    # every start is packed, in one array: a size past memory fails here.
+    keys = np.empty((len(widths), len(x)), dtype=np.uint32 if one_word else np.uint64)
+    for key, lo, width in zip(keys, starts, widths):
+        _packed(key, x.cells[lo:], width, bits)
+    head = keys[:, :full]
+    if len(widths) == 1:
+        head[0].sort()
     else:
-        order = np.lexsort(keys[::-1])
-        for j, key in enumerate(keys):
-            keys[j] = key[order]
-        del key, order
+        order = np.lexsort(head[::-1])
+        for key in head:
+            key[:] = key[order]
+        del order
+    news = _first_words(keys, full, widths, bits, x.cells[full:])
 
     counts: dict[int, int] = {}
     told = None  # told[i]: the sorted keys i and i + 1 differ in an earlier word
-    for lo in starts:
-        width = min(per_word, n_max - lo)
-        xor = _xor_with_next(keys.pop(0))  # popped, so each word is freed once counted
+    for key, lo, width in zip(head, starts, widths):
+        xor = _xor_with_next(key)
         if told is not None:
             xor[told] = _ALL_ONES  # above every digit boundary
         told = xor != 0 if lo + width < n_max else None
@@ -97,11 +99,11 @@ def complexity_profile(x: PartialWindow, n_max: int,
         # the first j digits of the word differ iff the XOR reaches the
         # lowest bit of digit j
         bounds = np.array([1 << bits * (width - j) for j in range(1, width + 1)],
-                          dtype=np.uint64)
+                          dtype=keys.dtype)
         apart = xor.size - np.searchsorted(xor, bounds)
         for n, pairs in enumerate(apart.tolist(), start=lo + 1):
-            counts[n] = 1 + pairs - (n - 1)
-        del xor
+            counts[n] = 1 + pairs + news[n]
+    del keys, head, key, xor  # before the aligned rows' codes
     aligned = {int(m): _distinct_rows(_aligned_rows(x, int(m)), top.bit_length())
                for m in aligned_lengths}
     return ComplexityReport(len(x), counts, aligned)
@@ -113,40 +115,30 @@ _ALL_ONES = np.uint64(2**64 - 1)
 # change, so no pass needs a second key-sized array.
 
 
-def _packed(cells: np.ndarray, lo: int, width: int, bits: int, base: int) -> np.ndarray:
-    """key[i] = digits lo + i, ..., lo + i + width - 1, ``bits`` bits
-    each, the first digit highest, for i < cells.size; digit q is
-    cells[q], or the end mark ``base`` past the last cell.
-
-    The key starts as the digits from lo on, widened to uint64, and is
-    built in place by doubling: a key of h digits becomes one of 2h by
-    joining each key to the one h places on, and one of h + 1 by joining
-    each key to the digit h places on, so ``width`` digits take about
-    2·log2(width) passes, not width - 1.  A key that starts past the
-    last cell holds end marks only."""
-    size = cells.size
-    key = np.empty(size, dtype=np.uint64)
-    key[:size - lo] = cells[lo:]
-    key[size - lo:] = base
+def _packed(key: np.ndarray, digits: np.ndarray, width: int, bits: int) -> None:
+    """key[i] = digits i, ..., i + width - 1, ``bits`` bits each, the
+    first highest, 0 past the last digit; built in place by doubling: a
+    key of h digits becomes one of 2h by joining the key h places on,
+    and one of h + 1 by joining the digit h places on."""
+    key[:digits.size] = digits
+    key[digits.size:] = 0
     have = 1
     for bit in bin(width)[3:]:
-        _join(key, key[have:], bits * have, sum(base << bits * j for j in range(have)))
+        _join(key, key[have:], bits * have)
         have *= 2
         if bit == "1":
-            _join(key, cells[lo + have:], bits, base)
+            _join(key, digits[have:], bits)
             have += 1
-    return key
 
 
-def _join(key: np.ndarray, tail: np.ndarray, shift: int, mark: int) -> None:
+def _join(key: np.ndarray, tail: np.ndarray, shift: int) -> None:
     """key[i] = key[i] << shift | tail[i] for every i, in place, where
-    tail[i] is ``mark`` past the end of tail (tail may be key itself, a
-    few places on)."""
-    for part in row_chunks(key.size):
-        head, more = key[part], tail[part]
-        if more.size < head.size:  # the end marks, in the last chunk or so
-            more = np.concatenate([more, np.full(head.size - more.size, mark, more.dtype)])
-        np.bitwise_or(np.left_shift(head, shift), more, out=head)
+    tail[i] is 0 past the end of tail (tail may be key itself, a few
+    places on)."""
+    head = key[:tail.size]
+    for part in row_chunks(head.size):
+        np.bitwise_or(np.left_shift(head[part], shift), tail[part], out=head[part])
+    key[tail.size:] <<= shift
 
 
 def _xor_with_next(key: np.ndarray) -> np.ndarray:
@@ -155,6 +147,34 @@ def _xor_with_next(key: np.ndarray) -> np.ndarray:
     for part in row_chunks(head.size):
         head[part] ^= after[part]
     return head
+
+
+def _first_words(keys: np.ndarray, full: int, widths: list[int], bits: int,
+                 tail: np.ndarray) -> list[int]:
+    """news[n]: how many starts i >= full (cells ``tail``, keys
+    keys[:, full:]) have an n-word seen at no earlier start: N - i >= n >
+    LPF_i, the longest prefix of cells[i:] that starts earlier.  That is
+    the longer match with a full key (the common prefix with a sorted
+    neighbour of key i, searched a key word at a time) or with an earlier
+    start of the tail (a run of equal cells along a diagonal)."""
+    ends = np.arange(tail.size, 0, -1)  # N - i
+    lpf = ends.copy()  # unless a full key is found to differ
+    for t, i in enumerate(range(full, full + tail.size)):
+        lo, hi, same = 0, full, 0
+        for key, width in zip(keys, widths):  # the full keys that agree with key i so far
+            row = key[lo:hi]
+            a, b = np.searchsorted(row, key[i]), np.searchsorted(row, key[i], "right")
+            if a == b:  # of the neighbours in the row, the least XOR agrees longest
+                diff = int((row[max(a - 1, 0):a + 1] ^ key[i]).min())
+                lpf[t] = min(ends[t], same + width - 1 - (diff.bit_length() - 1) // bits)
+                break
+            lo, hi, same = lo + a, lo + b, same + width
+    for d in range(1, tail.size):
+        eq = tail[d:] == tail[:-d]  # eq[j]: tail cells j and j + d are equal
+        stop = np.minimum.accumulate(np.where(eq, eq.size, np.arange(eq.size))[::-1])
+        np.maximum(lpf[d:], stop[::-1] - np.arange(eq.size), out=lpf[d:])
+    return np.cumsum(np.bincount(lpf + 1, minlength=tail.size + 2)
+                     - np.bincount(ends + 1, minlength=tail.size + 2)).tolist()
 
 
 def _aligned_rows(x: PartialWindow, m: int) -> np.ndarray:

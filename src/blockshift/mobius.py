@@ -41,12 +41,12 @@ class MobiusTable:
 # Indices per segment in mobius_segment, and the most entries of its prime
 # table, so no range reaches _SEGMENT**2 = 2**44.  One segment's int64
 # cofactors (32 MB) are its largest temporary; the result takes one byte
-# per index.
+# per index, in the caller's buffer if it gives one.
 _SEGMENT = 1 << 22
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
-    """mu(1..limit) from one mobius_segment."""
+    """mu(1..limit) from one mobius_segment, sieved into the table itself."""
     if limit < 1:
         raise InvalidParameterError("sieve limit must be >= 1")
     if limit > MAX_WINDOW_CELLS:
@@ -54,12 +54,13 @@ def mobius_sieve(limit: int) -> MobiusTable:
             f"Mobius sieve up to {limit} exceeds the {MAX_WINDOW_CELLS}-entry limit"
         )
     mu = np.zeros(limit + 1, dtype=np.int8)
-    mu[1:] = mobius_segment(1, limit)
+    mobius_segment(1, limit, mu[1:])
     return MobiusTable(limit, mu)
 
 
-def mobius_segment(lo: int, hi: int) -> np.ndarray:
-    """mu(lo..hi) as int8, index n - lo, with no table below lo.
+def mobius_segment(lo: int, hi: int, out=None) -> np.ndarray:
+    """mu(lo..hi) as int8, index n - lo, with no table below lo, into
+    ``out`` (int8, hi - lo + 1 entries) if given.
 
     A segmented sieve, _SEGMENT indices at a time: each prime p up to
     sqrt(hi) flips the sign of its multiples, divides them once by p and
@@ -81,7 +82,8 @@ def mobius_segment(lo: int, hi: int) -> np.ndarray:
         if prime[p]:
             prime[p * p::p] = False
     primes = np.flatnonzero(prime).tolist()
-    out = np.ones(hi - lo + 1, dtype=np.int8)
+    out = np.empty(hi - lo + 1, dtype=np.int8) if out is None else out
+    out[:] = 1
     for a in range(lo, hi + 1, _SEGMENT):
         b = min(a + _SEGMENT - 1, hi)
         mu = out[a - lo:b - lo + 1]

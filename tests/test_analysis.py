@@ -1,5 +1,8 @@
 import hashlib
 import math
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -50,7 +53,7 @@ def texts_with_nmax(draw):
 
     Half the texts repeat a short pattern with a few point changes, so
     long words recur and the sort keeps equal prefixes past the first
-    key word (widths 31, 31, 21 and 12 digits for these alphabets).
+    key word (widths 63, 31, 21 and 12 digits for these alphabets).
     """
     symbols = SYMBOLS[:draw(st.sampled_from([2, 3, 7, 20]))]
     if draw(st.booleans()):
@@ -104,6 +107,39 @@ def test_complexity_matches_naive_on_raw_cells(case):
     assert rep.counts == {n: naive_distinct(cells, n) for n in range(1, n_max + 1)}
 
 
+def point_changed(pattern, length, changes, seed):
+    """``pattern`` repeated to ``length`` cells, with ``changes`` random cells
+    set to a random symbol of the pattern, so long words recur."""
+    rng = np.random.default_rng(seed)
+    cells = list((pattern * length)[:length])
+    for i in rng.integers(0, length, changes):
+        cells[i] = pattern[rng.integers(len(pattern))]
+    return "".join(cells)
+
+
+@pytest.mark.parametrize("symbols,text,n_max", [
+    # n_max = N: the only full key starts at 0, and every other start is
+    # one of the last n_max - 1
+    ("01", "0", 1), ("01", "01", 2), ("01", "0110100110010110", 16),
+    ("01", "1" * 40 + "0", 41),
+    ("01", point_changed("0010111", 80, 3, 0), 80),  # two key words
+    ("0123456", point_changed("0123", 30, 2, 1), 30),  # 3 bits a digit: two key words
+    # 32 binary digits fill one uint32 key word; 33 take a uint64 one
+    *[("01", point_changed("00101110111", 400, 4, seed), n_max)
+      for seed in range(3) for n_max in (32, 33)],
+    # an all-zero window: top = 0, and a digit takes one bit
+    ("01", "0" * 100, 70),
+    # the last cells hold words found nowhere earlier
+    ("01", "01" * 30 + "11100", 20), ("01", "0" * 64 + "1", 64),
+    ("01", "01" * 50 + "1", 70),  # a tail agrees with full keys past their first word
+    ("0+-", "0+" * 40 + "--+-", 24),
+    ("0123456", point_changed("0123", 60, 2, 2) + "6655", 30),
+])
+def test_complexity_keys_and_the_starts_without_one(symbols, text, n_max):
+    rep = complexity_profile(PartialWindow(0, Alphabet(symbols).cells_of_text(text)), n_max)
+    assert rep.counts == {n: naive_distinct(text, n) for n in range(1, n_max + 1)}
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([3, 7, 8, 9, 15, 16, 17, 23]), st.integers(1, 40),
        st.integers(-3, 3), st.data())
@@ -129,6 +165,15 @@ def test_aligned_count_matches_census(m, blocks, shift, data):
     assert rep.aligned == {m: len(aligned_block_census(x, m))}
 
 
+def traced_profile(x):
+    """complexity_profile(x, 24, aligned_lengths=(15,)) and its traced peak."""
+    tracemalloc.start()
+    try:
+        return complexity_profile(x, 24, aligned_lengths=(15,)), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_complexity_holds_the_keys_and_little_more():
     """The key words are built from the cells in place, and the aligned
     blocks are counted by one sort of their row codes: the traced peak
@@ -136,15 +181,22 @@ def test_complexity_holds_the_keys_and_little_more():
     a cell (its uint64 keys, and chunk-sized temporaries)."""
     n = 4_000_005  # 266 667 aligned 15-blocks
     x = PartialWindow(-7, np.random.default_rng(0).integers(0, 3, n, dtype=np.uint8))
-    tracemalloc.start()
-    try:
-        rep = complexity_profile(x, 24, aligned_lengths=(15,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_profile(x)
     assert rep.counts[1] == 3 and rep.counts[24] <= n - 23
     assert rep.aligned == {15: len(aligned_block_census(x, 15))}
     assert peak < 8.5 * n
+
+
+def test_binary_complexity_holds_four_byte_keys_and_little_more():
+    """A binary digit takes one bit, so 24 of them fit one uint32 key word:
+    the traced peak of the profile of a 4 M-cell binary window stays below
+    4.5 bytes a cell (its uint32 keys, and chunk-sized temporaries)."""
+    n = 4_000_005
+    x = PartialWindow(-7, np.random.default_rng(0).integers(0, 2, n, dtype=np.uint8))
+    rep, peak = traced_profile(x)
+    assert rep.counts[1] == 2 and rep.counts[24] <= n - 23
+    assert rep.aligned == {15: len(aligned_block_census(x, 15))}
+    assert peak < 4.5 * n
 
 
 @settings(max_examples=40)
@@ -157,29 +209,52 @@ def test_complexity_growth_bound(text):
         assert rep.counts[n] <= min(2**n, len(text) - n + 1)
 
 
-def test_complexity_frozen_output_bytes(tmp_path, capsys, x2, sched2):
-    path = tmp_path / "d2.bsw"
+def save_d2(path, x2, sched2):
     save_window(path, x2, alphabet=sched2.alphabet, profile="faithful", depth=2,
                 m_list=[sched2.m(k) for k in range(3)], sparse="squares",
                 u="mu-indicator", fill="pillar-first-ltr,cycle-lex-restart@0")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "9b84f64b957270266c5627363082b1ee43b4a717a5cd3ffb5ceb9074ba37e0f5")
-    expected = {
-        "csv": "9730435b7d087e9fa7bf8aa7f4ae72ebebd7e3fc3a8cbe6c116c39fbd47edb34",
-        "json": "1b35b7f1a6b81c955aad02219eefd691ad2e1831740b46618036a5743d426cac",
+
+
+def test_complexity_frozen_output_bytes(tmp_path, capsys, x2, sched2):
+    path = tmp_path / "d2.bsw"
+    save_d2(path, x2, sched2)
+    expected = {  # --nmax 70 takes two key words and 69 starts with no full key
+        ("24", "csv"): "9730435b7d087e9fa7bf8aa7f4ae72ebebd7e3fc3a8cbe6c116c39fbd47edb34",
+        ("24", "json"): "1b35b7f1a6b81c955aad02219eefd691ad2e1831740b46618036a5743d426cac",
+        ("70", "csv"): "72ef0c65db1fae4cbd71a247598f84f664f3d9bff1a46eb210be8e44a6531301",
     }
-    for fmt, digest in expected.items():
+    for (n_max, fmt), digest in expected.items():
         capsys.readouterr()
-        assert main(["complexity", str(path), "--nmax", "24", "--format", fmt]) == 0
+        assert main(["complexity", str(path), "--nmax", n_max, "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (8 << 30, resource.RLIM_INFINITY))
+
+
+def test_complexity_past_memory_exits_3_at_once(tmp_path, x2, sched2):
+    """--nmax 1387215 on the d2 file needs 22 020 key words a cell (228
+    GiB), asked for in one allocation before any is packed, so the CLI
+    reports it at once.  The child's address space is capped at 8 GiB, so
+    the request fails whatever the system's overcommit policy."""
+    path = tmp_path / "d2.bsw"
+    save_d2(path, x2, sched2)
+    proc = subprocess.run([sys.executable, "-m", "blockshift", "complexity", str(path),
+                           "--nmax", "1387215"], capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: out of memory: ") and "Traceback" not in proc.stderr
+
+
 def test_complexity_fallback_path(binary):
-    # a binary key word holds 31 digits, so n_max = 70 takes three key words
-    # and the lexsort path
+    # a binary uint64 key word holds 63 digits, so n_max = 70 takes two key
+    # words and the lexsort path
     text = "01" * 40
     rep = complexity_profile(PartialWindow(0, binary.cells_of_text(text)), 70)
-    for n in (63, 64, 70):  # lengths read from the third key word
+    for n in (63, 64, 70):  # the last length of the first key word, two of the second
         assert rep.counts[n] == naive_distinct(text, n)
 
 
