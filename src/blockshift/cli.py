@@ -5,11 +5,16 @@ unreadable path, 3 density violation, infeasible depth or out of memory,
 4 internal invariant failure; each error class states its own
 (errors.py).  Outputs are deterministic: identical argv and input files
 produce identical bytes.
+
+main(argv) may be called repeatedly in one process.  The parser is built
+once, on the first call, and each subcommand runs _cmd_<name>, looked up
+when it is called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -149,7 +154,7 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo_sarnak(args) -> int:
     demo = sarnak_demo(profile=args.profile, depth=args.depth, count=args.N,
                        seed=args.seed)
     if args.format == "json":
@@ -178,6 +183,7 @@ def _cmd_density(args) -> int:
 # --- parser ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockshift",
@@ -192,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--profile", choices=PROFILES, default="faithful")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("realize", help="build a window file realizing a target")
     p.add_argument("--alphabet", default="01")
@@ -205,17 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cycle-start", type=int, default=0)
     p.add_argument("--window", default=None, help="LO:HI hull instead of the central block")
-    p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="recheck a window file end to end")
     p.add_argument("path")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("complexity", help="distinct-subword profile of a window file")
     p.add_argument("path")
     p.add_argument("--nmax", type=int, default=24)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("demo-sarnak", help="end-to-end correlation counterexample demo")
     p.add_argument("--profile", choices=PROFILES, default="faithful")
@@ -223,14 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=832)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("density", help="max window count and quotient for a sparse set")
     p.add_argument("--sparse", required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--range", required=True, help="LO:HI")
     p.add_argument("--mk", type=int, default=1)
-    p.set_defaults(func=_cmd_density)
     return parser
 
 
@@ -250,14 +250,13 @@ def _attach_range_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_range_values(argv))
+        args = build_parser().parse_args(_attach_range_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except BlockshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

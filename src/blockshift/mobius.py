@@ -93,4 +93,5 @@ def mobius_segment(lo: int, hi: int, out=None) -> np.ndarray:
             rest[-a % p::p] //= p
             mu[-a % (p * p)::p * p] = 0
         mu[rest > 1] *= -1
+        del rest  # so the next segment's cofactors are not made beside these
     return out

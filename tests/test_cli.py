@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import mpmath
@@ -518,3 +520,58 @@ def test_realize_window_past_int64(tmp_path, capsys):
         assert rows == {"checksum": "PASS", "m-list": "PASS", "realization": "PASS",
                         "admissibility": "PASS",
                         "minimality": "SKIP" if depth == "1" else "PASS"}
+
+
+def first_call(*argv):
+    """(exit code, stdout, stderr) of argv as the first CLI call of a fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "blockshift", *argv],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_later_realize_writes_the_central_block_again(tmp_path, capsys):
+    """The parser is built once a process: a --window of one call does not
+    carry into the next, which writes the central block as a fresh run
+    does."""
+    path = tmp_path / "x.bsw"
+    realize_argv = ("realize", "--sparse", "squares", "--depth", "1", "--u", "mu-indicator",
+                    "--out", str(path))
+    assert run(capsys, *realize_argv, "--window", "1:1000")[0] == 0
+    later = run(capsys, *realize_argv)
+    later_bytes = path.read_bytes()
+    assert first_call(*realize_argv) == later and path.read_bytes() == later_bytes
+
+
+def test_later_calls_print_as_first_calls(monkeypatch, capsys):
+    """A usage error, a valid call and a --help in one process each give
+    the stdout, stderr and exit code of a first call."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal width
+    calls = [("density", "--sparse", "evens", "--L", "15", "--range", "bogus"),
+             ("density", "--sparse", "squares", "--L", "15", "--range", "1:1000"),
+             ("schedule", "--help")]
+    later = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in later] == [2, 0, 0]
+    assert later == [first_call(*argv) for argv in calls]
+
+
+SUBCOMMAND_ARGV = {
+    "schedule": ["--sparse", "squares", "--depth", "1"],
+    "realize": ["--sparse", "squares", "--depth", "1", "--u", "mu-indicator", "--out", "x.bsw"],
+    "verify": ["x.bsw"],
+    "complexity": ["x.bsw"],
+    "demo-sarnak": [],
+    "density": ["--sparse", "evens", "--L", "15", "--range", "1:100"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+def test_handler_is_looked_up_per_call(monkeypatch, capsys, command):
+    """Once the parser is built, a handler patched into the module is the
+    one that runs."""
+    run(capsys, "--help")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(args.command) or 7)
+    assert run(capsys, command, *SUBCOMMAND_ARGV[command]) == (7, "", "")
+    assert seen == [command]
