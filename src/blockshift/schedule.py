@@ -59,15 +59,19 @@ PROFILES = ("faithful", "fast")
 _M64 = (1 << 64) - 1
 
 
-def splitmix64(z: int) -> int:
-    """The splitmix64 finalizer; sole source of fast-profile randomness."""
+def splitmix64(z):
+    """The splitmix64 finalizer; sole source of fast-profile randomness.
+
+    z is an int or a uint64 array, whose products wrap mod 2**64.
+    """
     z = (z + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
-def mix64(*parts: int) -> int:
+def mix64(*parts):
+    """splitmix64 chained over the parts; array parts (uint64) broadcast."""
     h = 0x8000000000000001
     for p in parts:
         h = splitmix64(h ^ (p & _M64))
@@ -208,16 +212,16 @@ class Schedule:
         if k not in self._pool_cache:
             pool = np.empty((POOL_SIZE, self.m(k)), dtype=np.uint8)
             pool[0] = self.pillar(k)
+            i = np.arange(1, POOL_SIZE, dtype=np.uint64)[:, None]
             if k == 0:
                 src = self.words(0)
-                picks = [[mix64(self.seed, 0xA1FA, 0, i) % self.alphabet.size]
-                         for i in range(1, POOL_SIZE)]
+                picks = mix64(self.seed, 0xA1FA, 0, i) % self.alphabet.size
             else:
                 src = self.pool_matrix(k - 1)
                 r, q = self.ratio(k), self.ratio(k) // 3
-                picks = [[0] * q + [mix64(self.seed, 0xA1FA, k, i, j) % POOL_SIZE
-                                    for j in range(q, r)]
-                         for i in range(1, POOL_SIZE)]
+                picks = np.zeros((POOL_SIZE - 1, r), dtype=np.uint64)
+                picks[:, q:] = mix64(self.seed, 0xA1FA, k, i,
+                                     np.arange(q, r, dtype=np.uint64)) % POOL_SIZE
             pool[1:] = src[picks].reshape(POOL_SIZE - 1, -1)
             pool.setflags(write=False)
             self._pool_cache[k] = pool

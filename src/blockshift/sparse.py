@@ -6,8 +6,11 @@ exponent as a rational and takes integer roots, and the n*ln(n) kind
 recomputes near-boundary values at high precision before flooring.
 
 Every rule kind has the form s_n = floor(f(n)) with f convex, so its
-window maxima come in closed form from a few O(log) counts instead of a
-scan over the elements (SparseSetSpec._rule_max).  Explicit lists scan.
+window maxima come in closed form from a few counts instead of a scan
+over the elements (SparseSetSpec._rule_max).  Each count inverts the rule
+exactly at its two bounds: an integer root for n**gamma, a halving for
+the evens, and for n*ln(n) a short search from an estimate of the root.
+Explicit lists scan.
 """
 
 from __future__ import annotations
@@ -61,14 +64,42 @@ def _int_field(where: str, text: str) -> int:
 
 
 def _nlogn(n: int) -> int:
-    v = n * math.log(n)
-    f = math.floor(v)
-    if min(v - f, f + 1 - v) < _NLOGN_GUARD + v * _NLOGN_REL_GUARD:
-        import mpmath
+    try:
+        v = n * math.log(n)
+        f = math.floor(v)
+        if min(v - f, f + 1 - v) >= _NLOGN_GUARD + v * _NLOGN_REL_GUARD:
+            return f
+    except OverflowError:  # n or the product is past the float range
+        pass
+    import mpmath
 
-        with mpmath.workdps(40):
-            return int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n)))
-    return int(f)
+    # n ln n has about as many integer bits as n; as many again, plus 64,
+    # are left for the fraction that the floor reads
+    with mpmath.workprec(2 * n.bit_length() + 64):
+        return int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n)))
+
+
+def _nlogn_root(x: int) -> int:
+    """An integer at least 2 and within a few units of the root n of
+    n ln n = x >= 2.
+
+    Below 2**53, float Newton steps n <- (n + x) / (ln n + 1) fall from
+    n = x to the root.  Past it their relative error of about 2**-52
+    would leave a wide bracket for the caller to bisect with
+    high-precision terms, so the root is x / W(x), with the Lambert W
+    taken at the precision of x.
+    """
+    if x < 2**53:
+        xf = n = float(x)
+        while True:
+            m = (n + xf) / (math.log(n) + 1)
+            if m >= n:
+                return max(int(n), 2)
+            n = m
+    import mpmath
+
+    with mpmath.workprec(x.bit_length() + 64):
+        return int(x / mpmath.lambertw(x))
 
 
 def _window_at(s: int, hi: int | float, window_len: int) -> tuple[int, int]:
@@ -229,13 +260,29 @@ class SparseSetSpec:
         return 2 * n  # evens
 
     def _first_index_with_term_at_least(self, x: int) -> int:
+        """The least n >= first_index with s_n >= x, by inverting the rule."""
         lo = self.first_index
         if self.term(lo) >= x:
             return lo
-        hi = lo + 1
-        while self.term(hi) < x:
-            lo = hi
-            hi *= 2
+        if self.gamma is not None:
+            # floor(n**(P/Q)) >= x exactly when n**P >= x**Q
+            return kth_root_floor(x**self._q - 1, self._p) + 1
+        if self.kind == "evens":
+            return (x + 1) // 2
+        # nlogn: floor(n ln n) >= x exactly when n ln n >= x.  Gallop out
+        # from an estimate of the root until term brackets the answer, then
+        # bisect; the estimate is off by a few units at most.
+        first, n, step = lo, _nlogn_root(x), 1
+        if self.term(n) >= x:
+            hi, lo = n, max(n - step, first)
+            while lo > first and self.term(lo) >= x:
+                hi, step = lo, 2 * step
+                lo = max(hi - step, first)
+        else:
+            lo, hi = n, n + step
+            while self.term(hi) < x:
+                lo, step = hi, 2 * step
+                hi = lo + step
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if self.term(mid) >= x:
@@ -265,8 +312,9 @@ class SparseSetSpec:
                      self._first_index_with_term_at_least(hi + 1))
 
     def count_in(self, interval: tuple[int, int]) -> int:
-        """|S ∩ interval| by rule inversion (O(log) for rule kinds)."""
-        return len(self._index_span(interval))
+        """|S ∩ interval|, from the indices at its two bounds."""
+        span = self._index_span(interval)
+        return span.stop - span.start  # len() of a range stops at sys.maxsize
 
     def elements_in(self, interval: tuple[int, int]) -> list[tuple[int, int]]:
         """All (n, s_n) with s_n in the inclusive interval; empty below 1."""
@@ -315,17 +363,18 @@ class SparseSetSpec:
                   goal: int | None) -> tuple[int, tuple[int, int]]:
         """max_window_count in closed form for a rule s_n = floor(f(n)), f convex.
 
-        Let s_f be the first element >= lo.  The window from
-        min(s_f, hi - L + 1) holds ``lower`` elements.  When the gaps never
-        shrink it is the densest window.  Otherwise convexity and the two
-        floors give s_{i+t} - s_i >= s_{f+t} - s_f - 1 for i >= f, so no
-        length-L window anywhere in N holds more than |S ∩ [s_f, s_f + L]|
-        elements; that bound exceeds ``lower`` by at most one.  When it
-        does, the walk looks for the first s_i with s_{i+lower} - s_i < L;
-        it ends at the first s_i with s_{i+lower} - s_i > L, since
-        convexity keeps every later difference >= L.  A hi of math.inf
-        asks for all of [lo, ∞); the walk then ends because the set has
-        density zero (evens and monomial:1 never walk).
+        Each count inverts the rule exactly at its two bounds
+        (_first_index_with_term_at_least).  Let s_f be the first element
+        >= lo.  The window from min(s_f, hi - L + 1) holds ``lower``
+        elements.  When the gaps never shrink it is the densest window.
+        Otherwise convexity and the two floors give s_{i+t} - s_i >=
+        s_{f+t} - s_f - 1 for i >= f, so no length-L window anywhere in N
+        holds more than |S ∩ [s_f, s_f + L]| elements; that bound exceeds
+        ``lower`` by at most one.  When it does, the walk looks for the
+        first s_i with s_{i+lower} - s_i < L; it ends at the first s_i with
+        s_{i+lower} - s_i > L, since convexity keeps every later difference
+        >= L.  A hi of math.inf asks for all of [lo, ∞); the walk then ends
+        because the set has density zero (evens and monomial:1 never walk).
         """
         first = self._first_index_with_term_at_least(lo)
         s_first = self.term(first)

@@ -235,6 +235,25 @@ def every_word_count_by_surjections(r, a):
     return sum(math.comb(r, z) * surjections(r - z, a - 1) for z in range(r // 3, r + 1))
 
 
+def first_index_by_search(spec, x):
+    """SparseSetSpec._first_index_with_term_at_least by a galloping search
+    from the first index, then bisection, with term deciding each step."""
+    lo = spec.first_index
+    if spec.term(lo) >= x:
+        return lo
+    hi = lo + 1
+    while spec.term(hi) < x:
+        lo = hi
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if spec.term(mid) >= x:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def max_window_by_scan(spec, window_len, rng, stop_at=None):
     """SparseSetSpec.max_window_count by a two-pointer scan over every
     element of S in rng; with stop_at it stops once the count reaches it."""

@@ -345,7 +345,7 @@ def test_verify_fails_a_partially_defined_window(tmp_path, capsys, d1_lines):
     assert rows["minimality"] == ("SKIP", "window not fully defined")
 
 
-# The density-scan calls of the benchmark, plus one range the element scan
+# The density-scan calls of the benchmark, plus ranges the element scan
 # could never finish: rule kinds answer them without listing elements.
 @pytest.mark.parametrize("sparse,L,rng,code,line", [
     ("nlogn", "3000", "1:10000000", 0, "max=484 quotient=0.1613 satisfies 1/(3·1)"),
@@ -353,6 +353,13 @@ def test_verify_fails_a_partially_defined_window(tmp_path, capsys, d1_lines):
     ("squares", "4000", "1:10000000000", 0, "max=63 quotient=0.0158 satisfies 1/(3·1)"),
     ("evens", "15", "1:2000000", 3, "max=8 quotient=0.5333 violates 1/(3·1)"),
     ("nlogn", "3000", "1:10000000000", 0, "max=484 quotient=0.1613 satisfies 1/(3·1)"),
+    # index spans past sys.maxsize, and an nlogn range past the float range
+    pytest.param("nlogn", "3000", f"1:{10**30}", 0,
+                 "max=484 quotient=0.1613 satisfies 1/(3·1)", id="nlogn-1:10**30"),
+    pytest.param("power:3/2", "3000", f"1:{10**30}", 0,
+                 "max=208 quotient=0.0693 satisfies 1/(3·1)", id="power:3/2-1:10**30"),
+    pytest.param("nlogn", "3000", f"1:{10**400}", 0,
+                 "max=484 quotient=0.1613 satisfies 1/(3·1)", id="nlogn-1:10**400"),
 ])
 def test_density_lists_no_elements(monkeypatch, capsys, sparse, L, rng, code, line):
     def refuse(self, interval):

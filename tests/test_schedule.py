@@ -540,6 +540,19 @@ def test_fast_pillar_rows_are_pool_rows(fast3):
         assert rows_outside(stray, pool) == {stray[-fast3.m(k - 1):].tobytes()}
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), k=st.integers(0, 5), q=st.integers(0, 40))
+def test_mix64_on_arrays_matches_ints(seed, k, q):
+    """pool_matrix draws its picks from uint64 arrays: each equals mix64 of
+    the Python ints, one call a pick."""
+    i = np.arange(1, POOL_SIZE, dtype=np.uint64)[:, None]
+    j = np.arange(q, q + 30, dtype=np.uint64)
+    got = schedule.mix64(seed, 0xA1FA, k, i, j)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[schedule.mix64(seed, 0xA1FA, k, a, b) for b in range(q, q + 30)]
+                            for a in range(1, POOL_SIZE)]
+
+
 def test_out_of_alphabet_cell_fails(rule_schedules):
     word = bytes([0] * 14 + [2])
     for name in ("faithful", "fast"):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from blockshift import IncompleteDataError, InvalidParameterError, SparseSetSpec
 from blockshift.sparse import MAX_EXPONENT, _nlogn, kth_root_floor
-from tests.oracles import max_window_by_scan, sparse_file_by_strip
+from tests.oracles import first_index_by_search, max_window_by_scan, sparse_file_by_strip
 
 
 def oracle_max_window(elems, window_len, lo, hi):
@@ -221,12 +221,47 @@ def _nearest_to_integer(start):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.sampled_from(NEAR_INTEGER_N),
                  st.integers(2, 10**12).map(_nearest_to_integer),
-                 st.integers(2, 10**6)))
+                 st.integers(2, 10**6),
+                 st.integers(30, 45).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1)))))
 @example(193751193)
+@example(84215371668480845665669433192490783406)  # 40 digits floor it one low
+@example(3 * 10**310 + 1)  # n * ln(n) overflows a float
 def test_nlogn_matches_exact_floor(n):
-    with mpmath.workdps(60):
+    with mpmath.workdps(2 * len(str(n)) + 60):
         want = int(mpmath.floor(mpmath.mpf(n) * mpmath.log(n)))
     assert _nlogn(n) == want
+
+
+# the rules whose inverse _first_index_with_term_at_least takes in closed form
+INVERSE_SPECS = ["squares", "monomial:1", "monomial:3", "power:3/2", "power:7/4",
+                 "power:9/4", "power:11/10", "evens", "nlogn"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.sampled_from(INVERSE_SPECS),
+       x=st.one_of(st.integers(-3, 3), st.integers(4, 10**40)))
+@example(text="nlogn", x=2**53 - 1)  # the float root is two short: gallops up
+@example(text="nlogn", x=2**53)  # the first x with the Lambert W root
+@example(text="nlogn", x=3 * 10**310)  # past the float range
+@example(text="power:11/10", x=10**40)
+def test_first_index_matches_search(text, x):
+    spec = SparseSetSpec.parse(text)
+    assert spec._first_index_with_term_at_least(x) == first_index_by_search(spec, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.sampled_from(INVERSE_SPECS),
+       n=st.one_of(st.integers(0, 40).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
+                   st.sampled_from(NEAR_INTEGER_N),
+                   st.integers(2, 10**12).map(_nearest_to_integer)),
+       shift=st.sampled_from([-1, 0, 1]))
+def test_first_index_matches_search_next_to_terms(text, n, shift):
+    """x = s_n - 1, s_n, s_n + 1, where the answer moves; for nlogn at
+    the n of NEAR_INTEGER_N and _nearest_to_integer, s_n lies in the band
+    where _nlogn recomputes n ln n at high precision."""
+    spec = SparseSetSpec.parse(text)
+    x = spec.term(max(n, spec.first_index)) + shift
+    assert spec._first_index_with_term_at_least(x) == first_index_by_search(spec, x)
 
 
 def every_kind():
